@@ -6,7 +6,8 @@ results to standard output, and signals outcomes through exit codes:
     0  success (and, for ``check``, a feasible demand)
     1  negative verdict (infeasible demand, unclassifiable scaling slope)
     2  input error (missing file, bad document, failed validation)
-    3  internal verification failure (a schedule that fails its own checks)
+    3  internal failure (a schedule that fails its own checks or breaks a
+       construction invariant)
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from .analysis import AnalysisError, AnalysisReport, analyze, report_to_obj
 from .model import (
     DocumentError,
-    ExtRational,
     parse_demand,
     parse_topology,
     topology_to_obj,
@@ -28,7 +28,13 @@ from .model import (
 )
 from .region import check_demand, verdict_to_obj
 from .scaling import classify, parse_family, sweep_rows
-from .schedule import integer_schedule, plan_to_dot, schedule_to_obj, verify_schedule
+from .schedule import (
+    InvariantError,
+    integer_schedule,
+    plan_to_dot,
+    schedule_to_obj,
+    verify_schedule,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -38,7 +44,7 @@ def _fmt(value, decimal: bool) -> str:
     if value is None:
         return "-"
     if decimal:
-        f = float(value) if not isinstance(value, ExtRational) else float(value)
+        f = float(value)
         return "inf" if f == float("inf") else f"{f:.6g}"
     return str(value)
 
@@ -238,6 +244,9 @@ def main(argv=None) -> int:
     except (DocumentError, AnalysisError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -410,6 +410,8 @@ class DemandMatrix:
     def __post_init__(self):
         cleaned = {}
         for key, value in self.entries.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is type(key[1]) is int):
+                raise DemandError(f"demand key {key!r} must be a (destination, source) pair of ints")
             j, i = key
             if isinstance(value, ExtRational):
                 if not value.is_finite:
@@ -417,10 +419,10 @@ class DemandMatrix:
                 value = value.as_fraction()
             elif isinstance(value, Infinity):
                 raise DemandError(f"demand entry (dst {j + 1}, src {i + 1}) must be finite")
-            else:
+            elif type(value) is not Fraction:
                 value = Fraction(value)
             if value != 0:
-                cleaned[(int(j), int(i))] = value
+                cleaned[key] = value
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
 
     @property

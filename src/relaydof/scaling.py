@@ -148,10 +148,18 @@ def parse_family(text: str) -> FamilySpec:
     if "pinned" in obj:
         if not isinstance(obj["pinned"], dict):
             raise FamilyError("'pinned' must map layer indices to sizes")
-        try:
-            pinned = tuple((int(k), int(v)) for k, v in obj["pinned"].items())
-        except (TypeError, ValueError) as exc:
-            raise FamilyError("'pinned' must map layer indices to integer sizes") from exc
+        layers: dict[int, int] = {}
+        for key, size in obj["pinned"].items():
+            try:
+                layer = int(key)
+            except ValueError as exc:
+                raise FamilyError(f"'pinned' key {key!r} is not a layer index") from exc
+            if layer in layers:
+                raise FamilyError(f"'pinned' names layer {layer} more than once")
+            if type(size) is not int:
+                raise FamilyError(f"pinned size of layer {layer} must be an integer, got {size!r}")
+            layers[layer] = size
+        pinned = tuple(layers.items())
     topology = None
     if "topology" in obj:
         topology = topology_from_obj(obj["topology"])

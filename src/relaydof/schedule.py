@@ -23,9 +23,10 @@ virtual endpoint.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
 
 from .analysis import achievable_sum_dof
 from .model import (
@@ -40,6 +41,7 @@ from .model import (
 from .region import check_demand
 
 __all__ = [
+    "InvariantError",
     "PhasePlan",
     "SourceMessage",
     "PaddingMessage",
@@ -58,6 +60,10 @@ __all__ = [
     "schedule_to_obj",
     "plan_to_dot",
 ]
+
+
+class InvariantError(RuntimeError):
+    """A construction invariant does not hold: a bug, never a bad input."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +125,146 @@ class SplitEdge:
     bits: Fraction
 
 
+class _PlanView(Sequence):
+    """Read-only sequence over a plan's per-layer structure, expanded on demand.
+
+    ``len`` is O(1) and indexing O(layers); iteration yields the elements
+    in plan order without keeping them.  Two views compare equal when they
+    are views of the same kind over equal structure.
+    """
+
+    __slots__ = ("_key", "_len")
+
+    def __init__(self, *key):
+        self._key = key
+        self._len = self._count()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        if not -self._len <= index < self._len:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._at(index % self._len)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __repr__(self):
+        return f"<{type(self).__name__} of {self._len}>"
+
+
+class _TransferView(_PlanView):
+    """Every phase message: phase by phase, transmitter-major.  Key: sizes, per_pair."""
+
+    __slots__ = ()
+
+    def _count(self) -> int:
+        sizes = self._key[0]
+        return sum(a * b for a, b in zip(sizes, sizes[1:]))
+
+    def _rows(self, text: bool = False):
+        sizes, per_pair = self._key
+        for k, bits in enumerate(per_pair):
+            bits = str(bits) if text else bits
+            for tx in range(sizes[k]):
+                for rx in range(sizes[k + 1]):
+                    yield k, tx, rx, bits
+
+    def _at(self, i: int) -> PhaseMessage:
+        sizes, per_pair = self._key
+        for k, bits in enumerate(per_pair):
+            if i < sizes[k] * sizes[k + 1]:
+                return PhaseMessage(k, *divmod(i, sizes[k + 1]), bits)
+            i -= sizes[k] * sizes[k + 1]
+
+    def __iter__(self):
+        return (PhaseMessage(*row) for row in self._rows())
+
+
+class _EdgeView(_PlanView):
+    """Every split edge: source fan-out, padding fan-out, relay layers, sinks.
+
+    Key: sizes, per_pair, sources, paddings.  Each relay layer's edges all
+    carry the same share, so the view only formats node ids and shares.
+    """
+
+    __slots__ = ()
+
+    def _count(self) -> int:
+        sizes, _, sources, paddings = self._key
+        relays = sum(a * b * c for a, b, c in zip(sizes, sizes[1:], sizes[2:]))
+        return (len(sources) + len(paddings)) * sizes[1] + relays + sizes[-2] * sizes[-1]
+
+    def _rows(self, text: bool = False):
+        sizes, per_pair, sources, paddings = self._key
+        fmt = str if text else (lambda bits: bits)
+        ids = [
+            [[_phase_id(k, tx, rx) for rx in range(sizes[k + 1])] for tx in range(sizes[k])]
+            for k in range(len(sizes) - 1)
+        ]
+
+        def fan_out(src):
+            if 0 <= src < sizes[0]:
+                return ids[0][src]
+            return [_phase_id(0, src, n) for n in range(sizes[1])]
+
+        # phase 0: every source message and padding block splits evenly over
+        # the first relay layer
+        for msg in sources:
+            head, share = _msg_id(msg.dst, msg.src), fmt(msg.bits / sizes[1])
+            for tail in fan_out(msg.src):
+                yield head, tail, share
+        for pad in paddings:
+            head, share = _pad_id(pad.src), fmt(pad.bits / sizes[1])
+            for tail in fan_out(pad.src):
+                yield head, tail, share
+        # relay layers: merge everything inbound, re-split evenly outbound; the
+        # last layer's "split" is the reorganization by destination
+        for k in range(1, len(sizes) - 1):
+            share = fmt(per_pair[k] / sizes[k - 1])
+            for n in range(sizes[k]):
+                tails = ids[k][n]
+                for inbound in ids[k - 1]:
+                    head = inbound[n]
+                    for tail in tails:
+                        yield head, tail, share
+        # destination bins collect their full inbound messages
+        share = fmt(per_pair[-1])
+        for j in range(sizes[-1]):
+            sink = _sink_id(j)
+            for inbound in ids[-1]:
+                yield inbound[j], sink, share
+
+    def _at(self, i: int) -> SplitEdge:
+        sizes, per_pair, sources, paddings = self._key
+        fan = sizes[1]
+        if i < len(sources) * fan:
+            msg = sources[i // fan]
+            return SplitEdge(_msg_id(msg.dst, msg.src), _phase_id(0, msg.src, i % fan), msg.bits / fan)
+        i -= len(sources) * fan
+        if i < len(paddings) * fan:
+            pad = paddings[i // fan]
+            return SplitEdge(_pad_id(pad.src), _phase_id(0, pad.src, i % fan), pad.bits / fan)
+        i -= len(paddings) * fan
+        for k in range(1, len(sizes) - 1):
+            before, layer, after = sizes[k - 1 : k + 2]
+            if i < before * layer * after:
+                n, rest = divmod(i, before * after)
+                tx, rx = divmod(rest, after)
+                return SplitEdge(_phase_id(k - 1, tx, n), _phase_id(k, n, rx), per_pair[k] / before)
+            i -= before * layer * after
+        j, n = divmod(i, sizes[-2])
+        return SplitEdge(_phase_id(len(sizes) - 2, n, j), _sink_id(j), per_pair[-1])
+
+    def __iter__(self):
+        return (SplitEdge(*row) for row in self._rows())
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Layered split/merge DAG with exact bit shares on every node and edge.
@@ -128,18 +274,47 @@ class SplitPlan:
     identical plans; :func:`relaydof.model.virtual_node_map` recovers the
     physical node behind each virtual endpoint.  ``bits_per_dof`` converts
     demand DoF values into bits (it equals the schedule's total delay).
+
+    The plan is stored per layer: ``per_pair[k]`` is the size of every
+    phase-k message, and each relay re-splits its inbound bits evenly, so
+    the DAG is fixed by the sizes, the shares, the sources and the padding.
+    ``transfers`` and ``edges`` default to lazy views over that structure;
+    an explicitly supplied sequence is kept as given and verified by
+    expansion.
     """
 
     sizes: tuple[int, ...]
     demand: DemandMatrix
+    per_pair: tuple[Fraction, ...]
     sources: tuple[SourceMessage, ...]
     paddings: tuple[PaddingMessage, ...]
-    transfers: tuple[PhaseMessage, ...]
     sinks: tuple[DestinationBin, ...]
-    edges: tuple[SplitEdge, ...]
     total_bits: int
     padding_bits: Fraction
     bits_per_dof: Fraction
+    transfers: Sequence[PhaseMessage] | None = None
+    edges: Sequence[SplitEdge] | None = None
+
+    def __post_init__(self):
+        if self.transfers is None:
+            object.__setattr__(self, "transfers", _TransferView(*self._transfer_key()))
+        if self.edges is None:
+            object.__setattr__(self, "edges", _EdgeView(*self._edge_key()))
+
+    def _transfer_key(self) -> tuple:
+        return (self.sizes, self.per_pair)
+
+    def _edge_key(self) -> tuple:
+        return (self.sizes, self.per_pair, self.sources, self.paddings)
+
+    def _structural(self) -> bool:
+        """True when ``transfers`` and ``edges`` are views of this plan's own structure."""
+        return (
+            isinstance(self.transfers, _TransferView)
+            and isinstance(self.edges, _EdgeView)
+            and self.transfers._key == self._transfer_key()
+            and self.edges._key == self._edge_key()
+        )
 
 
 @dataclass(frozen=True)
@@ -247,7 +422,8 @@ def _integer_phases(sizes: list[int]) -> list[PhasePlan]:
     phases = []
     for k, (r, c) in enumerate(zip(ratios, pair_counts)):
         block = r * t0
-        assert block.denominator == 1
+        if block.denominator != 1:
+            raise InvariantError(f"hop {k}: block length {block} is not whole")
         phases.append(
             PhasePlan(
                 hop=k,
@@ -280,90 +456,80 @@ def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> dict[tuple[i
     return entries
 
 
+def _unit_sums(entries) -> tuple[int, dict[int, int], dict[int, int]]:
+    """Per-source and per-destination demand sums as integers in one unit,
+    the LCM of the entries' denominators: (unit, rows, cols)."""
+    unit = math.lcm(*(v.denominator for v in entries.values()))
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for (j, i), v in entries.items():
+        units = v.numerator * (unit // v.denominator)
+        rows[i] = rows.get(i, 0) + units
+        cols[j] = cols.get(j, 0) + units
+    return unit, rows, cols
+
+
+def _to_bits(entries, bits_per_dof) -> dict[tuple[int, int], Fraction]:
+    """Each demand entry in bits; runs of one value object (a uniform demand)
+    share one product."""
+    out = {}
+    value = bits = None
+    for key, v in entries.items():
+        if v is not value:
+            value, bits = v, v * bits_per_dof
+        out[key] = bits
+    return out
+
+
 def _build_plan(
     sizes: list[int],
     phases: list[PhasePlan],
     entries: dict[tuple[int, int], Fraction],
 ) -> SplitPlan:
-    hops = len(sizes) - 1
-    per_pair = [p.per_pair_bits for p in phases]
+    per_pair = tuple(p.per_pair_bits for p in phases)
     total_bits = per_pair[0] * sizes[0] * sizes[1]
-    assert total_bits.denominator == 1
+    if total_bits.denominator != 1:
+        raise InvariantError(f"total bits {total_bits} are not whole")
     total_bits = int(total_bits)
-    delay = Fraction(sum(p.block_length for p in phases))
+    delay = sum(p.block_length for p in phases)
 
     demand = DemandMatrix(entries)
-    rows = [demand.row_sum(i) for i in range(sizes[0])]
-    cols = [demand.col_sum(j) for j in range(sizes[-1])]
+    unit, rows, cols = _unit_sums(demand.entries)
+    received: dict[int, list[tuple[int, Fraction]]] = {}
+    sources = []
+    for (j, i), bits in sorted(_to_bits(demand.entries, delay).items()):
+        sources.append(SourceMessage(dst=j, src=i, bits=bits))
+        if 0 <= i < sizes[0]:
+            received.setdefault(j, []).append((i, bits))
 
-    sources = tuple(
-        SourceMessage(dst=j, src=i, bits=v * delay)
-        for (j, i), v in sorted(demand.entries.items())
-    )
-    source_budget = Fraction(total_bits, sizes[0])
-    paddings = tuple(
-        PaddingMessage(src=i, bits=source_budget - rows[i] * delay)
-        for i in range(sizes[0])
-        if source_budget - rows[i] * delay > 0
-    )
+    def unused(demand_units: int, count: int) -> Fraction:
+        """Bits left in a 1/count share of the total that carries demand_units."""
+        return Fraction(total_bits * unit - count * demand_units * delay, count * unit)
 
-    transfers = []
-    for k in range(hops):
-        for tx in range(sizes[k]):
-            for rx in range(sizes[k + 1]):
-                transfers.append(PhaseMessage(phase=k, tx=tx, rx=rx, bits=per_pair[k]))
-
-    sink_budget = Fraction(total_bits, sizes[-1])
+    paddings = []
+    for i in range(sizes[0]):
+        pad = unused(rows.get(i, 0), sizes[0])
+        if pad > 0:
+            paddings.append(PaddingMessage(src=i, bits=pad))
     sinks = tuple(
         DestinationBin(
             dst=j,
-            received=tuple(
-                (i, demand.entries[(j, i)] * delay)
-                for i in range(sizes[0])
-                if (j, i) in demand.entries
-            ),
-            padding_bits=sink_budget - cols[j] * delay,
+            received=tuple(received.get(j, ())),
+            padding_bits=unused(cols.get(j, 0), sizes[-1]),
         )
         for j in range(sizes[-1])
     )
 
-    edges = []
-    # phase 0: every source message and padding block splits evenly over
-    # the first relay layer
-    for msg in sources:
-        share = msg.bits / sizes[1]
-        for n in range(sizes[1]):
-            edges.append(SplitEdge(_msg_id(msg.dst, msg.src), _phase_id(0, msg.src, n), share))
-    for pad in paddings:
-        share = pad.bits / sizes[1]
-        for n in range(sizes[1]):
-            edges.append(SplitEdge(_pad_id(pad.src), _phase_id(0, pad.src, n), share))
-    # relay layers: merge everything inbound, re-split evenly outbound; the
-    # last layer's "split" is the reorganization by destination
-    for k in range(1, hops):
-        share = per_pair[k] / sizes[k - 1]
-        for n in range(sizes[k]):
-            for tx_prev in range(sizes[k - 1]):
-                for rx in range(sizes[k + 1]):
-                    edges.append(
-                        SplitEdge(_phase_id(k - 1, tx_prev, n), _phase_id(k, n, rx), share)
-                    )
-    # destination bins collect their full inbound messages
-    for j in range(sizes[-1]):
-        for n in range(sizes[-2]):
-            edges.append(SplitEdge(_phase_id(hops - 1, n, j), _sink_id(j), per_pair[-1]))
-
     return SplitPlan(
         sizes=tuple(sizes),
         demand=demand,
-        sources=sources,
-        paddings=paddings,
-        transfers=tuple(transfers),
+        per_pair=per_pair,
+        sources=tuple(sources),
+        paddings=tuple(paddings),
         sinks=sinks,
-        edges=tuple(edges),
         total_bits=total_bits,
-        padding_bits=total_bits - demand.total * delay,
-        bits_per_dof=delay,
+        padding_bits=unused(sum(rows.values()), 1),
+        bits_per_dof=Fraction(delay),
     )
 
 
@@ -411,34 +577,11 @@ def splitting_plan(t: NetworkTopology, demand: DemandMatrix) -> SplitPlan:
 # -- verification -------------------------------------------------------------
 
 
-def verify_schedule(s: Schedule) -> VerificationReport:
-    """Re-derive the schedule's defining identities and report each one.
+def _expanded_conservation(plan: SplitPlan, hops: int) -> tuple[list, list, list]:
+    """Conservation by summing every edge into its endpoints (the oracle).
 
-    Failures are reported, never raised.
+    Returns the unbalanced node ids, relay (layer, node) pairs and phases.
     """
-    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
-    hops = len(s.phases)
-    plan = s.split_plan
-    checks = []
-
-    # (1) forwarding recurrence between consecutive phases
-    bad_hops = []
-    for k in range(1, hops):
-        lhs = Fraction(s.phases[k - 1].block_length * sizes[k - 1], sizes[k - 1] + sizes[k] - 1)
-        rhs = Fraction(s.phases[k].block_length * sizes[k + 1], sizes[k] + sizes[k + 1] - 1)
-        if lhs != rhs:
-            bad_hops.append(k)
-    checks.append(
-        CheckResult(
-            "phase-recurrence",
-            not bad_hops,
-            "" if not bad_hops else f"forwarding mismatch at hop(s) {bad_hops}",
-        )
-    )
-
-    # (2) bit conservation: edge sums must reproduce every node total, each
-    # relay node forwards exactly what it decoded, each phase carries the
-    # same total
     inbound: dict[str, Fraction] = {}
     outbound: dict[str, Fraction] = {}
     for e in plan.edges:
@@ -473,6 +616,103 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     for tr in plan.transfers:
         phase_totals[tr.phase] = phase_totals.get(tr.phase, Fraction(0)) + tr.bits
     uneven_phases = [k for k, total in phase_totals.items() if total != plan.total_bits]
+    return bad_nodes, bad_relays, uneven_phases
+
+
+def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
+    """The expansion check's findings, derived from the per-layer structure.
+
+    Every bit count is an integer in one unit, the LCM of all denominators.
+    A relay edge into phase k carries per_pair[k]/S_{k-1}, so phase-k
+    in-flow is per_pair[k] for k >= 1 and phase k's out-flow is
+    S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its source row over S_1.
+    Only the first four unbalanced nodes and relays are listed.
+    """
+    sizes, hops = plan.sizes, len(plan.sizes) - 1
+    values = [*plan.per_pair, plan.total_bits]
+    values += [m.bits for m in plan.sources] + [p.bits for p in plan.paddings]
+    for sink in plan.sinks:
+        values += [b for _, b in sink.received] + [sink.padding_bits]
+    unit = math.lcm(*(v.denominator for v in values))
+
+    def units(v) -> int:
+        return v.numerator * (unit // v.denominator)
+
+    pair = [units(b) for b in plan.per_pair]
+    sent: dict[tuple[int, int], int] = {}
+    padded: dict[int, int] = {}
+    row: dict[int, int] = {}
+    for m in plan.sources:
+        sent[m.dst, m.src] = sent.get((m.dst, m.src), 0) + units(m.bits)
+        row[m.src] = row.get(m.src, 0) + units(m.bits)
+    for p in plan.paddings:
+        padded[p.src] = padded.get(p.src, 0) + units(p.bits)
+        row[p.src] = row.get(p.src, 0) + units(p.bits)
+    out_bad = [k < hops - 1 and sizes[k + 2] * pair[k + 1] != sizes[k] * pair[k] for k in range(hops)]
+    sink_in = sizes[-2] * pair[-1]
+
+    def bad_nodes():
+        for m in plan.sources:
+            if sent[m.dst, m.src] != units(m.bits):
+                yield _msg_id(m.dst, m.src)
+        for p in plan.paddings:
+            if padded[p.src] != units(p.bits):
+                yield _pad_id(p.src)
+        for k in range(hops):
+            for tx in range(sizes[k]):
+                in_bad = k == 0 and row.get(tx, 0) != sizes[1] * pair[0]
+                if in_bad or out_bad[k]:
+                    for rx in range(sizes[k + 1]):
+                        node = _phase_id(k, tx, rx)
+                        yield from [node] * (in_bad + out_bad[k])
+        for sink in plan.sinks:
+            got = sink_in if 0 <= sink.dst < sizes[-1] else 0
+            if got != sum(units(b) for _, b in sink.received) + units(sink.padding_bits):
+                yield _sink_id(sink.dst)
+
+    bad_relays = (
+        (k, n)
+        for k in range(1, hops)
+        if sizes[k - 1] * pair[k - 1] != sizes[k + 1] * pair[k]
+        for n in range(sizes[k])
+    )
+    total = units(plan.total_bits)
+    uneven_phases = [k for k in range(hops) if sizes[k] * sizes[k + 1] * pair[k] != total]
+    return list(islice(bad_nodes(), 4)), list(islice(bad_relays, 4)), uneven_phases
+
+
+def verify_schedule(s: Schedule) -> VerificationReport:
+    """Re-derive the schedule's defining identities and report each one.
+
+    Failures are reported, never raised.
+    """
+    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
+    hops = len(s.phases)
+    plan = s.split_plan
+    checks = []
+
+    # (1) forwarding recurrence between consecutive phases
+    bad_hops = []
+    for k in range(1, hops):
+        lhs = Fraction(s.phases[k - 1].block_length * sizes[k - 1], sizes[k - 1] + sizes[k] - 1)
+        rhs = Fraction(s.phases[k].block_length * sizes[k + 1], sizes[k] + sizes[k + 1] - 1)
+        if lhs != rhs:
+            bad_hops.append(k)
+    checks.append(
+        CheckResult(
+            "phase-recurrence",
+            not bad_hops,
+            "" if not bad_hops else f"forwarding mismatch at hop(s) {bad_hops}",
+        )
+    )
+
+    # (2) bit conservation: edge sums must reproduce every node total, each
+    # relay node forwards exactly what it decoded, each phase carries the
+    # same total
+    if plan._structural() and len(plan.sizes) == hops + 1:
+        bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan)
+    else:
+        bad_nodes, bad_relays, uneven_phases = _expanded_conservation(plan, hops)
     ok = not (bad_nodes or bad_relays or uneven_phases)
     detail = ""
     if not ok:
@@ -503,23 +743,24 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     )
 
     # (4) destination bins and source messages match the demand exactly
-    demand = plan.demand
     norm = plan.bits_per_dof
+    unit, _, cols = _unit_sums(plan.demand.entries)
+    wanted = _to_bits(plan.demand.entries, norm)
+    expected: dict[int, dict[int, Fraction]] = {}
+    for (j, i), bits in wanted.items():
+        if 0 <= i < sizes[0]:
+            expected.setdefault(j, {})[i] = bits
+    sink_budget = Fraction(plan.total_bits, sizes[-1])
     problems = []
     for sink in plan.sinks:
-        expected = {
-            i: demand.entries[(sink.dst, i)] * norm
-            for i in range(sizes[0])
-            if (sink.dst, i) in demand.entries
-        }
-        if dict(sink.received) != expected:
+        if dict(sink.received) != expected.get(sink.dst, {}):
             problems.append(f"dst {sink.dst + 1} reassembly")
-        if sink.padding_bits != Fraction(plan.total_bits, sizes[-1]) - demand.col_sum(sink.dst) * norm:
+        if sink.padding_bits != sink_budget - Fraction(cols.get(sink.dst, 0), unit) * norm:
             problems.append(f"dst {sink.dst + 1} padding")
     for msg in plan.sources:
-        if msg.bits != demand.entries.get((msg.dst, msg.src), Fraction(0)) * norm:
+        if msg.bits != wanted.get((msg.dst, msg.src), 0):
             problems.append(f"message {_msg_id(msg.dst, msg.src)}")
-    if plan.padding_bits != plan.total_bits - demand.total * norm:
+    if plan.padding_bits != plan.total_bits - Fraction(sum(cols.values()), unit) * norm:
         problems.append("total padding")
     checks.append(
         CheckResult(
@@ -535,6 +776,20 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 # -- serialization ------------------------------------------------------------
 
 
+def _transfer_rows(plan: SplitPlan):
+    """(phase, tx, rx, bits text) per transfer, in plan order."""
+    if isinstance(plan.transfers, _TransferView):
+        return plan.transfers._rows(text=True)
+    return ((t.phase, t.tx, t.rx, str(t.bits)) for t in plan.transfers)
+
+
+def _edge_rows(plan: SplitPlan):
+    """(head, tail, bits text) per edge, in plan order."""
+    if isinstance(plan.edges, _EdgeView):
+        return plan.edges._rows(text=True)
+    return ((e.head, e.tail, str(e.bits)) for e in plan.edges)
+
+
 def _plan_to_obj(plan: SplitPlan) -> dict:
     nodes = []
     for msg in plan.sources:
@@ -543,15 +798,10 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
         )
     for pad in plan.paddings:
         nodes.append({"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)})
-    for tr in plan.transfers:
-        nodes.append(
-            {
-                "id": _phase_id(tr.phase, tr.tx, tr.rx),
-                "kind": "transfer",
-                "phase": tr.phase,
-                "bits": str(tr.bits),
-            }
-        )
+    nodes.extend(
+        {"id": _phase_id(k, tx, rx), "kind": "transfer", "phase": k, "bits": bits}
+        for k, tx, rx, bits in _transfer_rows(plan)
+    )
     for sink in plan.sinks:
         nodes.append(
             {
@@ -571,9 +821,7 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
         "bits_per_dof": str(plan.bits_per_dof),
         "padding_policy": "uniform-fill",
         "nodes": nodes,
-        "edges": [
-            {"from": e.head, "to": e.tail, "bits": str(e.bits)} for e in plan.edges
-        ],
+        "edges": [{"from": h, "to": t, "bits": b} for h, t, b in _edge_rows(plan)],
     }
 
 
@@ -604,12 +852,11 @@ def plan_to_dot(plan: SplitPlan) -> str:
         lines.append(f'  "{_msg_id(msg.dst, msg.src)}" [shape=box, label="{_msg_id(msg.dst, msg.src)}\\n{msg.bits} bits"];')
     for pad in plan.paddings:
         lines.append(f'  "{_pad_id(pad.src)}" [shape=box, style=dashed, label="{_pad_id(pad.src)}\\n{pad.bits} bits"];')
-    for tr in plan.transfers:
-        node = _phase_id(tr.phase, tr.tx, tr.rx)
-        lines.append(f'  "{node}" [label="{node}\\n{tr.bits} bits"];')
+    for k, tx, rx, bits in _transfer_rows(plan):
+        node = _phase_id(k, tx, rx)
+        lines.append(f'  "{node}" [label="{node}\\n{bits} bits"];')
     for sink in plan.sinks:
         lines.append(f'  "{_sink_id(sink.dst)}" [shape=doublecircle, label="{_sink_id(sink.dst)}\\n{sink.bits} bits"];')
-    for e in plan.edges:
-        lines.append(f'  "{e.head}" -> "{e.tail}" [label="{e.bits}"];')
+    lines.extend(f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in _edge_rows(plan))
     lines.append("}")
     return "\n".join(lines)

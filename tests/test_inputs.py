@@ -1,0 +1,72 @@
+"""Inputs that used to be coerced silently, and invariants that must not
+rely on ``assert``."""
+
+import ast
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import relaydof
+from relaydof.cli import main
+from relaydof.model import DemandError, DemandMatrix
+from relaydof.scaling import FamilyError, parse_family
+from relaydof.schedule import InvariantError, PhasePlan, _build_plan
+
+SOURCES = sorted(Path(relaydof.__file__).parent.glob("*.py"))
+
+
+# -- no assert in the package (python -O strips them) ------------------------------
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_has_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert at line(s) {lines}"
+
+
+def test_broken_integrality_is_an_internal_error_with_exit_3(tmp_path, capsys, monkeypatch):
+    # an LCM that ignores the denominators leaves the [1, 2, 4] phase-1 block fractional
+    monkeypatch.setattr(math, "lcm", lambda *args: 1)
+    topology = tmp_path / "t.json"
+    topology.write_text('{"layers":[{"nodes":1},{"nodes":2},{"nodes":4}]}', encoding="utf-8")
+    assert main(["schedule", str(topology)]) == 3
+    assert "internal error: hop 1" in capsys.readouterr().err
+
+
+def test_fractional_total_bits_is_an_internal_error():
+    phase = PhasePlan(hop=0, tx_count=1, rx_count=1, block_length=1, per_pair_dof=Fraction(1), per_pair_bits=Fraction(1, 3))
+    with pytest.raises(InvariantError, match="total bits 1/3"):
+        _build_plan([1, 1, 1], [phase, phase], {(0, 0): Fraction(1, 2)})
+
+
+# -- pinned layers ------------------------------------------------------------------
+
+
+def test_duplicate_pinned_layer_is_rejected():
+    with pytest.raises(FamilyError, match="layer 1 more than once"):
+        parse_family('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":2,"01":3}}')
+
+
+def test_duplicate_pinned_layer_exits_2(tmp_path, capsys):
+    family = tmp_path / "f.json"
+    family.write_text('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":2,"01":3}}', encoding="utf-8")
+    assert main(["classify", str(family)]) == 2
+    assert "layer 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["true", "2.9", '"2"'])
+def test_non_integer_pinned_size_is_rejected(size):
+    with pytest.raises(FamilyError, match="pinned size of layer 1"):
+        parse_family('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":' + size + "}}")
+
+
+# -- demand keys --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [(0.7, 0), (0, Fraction(1)), (True, 0), (0, False), (0,), "ab"])
+def test_demand_key_must_be_a_pair_of_plain_ints(key):
+    with pytest.raises(DemandError, match="pair of ints"):
+        DemandMatrix({key: 1})
