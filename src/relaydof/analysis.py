@@ -4,11 +4,15 @@ Every hop between adjacent layers behaves like a single-hop X network whose
 achievable sum DoF is M*N/(M+N-1); the chain combines like series
 capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
-matching harmonic combination.  All results are exact ExtRationals.
+matching harmonic combination.  Both sums of reciprocals come from one
+exact pass over the chain's distinct hops (``_reciprocal_sums``); every
+public result is an exact ExtRational.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,20 +105,60 @@ def _hops(sizes: Sequence[ExtCount]):
     return list(zip(sizes[:-1], sizes[1:]))
 
 
+def _check_sizes(sizes: Sequence[ExtCount]) -> None:
+    """Validate a whole chain, naming the first bad size as the hop checks do."""
+    if len(sizes) < 2:
+        raise AnalysisError("need at least 2 layers")
+    if set(map(type, sizes)) <= {int, Infinity} and min(set(sizes) - {INFINITY}, default=1) >= 1:
+        return
+    for k, value in enumerate(sizes):
+        _check_size(value, "transmitter count" if k == 0 else "receiver count")
+
+
+def _fraction_sum(terms: dict[int, int]) -> Fraction:
+    """Sum of numerator/denominator over {denominator: numerator}, with one
+    LCM and one gcd."""
+    unit = math.lcm(*terms)
+    return Fraction(sum(num * (unit // den) for den, num in terms.items()), unit)
+
+
+def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
+    """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly.
+
+    A finite hop adds (m+n-1)/(mn) and 1/min(m, n); a hop with one infinite
+    end adds 1/(finite end) to both sums; a hop with both ends infinite adds
+    nothing.  Each distinct (m, n) pair is visited once, with its count.
+    """
+    _check_sizes(sizes)
+    inv_alpha: dict[int, int] = {}
+    inv_beta: dict[int, int] = {}
+    for (m, n), count in Counter(zip(sizes, sizes[1:])).items():
+        m_inf, n_inf = isinstance(m, Infinity), isinstance(n, Infinity)
+        if m_inf and n_inf:
+            continue
+        if m_inf or n_inf:
+            finite = n if m_inf else m
+            inv_alpha[finite] = inv_alpha.get(finite, 0) + count
+            inv_beta[finite] = inv_beta.get(finite, 0) + count
+        else:
+            inv_alpha[m * n] = inv_alpha.get(m * n, 0) + count * (m + n - 1)
+            low = min(m, n)
+            inv_beta[low] = inv_beta.get(low, 0) + count
+    return _fraction_sum(inv_alpha), _fraction_sum(inv_beta)
+
+
+def _harmonic(inverse_sum: Fraction) -> ExtRational:
+    return ExtRational(INFINITY) if inverse_sum == 0 else ExtRational(1 / inverse_sum)
+
+
 def achievable_sum_dof(sizes: Sequence[ExtCount]) -> ExtRational:
     """Whole-chain achievable sum DoF: reciprocals of per-hop values add."""
-    inv = ExtRational(0)
-    for m, n in _hops(sizes):
-        inv = inv + hop_achievable_dof(m, n).reciprocal()
-    return inv.reciprocal()
+    return _harmonic(_reciprocal_sums(sizes)[0])
 
 
 def cutset_sum_dof(sizes: Sequence[ExtCount]) -> ExtRational:
     """Whole-chain cut-set upper bound, combined the same harmonic way."""
-    inv = ExtRational(0)
-    for m, n in _hops(sizes):
-        inv = inv + hop_cutset_dof(m, n).reciprocal()
-    return inv.reciprocal()
+    return _harmonic(_reciprocal_sums(sizes)[1])
 
 
 def bounding_set(sizes: Sequence[ExtCount]) -> frozenset[int]:
@@ -129,12 +173,8 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     with an infinite endpoint contribute nothing; when no hop can contribute
     the bounds are 0 as well.
     """
+    inv_alpha, inv_beta = _reciprocal_sums(sizes)
     hops = _hops(sizes)
-    exact = Fraction(0)
-    for m, n in hops:
-        if isinstance(m, Infinity) or isinstance(n, Infinity):
-            continue
-        exact += Fraction(min(m, n) - 1, m * n)
     members = bounding_set(sizes)
     bound1 = ExtRational(0)
     for k in members:
@@ -145,7 +185,7 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
         bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
     else:
         bound2 = ExtRational(0)
-    return ExtRational(exact), bound1, bound2
+    return ExtRational(inv_alpha - inv_beta), bound1, bound2
 
 
 def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational]:
@@ -155,13 +195,11 @@ def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational,
     fractional bound is cutset * (1/achievable - 1/cutset), which dominates
     (gap / capacity).  Undefined when the chain is unbounded on both routes.
     """
-    lower = achievable_sum_dof(sizes)
-    upper = cutset_sum_dof(sizes)
-    if not (lower.is_finite and upper.is_finite):
+    inv_alpha, inv_beta = _reciprocal_sums(sizes)
+    if inv_alpha == 0:
         raise AnalysisError("gap is undefined when both bounds are infinite")
-    absolute = upper - lower
-    fractional = upper * (lower.reciprocal() - upper.reciprocal())
-    return absolute, fractional
+    upper = 1 / inv_beta
+    return ExtRational(upper - 1 / inv_alpha), ExtRational(upper * (inv_alpha - inv_beta))
 
 
 def is_optimal(sizes: Sequence[ExtCount]) -> bool:
@@ -199,23 +237,20 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     sizes = t.effective_sizes()
     if all(isinstance(s, Infinity) for s in sizes):
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
-    alpha_k = tuple(hop_achievable_dof(m, n) for m, n in _hops(sizes))
-    beta_k = tuple(hop_cutset_dof(m, n) for m, n in _hops(sizes))
-    lower = achievable_sum_dof(sizes)
-    upper = cutset_sum_dof(sizes)
-    gap_exact, _, _ = inverse_gap(sizes)
-    absolute, fractional = absolute_and_fractional_gap(sizes)
+    inv_alpha, inv_beta = _reciprocal_sums(sizes)
+    hops = _hops(sizes)
+    lower, upper = 1 / inv_alpha, 1 / inv_beta
     endpoints_finite = not (
         isinstance(sizes[0], Infinity) or isinstance(sizes[-1], Infinity)
     )
     return AnalysisReport(
-        achievable=lower,
-        achievable_per_hop=alpha_k,
-        cutset=upper,
-        cutset_per_hop=beta_k,
-        inverse_gap=gap_exact,
-        absolute_gap=absolute,
-        fractional_gap_bound=fractional,
+        achievable=ExtRational(lower),
+        achievable_per_hop=tuple(hop_achievable_dof(m, n) for m, n in hops),
+        cutset=ExtRational(upper),
+        cutset_per_hop=tuple(hop_cutset_dof(m, n) for m, n in hops),
+        inverse_gap=ExtRational(inv_alpha - inv_beta),
+        absolute_gap=ExtRational(upper - lower),
+        fractional_gap_bound=ExtRational(upper * (inv_alpha - inv_beta)),
         bounding_set=bounding_set(sizes),
         optimal=is_optimal(sizes),
         ultimate_capacity=(

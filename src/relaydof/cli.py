@@ -94,6 +94,23 @@ def cmd_analyze(args) -> int:
         obj.update(report_to_obj(report))
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
+        d = args.decimal
+        # the row is rendered before anything is written, so a value that
+        # cannot be rendered leaves no partial output
+        row = [
+            " ".join(str(s) for s in topology.effective_sizes()),
+            _fmt(report.achievable, d),
+            " ".join(_fmt(x, d) for x in report.achievable_per_hop),
+            _fmt(report.cutset, d),
+            " ".join(_fmt(x, d) for x in report.cutset_per_hop),
+            _fmt(report.inverse_gap, d),
+            _fmt(report.absolute_gap, d),
+            _fmt(report.fractional_gap_bound, d),
+            " ".join(str(k) for k in sorted(report.bounding_set)),
+            report.optimal,
+            _fmt(report.ultimate_capacity, d),
+            _fmt(report.relay_loss_factor, d),
+        ]
         writer = csv.writer(sys.stdout)
         writer.writerow(
             [
@@ -111,23 +128,7 @@ def cmd_analyze(args) -> int:
                 "relay_loss_factor",
             ]
         )
-        d = args.decimal
-        writer.writerow(
-            [
-                " ".join(str(s) for s in topology.effective_sizes()),
-                _fmt(report.achievable, d),
-                " ".join(_fmt(x, d) for x in report.achievable_per_hop),
-                _fmt(report.cutset, d),
-                " ".join(_fmt(x, d) for x in report.cutset_per_hop),
-                _fmt(report.inverse_gap, d),
-                _fmt(report.absolute_gap, d),
-                _fmt(report.fractional_gap_bound, d),
-                " ".join(str(k) for k in sorted(report.bounding_set)),
-                report.optimal,
-                _fmt(report.ultimate_capacity, d),
-                _fmt(report.relay_loss_factor, d),
-            ]
-        )
+        writer.writerow(row)
     else:
         _print_table(_report_rows(report, args.decimal))
     return 0
@@ -241,7 +242,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, AnalysisError, OSError, json.JSONDecodeError) as exc:
+    except (DocumentError, AnalysisError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+        # ArithmeticError: a valid document whose exact values are too large
+        # to render as floats or to expand per node (e.g. 10**400-node layers)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

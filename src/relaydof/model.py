@@ -15,6 +15,7 @@ functions, safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -437,6 +438,20 @@ class DemandMatrix:
         """Total DoF entering one destination (sum over sources)."""
         return sum((v for (j, i), v in self.entries.items() if j == destination), Fraction(0))
 
+    def unit_sums(self) -> tuple[int, dict[int, int], dict[int, int]]:
+        """Every row and column sum in one pass, as integers in one unit, the
+        LCM of the entries' denominators: (unit, rows, cols), keyed by source
+        and by destination index; rows and columns without entries are absent.
+        """
+        unit = math.lcm(*(v.denominator for v in self.entries.values()))
+        rows: dict[int, int] = {}
+        cols: dict[int, int] = {}
+        for (j, i), v in self.entries.items():
+            units = v.numerator * (unit // v.denominator)
+            rows[i] = rows.get(i, 0) + units
+            cols[j] = cols.get(j, 0) + units
+        return unit, rows, cols
+
     def scale(self, factor) -> "DemandMatrix":
         if isinstance(factor, ExtRational):
             factor = factor.as_fraction()
@@ -462,30 +477,23 @@ class DemandMatrix:
 
 
 def _layer_from_obj(obj, index: int) -> LayerSpec:
+    """Check the layer's JSON shape here; LayerSpec checks the values."""
     if not isinstance(obj, dict):
         raise TopologyError(f"layer {index}: expected an object, got {type(obj).__name__}")
     keys = set(obj)
-    if keys == {"nodes"}:
-        raw = obj["nodes"]
-        if raw == "inf":
-            return LayerSpec(nodes=INFINITY)
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise TopologyError(f"layer {index}: 'nodes' must be an integer or \"inf\"")
-        if raw == 0:
-            raise TopologyError(f"layer {index}: zero nodes")
-        if raw < 0:
-            raise TopologyError(f"layer {index}: node count must be positive")
-        return LayerSpec(nodes=raw)
-    if keys == {"antennas"}:
-        raw = obj["antennas"]
-        if not isinstance(raw, list) or not raw:
-            raise TopologyError(f"layer {index}: 'antennas' must be a nonempty list")
-        for a in raw:
-            if a == "inf":
-                raise TopologyError(f"layer {index}: infinite layer cannot carry an antenna list")
-            if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-                raise TopologyError(f"layer {index}: antenna counts must be positive integers")
-        return LayerSpec(antennas=tuple(raw))
+    try:
+        if keys == {"nodes"}:
+            raw = obj["nodes"]
+            return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
+        if keys == {"antennas"}:
+            raw = obj["antennas"]
+            if not isinstance(raw, list):
+                raise TopologyError("'antennas' must be a nonempty list")
+            if "inf" in raw:
+                raise TopologyError("infinite layer cannot carry an antenna list")
+            return LayerSpec(antennas=tuple(raw))
+    except TopologyError as exc:
+        raise TopologyError(f"layer {index}: {exc}") from None
     raise TopologyError(f"layer {index}: expected exactly one of 'nodes' or 'antennas'")
 
 

@@ -50,28 +50,29 @@ class ScaleResult:
     verdict: RegionVerdict
 
 
-def _constraints(t: NetworkTopology, d: DemandMatrix):
-    """Yield (id, lhs, rhs) triples for every region constraint, exactly."""
+def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fraction, Fraction]]:
+    """Every region constraint as (id, lhs, rhs), exactly, in report order."""
     errors = validate_demand(t, d)
     if errors:
         raise DemandError("; ".join(errors))
     alpha = achievable_sum_dof(t.effective_sizes()).as_fraction()
-    src_antennas = t.source_layer.antenna_profile()
-    dst_antennas = t.destination_layer.antenna_profile()
-    src_total = sum(src_antennas)
-    dst_total = sum(dst_antennas)
-    yield "total", d.total, alpha
-    for i, a in enumerate(src_antennas):
-        yield f"src:{i + 1}", d.row_sum(i), alpha * Fraction(a, src_total)
-    for j, a in enumerate(dst_antennas):
-        yield f"dst:{j + 1}", d.col_sum(j), alpha * Fraction(a, dst_total)
+    unit, rows, cols = d.unit_sums()
+    constraints = [("total", Fraction(sum(rows.values()), unit), alpha)]
+    for prefix, layer, sums in (("src", t.source_layer, rows), ("dst", t.destination_layer, cols)):
+        antennas = layer.antenna_profile()
+        total = sum(antennas)
+        share = {a: alpha * Fraction(a, total) for a in set(antennas)}
+        constraints += [
+            (f"{prefix}:{k + 1}", Fraction(sums.get(k, 0), unit), share[a])
+            for k, a in enumerate(antennas)
+        ]
+    return constraints
 
 
-def check_demand(t: NetworkTopology, d: DemandMatrix) -> RegionVerdict:
-    """Exact membership check; reports every violated and binding constraint."""
+def _verdict(constraints) -> RegionVerdict:
     violations = []
     binding = []
-    for name, lhs, rhs in _constraints(t, d):
+    for name, lhs, rhs in constraints:
         if lhs > rhs:
             violations.append(Violation(name, ExtRational(lhs), ExtRational(rhs)))
         elif lhs == rhs:
@@ -83,6 +84,11 @@ def check_demand(t: NetworkTopology, d: DemandMatrix) -> RegionVerdict:
     )
 
 
+def check_demand(t: NetworkTopology, d: DemandMatrix) -> RegionVerdict:
+    """Exact membership check; reports every violated and binding constraint."""
+    return _verdict(_constraints(t, d))
+
+
 def max_uniform_scale(t: NetworkTopology, pattern: DemandMatrix) -> ScaleResult:
     """Scale a nonzero pattern to the region boundary.
 
@@ -91,16 +97,12 @@ def max_uniform_scale(t: NetworkTopology, pattern: DemandMatrix) -> ScaleResult:
     """
     if pattern.is_zero:
         raise DemandError("cannot scale a zero demand pattern")
-    t_star = None
-    for name, lhs, rhs in _constraints(t, pattern):
-        if lhs == 0:
-            continue
-        candidate = rhs / lhs
-        if t_star is None or candidate < t_star:
-            t_star = candidate
-    scaled = pattern.scale(t_star)
-    verdict = check_demand(t, scaled)
-    return ScaleResult(t_star=ExtRational(t_star), scaled=scaled, verdict=verdict)
+    constraints = _constraints(t, pattern)
+    t_star = min(rhs / lhs for _, lhs, rhs in constraints if lhs != 0)
+    # every left-hand side is a sum of entries, so scaling the pattern by t*
+    # scales each one by t* exactly
+    verdict = _verdict((name, lhs * t_star, rhs) for name, lhs, rhs in constraints)
+    return ScaleResult(t_star=ExtRational(t_star), scaled=pattern.scale(t_star), verdict=verdict)
 
 
 def verdict_to_obj(v: RegionVerdict) -> dict:

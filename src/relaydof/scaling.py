@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import achievable_sum_dof
 from .model import (
     DocumentError,
@@ -198,18 +196,25 @@ def evaluate_family(f: FamilySpec, n: int) -> tuple[NetworkTopology, ExtRational
     return topology, achievable_sum_dof(topology.effective_sizes())
 
 
+def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
+    """Slope of the least-squares line through the points (xs[i], ys[i])."""
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sum(
+        (x - mean_x) ** 2 for x in xs
+    )
+
+
 def classify(f: FamilySpec, grid: tuple[int, ...] = SAMPLE_GRID) -> ScalingVerdict:
     """Fit the log-log slope over the sample grid and snap it to a class."""
     samples = []
     for n in grid:
         _, alpha = evaluate_family(f, n)
         samples.append((n, alpha))
-    slope, _ = np.polyfit(
+    slope = _least_squares_slope(
         [math.log(n) for n, _ in samples],
         [math.log(float(alpha)) for _, alpha in samples],
-        1,
     )
-    slope = float(slope)
     classification = None
     for name, target in _TARGETS:
         if abs(slope - target) <= SLOPE_TOLERANCE:

@@ -456,19 +456,6 @@ def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> dict[tuple[i
     return entries
 
 
-def _unit_sums(entries) -> tuple[int, dict[int, int], dict[int, int]]:
-    """Per-source and per-destination demand sums as integers in one unit,
-    the LCM of the entries' denominators: (unit, rows, cols)."""
-    unit = math.lcm(*(v.denominator for v in entries.values()))
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for (j, i), v in entries.items():
-        units = v.numerator * (unit // v.denominator)
-        rows[i] = rows.get(i, 0) + units
-        cols[j] = cols.get(j, 0) + units
-    return unit, rows, cols
-
-
 def _to_bits(entries, bits_per_dof) -> dict[tuple[int, int], Fraction]:
     """Each demand entry in bits; runs of one value object (a uniform demand)
     share one product."""
@@ -494,7 +481,7 @@ def _build_plan(
     delay = sum(p.block_length for p in phases)
 
     demand = DemandMatrix(entries)
-    unit, rows, cols = _unit_sums(demand.entries)
+    unit, rows, cols = demand.unit_sums()
     received: dict[int, list[tuple[int, Fraction]]] = {}
     sources = []
     for (j, i), bits in sorted(_to_bits(demand.entries, delay).items()):
@@ -744,7 +731,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     # (4) destination bins and source messages match the demand exactly
     norm = plan.bits_per_dof
-    unit, _, cols = _unit_sums(plan.demand.entries)
+    unit, _, cols = plan.demand.unit_sums()
     wanted = _to_bits(plan.demand.entries, norm)
     expected: dict[int, dict[int, Fraction]] = {}
     for (j, i), bits in wanted.items():

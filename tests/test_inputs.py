@@ -2,6 +2,7 @@
 rely on ``assert``."""
 
 import ast
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import relaydof
 from relaydof.cli import main
-from relaydof.model import DemandError, DemandMatrix
+from relaydof.model import DemandError, DemandMatrix, TopologyError, parse_topology
 from relaydof.scaling import FamilyError, parse_family
 from relaydof.schedule import InvariantError, PhasePlan, _build_plan
 
@@ -70,3 +71,51 @@ def test_non_integer_pinned_size_is_rejected(size):
 def test_demand_key_must_be_a_pair_of_plain_ints(key):
     with pytest.raises(DemandError, match="pair of ints"):
         DemandMatrix({key: 1})
+
+
+# -- layer values: one validation path (LayerSpec), reported per layer -----------------
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        ('{"nodes":2.5}', "layer 1: node count must be a positive integer or 'inf', got 2.5"),
+        ('{"nodes":true}', "layer 1: node count must be a positive integer or 'inf', got True"),
+        ('{"nodes":-3}', "layer 1: node count must be positive, got -3"),
+        ('{"antennas":[]}', "layer 1: antenna list must be nonempty"),
+        ('{"antennas":[1,true]}', "layer 1: antenna count must be a positive integer, got True"),
+        ('{"antennas":3}', "layer 1: 'antennas' must be a nonempty list"),
+    ],
+)
+def test_layer_value_errors_name_the_layer(layer, message):
+    with pytest.raises(TopologyError) as info:
+        parse_topology('{"layers":[{"nodes":2},' + layer + "]}")
+    assert str(info.value) == message
+
+
+# -- exact values too large for floats or per-node expansion ------------------------
+
+HUGE = 10**400
+HUGE_TOPOLOGY = json.dumps({"layers": [{"nodes": HUGE}, {"nodes": HUGE}]})
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["analyze", "t.json", "--decimal"], {"t.json": HUGE_TOPOLOGY}),
+        (
+            ["check", "t.json", "d.json", "--format", "table", "--decimal"],
+            {"t.json": HUGE_TOPOLOGY, "d.json": '{"demands":[{"dst":1,"src":1,"dof":"1/2"}]}'},
+        ),
+        (["classify", "f.json"], {"f.json": '{"kind":"AntennaScaled","topology":' + HUGE_TOPOLOGY + "}"}),
+    ],
+    ids=["analyze-decimal", "check-table-decimal", "classify-antenna-scaled"],
+)
+def test_overflow_is_an_input_error_with_exit_2(tmp_path, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
