@@ -5,17 +5,18 @@ achievable sum DoF is M*N/(M+N-1); the chain combines like series
 capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
 matching harmonic combination.  Both sums of reciprocals come from one
-exact pass over the chain's distinct hops (``_reciprocal_sums``); every
-public result is an exact ExtRational.
+integer weight per layer, unit/size (``_reciprocal_sums``); every public
+result is an exact ExtRational.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, repeat
 from typing import Sequence
 
 from .model import ExtCount, ExtRational, Infinity, INFINITY, NetworkTopology
@@ -80,14 +81,10 @@ def hop_achievable_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     """
     _check_size(m, "transmitter count")
     _check_size(n, "receiver count")
-    m_inf = isinstance(m, Infinity)
-    n_inf = isinstance(n, Infinity)
-    if m_inf and n_inf:
-        return ExtRational(INFINITY)
-    if m_inf:
-        return ExtRational(n)
-    if n_inf:
-        return ExtRational(m)
+    if n < m:
+        return hop_achievable_dof(n, m)  # symmetric: (m, n) and (n, m) share one value
+    if isinstance(n, Infinity):
+        return _count_dof(m)
     return ExtRational(m * n, m + n - 1)
 
 
@@ -96,7 +93,13 @@ def hop_cutset_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     """Cut-set DoF of one hop: min of the endpoint sizes."""
     _check_size(m, "transmitter count")
     _check_size(n, "receiver count")
-    return ExtRational(min(m, n))
+    return _count_dof(min(m, n))
+
+
+@lru_cache(maxsize=None)
+def _count_dof(size: ExtCount) -> ExtRational:
+    """One shared value per layer size, for every hop whose value it is."""
+    return ExtRational(size)
 
 
 def _hops(sizes: Sequence[ExtCount]):
@@ -105,46 +108,44 @@ def _hops(sizes: Sequence[ExtCount]):
     return list(zip(sizes[:-1], sizes[1:]))
 
 
-def _check_sizes(sizes: Sequence[ExtCount]) -> None:
-    """Validate a whole chain, naming the first bad size as the hop checks do."""
+def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:
+    """The chain's distinct finite sizes, after validating the whole chain;
+    the first bad size is named as the hop checks name it."""
     if len(sizes) < 2:
         raise AnalysisError("need at least 2 layers")
-    if set(map(type, sizes)) <= {int, Infinity} and min(set(sizes) - {INFINITY}, default=1) >= 1:
-        return
-    for k, value in enumerate(sizes):
-        _check_size(value, "transmitter count" if k == 0 else "receiver count")
-
-
-def _fraction_sum(terms: dict[int, int]) -> Fraction:
-    """Sum of numerator/denominator over {denominator: numerator}, with one
-    LCM and one gcd."""
-    unit = math.lcm(*terms)
-    return Fraction(sum(num * (unit // den) for den, num in terms.items()), unit)
+    finite = set(sizes)
+    finite.discard(INFINITY)
+    if not (set(map(type, sizes)) <= {int, Infinity} and min(finite, default=1) >= 1):
+        for k, value in enumerate(sizes):
+            _check_size(value, "transmitter count" if k == 0 else "receiver count")
+    return finite
 
 
 def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
     """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly.
 
-    A finite hop adds (m+n-1)/(mn) and 1/min(m, n); a hop with one infinite
-    end adds 1/(finite end) to both sums; a hop with both ends infinite adds
-    nothing.  Each distinct (m, n) pair is visited once, with its count.
+    With unit = lcm of the finite sizes, every layer has an integer weight
+    w = unit/size, 0 for an infinite layer.  A hop (m, n) adds
+    1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit) and
+    1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
+    1/(mn) term, unit**2 // (mn) over unit**2, is there only when both ends
+    are finite; this covers hops with one or two infinite ends as well.
+    Every sum is a C-level pass over the layers, and no two weights are
+    multiplied, so the cost stays linear in the digits of the unit.
     """
-    _check_sizes(sizes)
-    inv_alpha: dict[int, int] = {}
-    inv_beta: dict[int, int] = {}
-    for (m, n), count in Counter(zip(sizes, sizes[1:])).items():
-        m_inf, n_inf = isinstance(m, Infinity), isinstance(n, Infinity)
-        if m_inf and n_inf:
-            continue
-        if m_inf or n_inf:
-            finite = n if m_inf else m
-            inv_alpha[finite] = inv_alpha.get(finite, 0) + count
-            inv_beta[finite] = inv_beta.get(finite, 0) + count
-        else:
-            inv_alpha[m * n] = inv_alpha.get(m * n, 0) + count * (m + n - 1)
-            low = min(m, n)
-            inv_beta[low] = inv_beta.get(low, 0) + count
-    return _fraction_sum(inv_alpha), _fraction_sum(inv_beta)
+    finite = _finite_sizes(sizes)
+    unit = math.lcm(*finite)
+    weight = {s: unit // s for s in finite}
+    w = list(map(weight.get, sizes, repeat(0)))
+    # sum over hops of (w_m + w_n): every layer twice except the two ends
+    ends = 2 * sum(w) - w[0] - w[-1]
+    spreads = sum(map(abs, map(operator.sub, w, w[1:])))
+    # m*n of every hop with two finite ends (an infinite layer reads as 0)
+    plain = list(map(dict(zip(finite, finite)).get, sizes, repeat(0)))
+    tied = filter(None, map(operator.mul, plain, plain[1:]))
+    square = unit * unit
+    inv_alpha = Fraction(unit * ends - sum(map(square.__floordiv__, tied)), square)
+    return inv_alpha, Fraction(ends + spreads, 2 * unit)
 
 
 def _harmonic(inverse_sum: Fraction) -> ExtRational:
@@ -163,7 +164,11 @@ def cutset_sum_dof(sizes: Sequence[ExtCount]) -> ExtRational:
 
 def bounding_set(sizes: Sequence[ExtCount]) -> frozenset[int]:
     """Hops whose smaller endpoint exceeds 1; only these can contribute gap."""
-    return frozenset(k for k, (m, n) in enumerate(_hops(sizes)) if min(m, n) > 1)
+    if len(sizes) < 2:
+        raise AnalysisError("need at least 2 layers")
+    # layer k at most 1 leaves out hops k - 1 and k
+    small = list(compress(count(), map(operator.le, sizes, repeat(1))))
+    return frozenset(range(len(sizes) - 1)).difference(small, map(operator.sub, small, repeat(1)))
 
 
 def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, ExtRational]:
@@ -238,21 +243,23 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     if all(isinstance(s, Infinity) for s in sizes):
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
     inv_alpha, inv_beta = _reciprocal_sums(sizes)
-    hops = _hops(sizes)
     lower, upper = 1 / inv_alpha, 1 / inv_beta
+    tx, rx = sizes[:-1], sizes[1:]
     endpoints_finite = not (
         isinstance(sizes[0], Infinity) or isinstance(sizes[-1], Infinity)
     )
     return AnalysisReport(
         achievable=ExtRational(lower),
-        achievable_per_hop=tuple(hop_achievable_dof(m, n) for m, n in hops),
+        achievable_per_hop=tuple(map(hop_achievable_dof, tx, rx)),
         cutset=ExtRational(upper),
-        cutset_per_hop=tuple(hop_cutset_dof(m, n) for m, n in hops),
+        cutset_per_hop=tuple(map(hop_cutset_dof, tx, rx)),
         inverse_gap=ExtRational(inv_alpha - inv_beta),
         absolute_gap=ExtRational(upper - lower),
         fractional_gap_bound=ExtRational(upper * (inv_alpha - inv_beta)),
         bounding_set=bounding_set(sizes),
-        optimal=is_optimal(sizes),
+        # a hop's gap (min - 1)/(mn) is zero exactly when it has a 1 or an
+        # infinite end, so the sums agree exactly when every hop does
+        optimal=inv_alpha == inv_beta,
         ultimate_capacity=(
             ultimate_capacity(sizes[0], sizes[-1]) if endpoints_finite else None
         ),
@@ -266,9 +273,9 @@ def report_to_obj(report: AnalysisReport) -> dict:
     """JSON-friendly dict with rationals as "p/q" strings, infinity as "inf"."""
     obj = {
         "achievable": str(report.achievable),
-        "achievable_per_hop": [str(x) for x in report.achievable_per_hop],
+        "achievable_per_hop": list(map(str, report.achievable_per_hop)),
         "cutset": str(report.cutset),
-        "cutset_per_hop": [str(x) for x in report.cutset_per_hop],
+        "cutset_per_hop": list(map(str, report.cutset_per_hop)),
         "inverse_gap": str(report.inverse_gap),
         "absolute_gap": str(report.absolute_gap),
         "fractional_gap_bound": str(report.fractional_gap_bound),

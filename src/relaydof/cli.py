@@ -90,6 +90,8 @@ def cmd_analyze(args) -> int:
     topology = parse_topology(_read(args.topology))
     report = analyze(topology)
     if args.format == "json":
+        if args.decimal:
+            print("note: --decimal does not apply to --format json; JSON values stay exact", file=sys.stderr)
         obj = {"topology": topology_to_obj(topology)}
         obj.update(report_to_obj(report))
         print(json.dumps(obj, indent=2))

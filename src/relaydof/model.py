@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -121,7 +122,7 @@ class ExtRational:
     guessing.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_text")
 
     def __init__(self, numerator=0, denominator=None):
         if isinstance(numerator, Infinity):
@@ -299,7 +300,14 @@ class ExtRational:
         return float("inf") if self._value is None else float(self._value)
 
     def __str__(self):
-        return "inf" if self._value is None else str(self._value)
+        # formatted once per object: cached hop values are rendered once
+        # however many hops and reports share them
+        try:
+            return self._text
+        except AttributeError:
+            text = "inf" if self._value is None else str(self._value)
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self):
         return f"ExtRational({str(self)!r})"
@@ -315,11 +323,14 @@ class LayerSpec:
 
     Exactly one of ``nodes`` / ``antennas`` is set.  An antenna profile
     implies a finite layer with as many nodes as list entries; infinite
-    layers are single-antenna by definition.
+    layers are single-antenna by definition.  ``effective_size`` (antenna
+    total for antenna layers, node count otherwise) is computed once, at
+    construction.
     """
 
     nodes: ExtCount | None = None
     antennas: tuple[int, ...] | None = None
+    effective_size: ExtCount = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.nodes is None) == (self.antennas is None):
@@ -331,16 +342,17 @@ class LayerSpec:
             for a in self.antennas:
                 if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                     raise TopologyError(f"antenna count must be a positive integer, got {a!r}")
-        else:
-            n = self.nodes
-            if isinstance(n, Infinity):
-                return
+            object.__setattr__(self, "effective_size", sum(self.antennas))
+            return
+        n = self.nodes
+        if not isinstance(n, Infinity):
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TopologyError(f"node count must be a positive integer or 'inf', got {n!r}")
             if n == 0:
                 raise TopologyError("zero nodes")
             if n < 0:
                 raise TopologyError(f"node count must be positive, got {n}")
+        object.__setattr__(self, "effective_size", n)
 
     @property
     def is_infinite(self) -> bool:
@@ -349,11 +361,6 @@ class LayerSpec:
     @property
     def node_count(self) -> ExtCount:
         return len(self.antennas) if self.antennas is not None else self.nodes
-
-    @property
-    def effective_size(self) -> ExtCount:
-        """Antenna total for antenna layers, node count otherwise."""
-        return sum(self.antennas) if self.antennas is not None else self.nodes
 
     def antenna_profile(self) -> tuple[int, ...]:
         """Per-node antenna counts; finite layers only."""
@@ -364,16 +371,25 @@ class LayerSpec:
         return (1,) * self.nodes
 
 
+_EFFECTIVE_SIZE = attrgetter("effective_size")
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Ordered layer chain: sources, relay layers, destinations."""
+    """Ordered layer chain: sources, relay layers, destinations.
+
+    Layers may be shared: a parsed topology holds one ``LayerSpec`` per
+    distinct ``{"nodes": ...}`` value.
+    """
 
     layers: tuple[LayerSpec, ...]
+    _effective_sizes: tuple[ExtCount, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) < 2:
             raise TopologyError("topology needs at least a source and a destination layer")
+        object.__setattr__(self, "_effective_sizes", tuple(map(_EFFECTIVE_SIZE, self.layers)))
 
     @property
     def relay_count(self) -> int:
@@ -386,7 +402,7 @@ class NetworkTopology:
 
     def effective_sizes(self) -> tuple[ExtCount, ...]:
         """Per-layer effective size: antennas summed, infinite kept symbolic."""
-        return tuple(layer.effective_size for layer in self.layers)
+        return self._effective_sizes
 
     @property
     def source_layer(self) -> LayerSpec:
@@ -480,12 +496,11 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
     """Check the layer's JSON shape here; LayerSpec checks the values."""
     if not isinstance(obj, dict):
         raise TopologyError(f"layer {index}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
     try:
-        if keys == {"nodes"}:
+        if len(obj) == 1 and "nodes" in obj:
             raw = obj["nodes"]
             return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
-        if keys == {"antennas"}:
+        if len(obj) == 1 and "antennas" in obj:
             raw = obj["antennas"]
             if not isinstance(raw, list):
                 raise TopologyError("'antennas' must be a nonempty list")
@@ -497,7 +512,14 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
     raise TopologyError(f"layer {index}: expected exactly one of 'nodes' or 'antennas'")
 
 
+# the hashable JSON values a valid or invalid "nodes" entry can take
+_SCALARS = frozenset((str, int, float, bool))
+
+
 def topology_from_obj(obj) -> NetworkTopology:
+    """Validate a topology object; each distinct ``{"nodes": v}`` value is
+    checked once and its ``LayerSpec`` shared by every layer that repeats it.
+    """
     if not isinstance(obj, dict) or "layers" not in obj:
         raise TopologyError("topology document must be an object with a 'layers' list")
     layers = obj["layers"]
@@ -505,7 +527,19 @@ def topology_from_obj(obj) -> NetworkTopology:
         raise TopologyError("'layers' must be a list")
     if len(layers) < 2:
         raise TopologyError("topology needs at least 2 layers")
-    return NetworkTopology(tuple(_layer_from_obj(layer, k) for k, layer in enumerate(layers)))
+    # keyed on (type, value): true and 1, 2.0 and 2 are different values here
+    shared: dict[tuple[type, object], LayerSpec] = {}
+    specs = []
+    for k, layer in enumerate(layers):
+        if type(layer) is dict and len(layer) == 1 and type(raw := layer.get("nodes")) in _SCALARS:
+            key = type(raw), raw
+            spec = shared.get(key)
+            if spec is None:
+                spec = shared[key] = _layer_from_obj(layer, k)
+        else:
+            spec = _layer_from_obj(layer, k)
+        specs.append(spec)
+    return NetworkTopology(tuple(specs))
 
 
 def parse_topology(text: str) -> NetworkTopology:

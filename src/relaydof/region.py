@@ -51,7 +51,12 @@ class ScaleResult:
 
 
 def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fraction, Fraction]]:
-    """Every region constraint as (id, lhs, rhs), exactly, in report order."""
+    """The region constraints as (id, lhs, rhs), exactly, in report order.
+
+    A source or destination without demand has lhs 0 below its positive
+    share, so it can be neither violated nor binding and is left out: the
+    cost follows the demand, not the endpoint sizes.
+    """
     errors = validate_demand(t, d)
     if errors:
         raise DemandError("; ".join(errors))
@@ -59,13 +64,13 @@ def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fractio
     unit, rows, cols = d.unit_sums()
     constraints = [("total", Fraction(sum(rows.values()), unit), alpha)]
     for prefix, layer, sums in (("src", t.source_layer, rows), ("dst", t.destination_layer, cols)):
-        antennas = layer.antenna_profile()
-        total = sum(antennas)
-        share = {a: alpha * Fraction(a, total) for a in set(antennas)}
-        constraints += [
-            (f"{prefix}:{k + 1}", Fraction(sums.get(k, 0), unit), share[a])
-            for k, a in enumerate(antennas)
-        ]
+        antennas = layer.antennas
+        share: dict[int, Fraction] = {}
+        for k in sorted(sums):
+            a = 1 if antennas is None else antennas[k]
+            if a not in share:
+                share[a] = alpha * Fraction(a, layer.effective_size)
+            constraints.append((f"{prefix}:{k + 1}", Fraction(sums[k], unit), share[a]))
     return constraints
 
 

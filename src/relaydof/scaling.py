@@ -179,7 +179,7 @@ def evaluate_family(f: FamilySpec, n: int) -> tuple[NetworkTopology, ExtRational
         layer_count = _round_half_up(Fraction(n, size))
         if layer_count < 2:
             raise FamilyError(f"degenerate instantiation at n={n}: fewer than 2 layers")
-        topology = NetworkTopology(tuple(LayerSpec(nodes=size) for _ in range(layer_count)))
+        topology = NetworkTopology((LayerSpec(nodes=size),) * layer_count)
     else:
         pinned = dict(f.pinned) if f.pinned else {}
         budget = n - sum(pinned.values())
@@ -192,7 +192,8 @@ def evaluate_family(f: FamilySpec, n: int) -> tuple[NetworkTopology, ExtRational
                 sizes.append(pinned[k])
             else:
                 sizes.append(max(1, _round_half_up(b * budget / growth_total)))
-        topology = NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+        specs = {s: LayerSpec(nodes=s) for s in set(sizes)}
+        topology = NetworkTopology(tuple(map(specs.__getitem__, sizes)))
     return topology, achievable_sum_dof(topology.effective_sizes())
 
 

@@ -74,6 +74,16 @@ def test_analyze_csv_and_decimal(files, capsys):
     assert record["optimal"] == "False"
 
 
+def test_analyze_json_decimal_notes_that_json_stays_exact(files, capsys):
+    assert main(["analyze", files["t222"], "--format", "json"]) == 0
+    exact = capsys.readouterr()
+    assert main(["analyze", files["t222"], "--format", "json", "--decimal"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == exact.out
+    assert exact.err == ""
+    assert captured.err == "note: --decimal does not apply to --format json; JSON values stay exact\n"
+
+
 def test_analyze_missing_file_exits_2(files, capsys):
     assert main(["analyze", str(files["tmp"] / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -105,7 +105,7 @@ HUGE_TOPOLOGY = json.dumps({"layers": [{"nodes": HUGE}, {"nodes": HUGE}]})
         (["analyze", "t.json", "--decimal"], {"t.json": HUGE_TOPOLOGY}),
         (
             ["check", "t.json", "d.json", "--format", "table", "--decimal"],
-            {"t.json": HUGE_TOPOLOGY, "d.json": '{"demands":[{"dst":1,"src":1,"dof":"1/2"}]}'},
+            {"t.json": HUGE_TOPOLOGY, "d.json": json.dumps({"demands": [{"dst": 1, "src": 1, "dof": str(10 * HUGE)}]})},
         ),
         (["classify", "f.json"], {"f.json": '{"kind":"AntennaScaled","topology":' + HUGE_TOPOLOGY + "}"}),
     ],
@@ -119,3 +119,11 @@ def test_overflow_is_an_input_error_with_exit_2(tmp_path, capsys, argv, files):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_check_on_huge_endpoints_gives_a_verdict(tmp_path, capsys):
+    # a plain {"nodes": N} endpoint is never expanded into N shares
+    (tmp_path / "t.json").write_text(HUGE_TOPOLOGY, encoding="utf-8")
+    (tmp_path / "d.json").write_text('{"demands":[{"dst":1,"src":1,"dof":"1/2"}]}', encoding="utf-8")
+    assert main(["check", str(tmp_path / "t.json"), str(tmp_path / "d.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"feasible": True, "violations": [], "binding": []}
