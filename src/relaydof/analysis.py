@@ -64,14 +64,25 @@ class AnalysisReport:
     relay_loss_factor: ExtRational | None
 
 
-def _check_size(value: ExtCount, what: str) -> None:
-    if isinstance(value, Infinity):
-        return
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise AnalysisError(f"{what} must be a positive integer or INFINITY, got {value!r}")
+def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:
+    """The chain's distinct finite sizes, after validating the whole chain:
+    the one check of raw sizes, made once by every public function that takes
+    them.  A bad size at index 0 is a transmitter count, later a receiver count.
+    """
+    if len(sizes) < 2:
+        raise AnalysisError("need at least 2 layers")
+    if set(map(type, sizes)) <= {int, Infinity}:
+        finite = set(sizes)
+        finite.discard(INFINITY)
+        if min(finite, default=1) >= 1:
+            return finite
+    for k, value in enumerate(sizes):
+        if isinstance(value, bool) or not isinstance(value, (int, Infinity)) or value < 1:
+            what = "transmitter count" if k == 0 else "receiver count"
+            raise AnalysisError(f"{what} must be a positive integer or INFINITY, got {value!r}")
+    return {s for s in sizes if not isinstance(s, Infinity)}
 
 
-@lru_cache(maxsize=None)
 def hop_achievable_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     """Single-hop X-network sum DoF for M transmitters and N receivers.
 
@@ -79,20 +90,28 @@ def hop_achievable_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     the finite side (the limit of the finite formula); with both sides
     infinite it is unbounded.
     """
-    _check_size(m, "transmitter count")
-    _check_size(n, "receiver count")
+    _finite_sizes((m, n))
+    return _hop_achievable(m, n)
+
+
+def hop_cutset_dof(m: ExtCount, n: ExtCount) -> ExtRational:
+    """Cut-set DoF of one hop: min of the endpoint sizes."""
+    _finite_sizes((m, n))
+    return _hop_cutset(m, n)
+
+
+# The caches take only validated sizes: a cache key (2.0, 3) equals (2, 3).
+@lru_cache(maxsize=None)
+def _hop_achievable(m: ExtCount, n: ExtCount) -> ExtRational:
     if n < m:
-        return hop_achievable_dof(n, m)  # symmetric: (m, n) and (n, m) share one value
+        return _hop_achievable(n, m)  # symmetric: (m, n) and (n, m) share one value
     if isinstance(n, Infinity):
         return _count_dof(m)
     return ExtRational(m * n, m + n - 1)
 
 
 @lru_cache(maxsize=None)
-def hop_cutset_dof(m: ExtCount, n: ExtCount) -> ExtRational:
-    """Cut-set DoF of one hop: min of the endpoint sizes."""
-    _check_size(m, "transmitter count")
-    _check_size(n, "receiver count")
+def _hop_cutset(m: ExtCount, n: ExtCount) -> ExtRational:
     return _count_dof(min(m, n))
 
 
@@ -100,25 +119,6 @@ def hop_cutset_dof(m: ExtCount, n: ExtCount) -> ExtRational:
 def _count_dof(size: ExtCount) -> ExtRational:
     """One shared value per layer size, for every hop whose value it is."""
     return ExtRational(size)
-
-
-def _hops(sizes: Sequence[ExtCount]):
-    if len(sizes) < 2:
-        raise AnalysisError("need at least 2 layers")
-    return list(zip(sizes[:-1], sizes[1:]))
-
-
-def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:
-    """The chain's distinct finite sizes, after validating the whole chain;
-    the first bad size is named as the hop checks name it."""
-    if len(sizes) < 2:
-        raise AnalysisError("need at least 2 layers")
-    finite = set(sizes)
-    finite.discard(INFINITY)
-    if not (set(map(type, sizes)) <= {int, Infinity} and min(finite, default=1) >= 1):
-        for k, value in enumerate(sizes):
-            _check_size(value, "transmitter count" if k == 0 else "receiver count")
-    return finite
 
 
 def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
@@ -164,8 +164,11 @@ def cutset_sum_dof(sizes: Sequence[ExtCount]) -> ExtRational:
 
 def bounding_set(sizes: Sequence[ExtCount]) -> frozenset[int]:
     """Hops whose smaller endpoint exceeds 1; only these can contribute gap."""
-    if len(sizes) < 2:
-        raise AnalysisError("need at least 2 layers")
+    _finite_sizes(sizes)
+    return _bounding_set(sizes)
+
+
+def _bounding_set(sizes: Sequence[ExtCount]) -> frozenset[int]:
     # layer k at most 1 leaves out hops k - 1 and k
     small = list(compress(count(), map(operator.le, sizes, repeat(1))))
     return frozenset(range(len(sizes) - 1)).difference(small, map(operator.sub, small, repeat(1)))
@@ -179,12 +182,10 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     the bounds are 0 as well.
     """
     inv_alpha, inv_beta = _reciprocal_sums(sizes)
-    hops = _hops(sizes)
-    members = bounding_set(sizes)
+    members = _bounding_set(sizes)
     bound1 = ExtRational(0)
     for k in members:
-        m, n = hops[k]
-        bound1 = bound1 + ExtRational(max(m, n)).reciprocal()
+        bound1 = bound1 + ExtRational(max(sizes[k], sizes[k + 1])).reciprocal()
     if members:
         smallest_tx = min(sizes[k] for k in members)
         bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
@@ -212,14 +213,16 @@ def is_optimal(sizes: Sequence[ExtCount]) -> bool:
 
     Exactly then the achievable and cut-set values coincide.
     """
+    _finite_sizes(sizes)
     return all(
         m == 1 or n == 1 or isinstance(m, Infinity) or isinstance(n, Infinity)
-        for m, n in _hops(sizes)
+        for m, n in zip(sizes, sizes[1:])
     )
 
 
 def ultimate_capacity(source_size: ExtCount, destination_size: ExtCount) -> ExtRational:
     """Sum DoF ceiling once every relay layer grows without bound."""
+    _finite_sizes((source_size, destination_size))
     if isinstance(source_size, Infinity) or isinstance(destination_size, Infinity):
         raise AnalysisError("ultimate capacity needs finite endpoint layers")
     return (ExtRational(1, source_size) + ExtRational(1, destination_size)).reciprocal()
@@ -232,6 +235,7 @@ def relay_loss_factor(source_size: ExtCount, destination_size: ExtCount) -> ExtR
     i.e. 1 - 1/(S0 + SK1); worst case 1/2 with one source and one
     destination.
     """
+    _finite_sizes((source_size, destination_size))
     if isinstance(source_size, Infinity) or isinstance(destination_size, Infinity):
         raise AnalysisError("relay loss factor needs finite endpoint layers")
     return ExtRational(1) - ExtRational(1, source_size + destination_size)
@@ -250,13 +254,13 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     )
     return AnalysisReport(
         achievable=ExtRational(lower),
-        achievable_per_hop=tuple(map(hop_achievable_dof, tx, rx)),
+        achievable_per_hop=tuple(map(_hop_achievable, tx, rx)),
         cutset=ExtRational(upper),
-        cutset_per_hop=tuple(map(hop_cutset_dof, tx, rx)),
+        cutset_per_hop=tuple(map(_hop_cutset, tx, rx)),
         inverse_gap=ExtRational(inv_alpha - inv_beta),
         absolute_gap=ExtRational(upper - lower),
         fractional_gap_bound=ExtRational(upper * (inv_alpha - inv_beta)),
-        bounding_set=bounding_set(sizes),
+        bounding_set=_bounding_set(sizes),
         # a hop's gap (min - 1)/(mn) is zero exactly when it has a 1 or an
         # infinite end, so the sums agree exactly when every hop does
         optimal=inv_alpha == inv_beta,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -86,6 +87,18 @@ def _report_rows(report: AnalysisReport, decimal: bool) -> list[tuple[str, str]]
     return rows
 
 
+def _csv_cell(value, decimal: bool):
+    """One report field as a CSV cell: sequences space-separated, hop
+    indices sorted, booleans as Python writes them."""
+    if isinstance(value, tuple):
+        return " ".join(_fmt(x, decimal) for x in value)
+    if isinstance(value, frozenset):
+        return " ".join(map(str, sorted(value)))
+    if isinstance(value, bool):
+        return value
+    return _fmt(value, decimal)
+
+
 def cmd_analyze(args) -> int:
     topology = parse_topology(_read(args.topology))
     report = analyze(topology)
@@ -96,40 +109,13 @@ def cmd_analyze(args) -> int:
         obj.update(report_to_obj(report))
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        d = args.decimal
+        names = [f.name for f in dataclasses.fields(AnalysisReport)]
         # the row is rendered before anything is written, so a value that
         # cannot be rendered leaves no partial output
-        row = [
-            " ".join(str(s) for s in topology.effective_sizes()),
-            _fmt(report.achievable, d),
-            " ".join(_fmt(x, d) for x in report.achievable_per_hop),
-            _fmt(report.cutset, d),
-            " ".join(_fmt(x, d) for x in report.cutset_per_hop),
-            _fmt(report.inverse_gap, d),
-            _fmt(report.absolute_gap, d),
-            _fmt(report.fractional_gap_bound, d),
-            " ".join(str(k) for k in sorted(report.bounding_set)),
-            report.optimal,
-            _fmt(report.ultimate_capacity, d),
-            _fmt(report.relay_loss_factor, d),
-        ]
+        row = [" ".join(map(str, topology.effective_sizes()))]
+        row += (_csv_cell(getattr(report, name), args.decimal) for name in names)
         writer = csv.writer(sys.stdout)
-        writer.writerow(
-            [
-                "sizes",
-                "achievable",
-                "achievable_per_hop",
-                "cutset",
-                "cutset_per_hop",
-                "inverse_gap",
-                "absolute_gap",
-                "fractional_gap_bound",
-                "bounding_set",
-                "optimal",
-                "ultimate_capacity",
-                "relay_loss_factor",
-            ]
-        )
+        writer.writerow(["sizes", *names])
         writer.writerow(row)
     else:
         _print_table(_report_rows(report, args.decimal))

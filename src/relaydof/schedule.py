@@ -23,17 +23,18 @@ virtual endpoint.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .analysis import achievable_sum_dof
+from .analysis import _finite_sizes, achievable_sum_dof
 from .model import (
     DemandError,
     DemandMatrix,
     ExtRational,
-    Infinity,
+    INFINITY,
     NetworkTopology,
     TopologyError,
     demand_to_obj,
@@ -369,12 +370,14 @@ def _sink_id(dst: int) -> str:
 # -- schedule construction ---------------------------------------------------
 
 
-def _finite_sizes(t: NetworkTopology) -> list[int]:
-    sizes = []
-    for k, s in enumerate(t.effective_sizes()):
-        if isinstance(s, Infinity):
-            raise TopologyError(f"layer {k}: schedules are finite-network objects")
-        sizes.append(s)
+def _schedule_sizes(sizes: Sequence[int]) -> list[int]:
+    """The sizes of a chain that a schedule can run on: valid sizes
+    (``AnalysisError`` otherwise), every layer finite and at least one relay
+    layer (``TopologyError`` otherwise)."""
+    sizes = list(sizes)
+    _finite_sizes(sizes)
+    if INFINITY in sizes:
+        raise TopologyError(f"layer {sizes.index(INFINITY)}: schedules are finite-network objects")
     if len(sizes) < 3:
         raise TopologyError("schedule synthesis needs at least one relay layer")
     return sizes
@@ -386,14 +389,7 @@ def phase_ratios(sizes: Sequence[int]) -> list[Fraction]:
     Built hop by hop: each relay layer must forward exactly the bits it
     decoded, so T_k * S_{k+1}/(S_k + S_{k+1} - 1) is constant across k.
     """
-    sizes = list(sizes)
-    if len(sizes) < 3:
-        raise TopologyError("phase ratios need at least one relay layer")
-    for k, s in enumerate(sizes):
-        if isinstance(s, Infinity):
-            raise TopologyError(f"layer {k}: schedules are finite-network objects")
-        if not isinstance(s, int) or s < 1:
-            raise TopologyError(f"layer {k}: sizes must be positive integers")
+    sizes = _schedule_sizes(sizes)
     ratios = [Fraction(1)]
     for k in range(1, len(sizes) - 1):
         step = Fraction(sizes[k - 1], sizes[k + 1]) * Fraction(
@@ -415,23 +411,31 @@ def recurrence_sum_dof(sizes: Sequence[int]) -> ExtRational:
 
 
 def _integer_phases(sizes: list[int]) -> list[PhasePlan]:
-    ratios = phase_ratios(sizes)
-    pair_counts = [sizes[k] + sizes[k + 1] - 1 for k in range(len(sizes) - 1)]
-    per_unit = [r / c for r, c in zip(ratios, pair_counts)]
-    t0 = math.lcm(*(q.denominator for q in per_unit))
+    """The phases of the smallest T_0, in closed form.
+
+    Every hop carries the same total bits B, so hop k sends B/(S_k*S_{k+1})
+    bits per pair in a block of B*(S_k + S_{k+1} - 1)/(S_k*S_{k+1}) symbols.
+    Whole per-pair bits on every hop make B a multiple of each S_k*S_{k+1},
+    so the smallest T_0 is the one of B = lcm(S_k*S_{k+1}).  The recurrence
+    in ``phase_ratios`` is its test oracle.
+    """
+    products = list(map(operator.mul, sizes, sizes[1:]))
+    total_bits = math.lcm(*products)
     phases = []
-    for k, (r, c) in enumerate(zip(ratios, pair_counts)):
-        block = r * t0
-        if block.denominator != 1:
+    for k, product in enumerate(products):
+        pairs = sizes[k] + sizes[k + 1] - 1
+        block, rest = divmod(total_bits * pairs, product)
+        if rest:
+            block = Fraction(total_bits * pairs, product)
             raise InvariantError(f"hop {k}: block length {block} is not whole")
         phases.append(
             PhasePlan(
                 hop=k,
                 tx_count=sizes[k],
                 rx_count=sizes[k + 1],
-                block_length=int(block),
-                per_pair_dof=Fraction(1, c),
-                per_pair_bits=Fraction(int(block), c),
+                block_length=block,
+                per_pair_dof=Fraction(1, pairs),
+                per_pair_bits=Fraction(block, pairs),
             )
         )
     return phases
@@ -528,7 +532,7 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     the antenna-split network, so a multi-antenna topology and its expanded
     single-antenna form yield identical schedules.
     """
-    sizes = _finite_sizes(t)
+    sizes = _schedule_sizes(t.effective_sizes())
     phases = _integer_phases(sizes)
     total_bits = int(phases[0].per_pair_bits * sizes[0] * sizes[1])
     total_delay = sum(p.block_length for p in phases)

@@ -4,18 +4,71 @@ rely on ``assert``."""
 import ast
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import relaydof
+from relaydof.analysis import (
+    AnalysisError,
+    absolute_and_fractional_gap,
+    achievable_sum_dof,
+    bounding_set,
+    cutset_sum_dof,
+    hop_achievable_dof,
+    hop_cutset_dof,
+    inverse_gap,
+    is_optimal,
+    relay_loss_factor,
+    ultimate_capacity,
+)
 from relaydof.cli import main
 from relaydof.model import DemandError, DemandMatrix, TopologyError, parse_topology
 from relaydof.scaling import FamilyError, parse_family
-from relaydof.schedule import InvariantError, PhasePlan, _build_plan
+from relaydof.schedule import InvariantError, PhasePlan, _build_plan, phase_ratios, recurrence_sum_dof
 
 SOURCES = sorted(Path(relaydof.__file__).parent.glob("*.py"))
+
+
+# -- raw layer sizes: one check at every entry point --------------------------------
+
+# functions of two sizes take them as the 2-chain (m, n)
+PAIR_ENTRY_POINTS = (hop_achievable_dof, hop_cutset_dof, ultimate_capacity, relay_loss_factor)
+CHAIN_ENTRY_POINTS = (
+    achievable_sum_dof,
+    cutset_sum_dof,
+    inverse_gap,
+    absolute_and_fractional_gap,
+    bounding_set,
+    is_optimal,
+    phase_ratios,
+    recurrence_sum_dof,
+)
+BAD_SIZES = (0, -1, True, 2.0, Fraction(2), "x")
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS + CHAIN_ENTRY_POINTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", BAD_SIZES, ids=repr)
+def test_every_raw_size_entry_point_rejects_a_bad_size(entry, bad):
+    chain = [3, 2] if entry in PAIR_ENTRY_POINTS else [3, 2, 4]
+    for k in range(len(chain)):
+        sizes = chain[:k] + [bad] + chain[k + 1 :]
+        what = "transmitter count" if k == 0 else "receiver count"
+        message = f"^{what} must be a positive integer or INFINITY, got {re.escape(repr(bad))}$"
+        with pytest.raises(AnalysisError, match=message):
+            entry(*sizes) if entry in PAIR_ENTRY_POINTS else entry(sizes)
+
+
+@pytest.mark.parametrize("hop", (hop_achievable_dof, hop_cutset_dof), ids=lambda f: f.__name__)
+def test_warm_hop_caches_still_reject_bad_sizes(hop):
+    # (2.0, 3), (Fraction(2), 3) and (True, 2) are equal, as cache keys, to warm ones
+    hop(2, 3)
+    hop(1, 2)
+    for m, n in ((2.0, 3), (Fraction(2), 3), (True, 2)):
+        with pytest.raises(AnalysisError):
+            hop(m, n)
 
 
 # -- no assert in the package (python -O strips them) ------------------------------

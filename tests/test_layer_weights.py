@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaydof.analysis import (
-    _hops,
     achievable_sum_dof,
     analyze,
     bounding_set,
@@ -221,6 +220,10 @@ def test_weight_sums_match_on_large_distinct_sizes(sizes):
         return
     assert achievable_sum_dof(sizes) == reference_sum(sizes, hop_achievable_dof)
     assert cutset_sum_dof(sizes) == reference_sum(sizes, hop_cutset_dof)
+
+
+def _hops(sizes):
+    return list(zip(sizes, sizes[1:]))
 
 
 @settings(deadline=None)

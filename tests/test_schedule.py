@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydof.analysis import achievable_sum_dof
 from relaydof.model import (
@@ -145,6 +146,35 @@ def test_integerization_is_minimal():
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _check_closed_form_phases(sizes):
+    phases = integer_schedule(_chain(sizes)).phases
+    t0 = phases[0].block_length
+    ratios = phase_ratios(sizes)
+    assert [Fraction(p.block_length, t0) for p in phases] == ratios
+    # every prime factor of T0 divides a size or S0 + S1 - 1, so it is below 2 * max size
+    pair_counts = [sizes[k] + sizes[k + 1] - 1 for k in range(len(sizes) - 1)]
+    for p in filter(_is_prime, range(2, 2 * max(sizes))):
+        if t0 % p:
+            continue
+        smaller = Fraction(t0, p)
+        broken = any(
+            (r * smaller).denominator != 1 or (r * smaller / c).denominator != 1
+            for r, c in zip(ratios, pair_counts)
+        )
+        assert broken, f"T0={t0} not minimal for sizes {sizes}"
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 64), min_size=3, max_size=40))
+def test_closed_form_phases_match_the_recurrence(sizes):
+    _check_closed_form_phases(sizes)
+
+
+def test_closed_form_phases_match_the_recurrence_on_4000_layers():
+    rng = random.Random(23)
+    _check_closed_form_phases([rng.randint(1, 64) for _ in range(4000)])
 
 
 # -- split plans -----------------------------------------------------------------
