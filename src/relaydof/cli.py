@@ -14,30 +14,57 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
+from importlib import import_module
 
-from .analysis import AnalysisError, AnalysisReport, analyze, report_to_obj
-from .model import (
-    DocumentError,
-    parse_demand,
-    parse_topology,
-    topology_to_obj,
-    virtual_node_map,
-)
-from .region import check_demand, verdict_to_obj
-from .scaling import classify, parse_family, sweep_rows
-from .schedule import (
-    InvariantError,
-    integer_schedule,
-    plan_to_dot,
-    schedule_to_obj,
-    verify_schedule,
-)
+# The names the subcommands use, by defining module.  main() binds a
+# command's names as globals here just before running it, and __getattr__
+# binds any of them on first access, so a command imports only its own
+# modules.  A bound name is never rebound: cmd_* look names up here at call
+# time, so a name that a caller patched on this module is the one that runs.
+_NAMES = {
+    "model": (
+        "DocumentError",
+        "InvariantError",
+        "parse_demand",
+        "parse_topology",
+        "topology_to_obj",
+        "virtual_node_map",
+    ),
+    "analysis": ("AnalysisError", "AnalysisReport", "analyze", "report_to_obj"),
+    "region": ("check_demand", "verdict_to_obj"),
+    "schedule": ("integer_schedule", "plan_to_dot", "schedule_to_obj", "verify_schedule"),
+    "scaling": ("classify", "parse_family", "sweep_rows"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+_COMMAND_MODULES = {
+    "analyze": ("model", "analysis"),
+    "check": ("model", "analysis", "region"),
+    "schedule": ("model", "analysis", "schedule"),
+    "classify": ("model", "analysis", "scaling"),
+    "sweep": ("model", "analysis", "scaling"),
+}
 
 __all__ = ["main", "build_parser"]
+
+
+def _bind(module: str) -> None:
+    """Import one submodule and bind the names used from it as globals here;
+    a name that is already bound keeps its value."""
+    namespace = globals()
+    source = import_module(f"{__package__}.{module}")
+    for name in _NAMES[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 def _fmt(value, decimal: bool) -> str:
@@ -99,17 +126,23 @@ def _csv_cell(value, decimal: bool):
     return _fmt(value, decimal)
 
 
+def _note_json_stays_exact(args) -> None:
+    if args.decimal:
+        print("note: --decimal does not apply to --format json; JSON values stay exact", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
     topology = parse_topology(_read(args.topology))
     report = analyze(topology)
     if args.format == "json":
-        if args.decimal:
-            print("note: --decimal does not apply to --format json; JSON values stay exact", file=sys.stderr)
+        _note_json_stays_exact(args)
         obj = {"topology": topology_to_obj(topology)}
         obj.update(report_to_obj(report))
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        names = [f.name for f in dataclasses.fields(AnalysisReport)]
+        from dataclasses import fields
+
+        names = [f.name for f in fields(AnalysisReport)]
         # the row is rendered before anything is written, so a value that
         # cannot be rendered leaves no partial output
         row = [" ".join(map(str, topology.effective_sizes()))]
@@ -133,6 +166,7 @@ def cmd_check(args) -> int:
         rows.append(("binding", ", ".join(verdict.binding) or "-"))
         _print_table(rows)
     else:
+        _note_json_stays_exact(args)
         print(json.dumps(verdict_to_obj(verdict), indent=2))
     return 0 if verdict.feasible else 1
 
@@ -228,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for module in _COMMAND_MODULES[args.command]:
+        _bind(module)
     try:
         return args.func(args)
     except (DocumentError, AnalysisError, OSError, json.JSONDecodeError, ArithmeticError) as exc:

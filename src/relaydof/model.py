@@ -30,6 +30,7 @@ __all__ = [
     "DocumentError",
     "TopologyError",
     "DemandError",
+    "InvariantError",
     "LayerSpec",
     "NetworkTopology",
     "DemandMatrix",
@@ -56,6 +57,10 @@ class TopologyError(DocumentError):
 
 class DemandError(DocumentError):
     """Invalid demand document, or a demand that an operation cannot accept."""
+
+
+class InvariantError(RuntimeError):
+    """A construction invariant does not hold: a bug, never a bad input."""
 
 
 class Infinity:
@@ -514,11 +519,13 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
 
 # the hashable JSON values a valid or invalid "nodes" entry can take
 _SCALARS = frozenset((str, int, float, bool))
+_INTS = frozenset((int,))
 
 
 def topology_from_obj(obj) -> NetworkTopology:
-    """Validate a topology object; each distinct ``{"nodes": v}`` value is
-    checked once and its ``LayerSpec`` shared by every layer that repeats it.
+    """Validate a topology object; each distinct ``{"nodes": v}`` value and
+    each distinct ``{"antennas": [...]}`` list of ints is checked once and
+    its ``LayerSpec`` shared by every layer that repeats it.
     """
     if not isinstance(obj, dict) or "layers" not in obj:
         raise TopologyError("topology document must be an object with a 'layers' list")
@@ -527,17 +534,23 @@ def topology_from_obj(obj) -> NetworkTopology:
         raise TopologyError("'layers' must be a list")
     if len(layers) < 2:
         raise TopologyError("topology needs at least 2 layers")
-    # keyed on (type, value): true and 1, 2.0 and 2 are different values here
-    shared: dict[tuple[type, object], LayerSpec] = {}
+    # a node count is keyed on (type, value), so true and 1, 2.0 and 2 are
+    # different values here; an antenna list is shared only when it holds
+    # plain ints (true or 1.0 in a list always fails), keyed on the tuple of
+    # its entries, which never equals a node count's key
+    shared: dict[tuple, LayerSpec] = {}
     specs = []
     for k, layer in enumerate(layers):
-        if type(layer) is dict and len(layer) == 1 and type(raw := layer.get("nodes")) in _SCALARS:
-            key = type(raw), raw
-            spec = shared.get(key)
-            if spec is None:
-                spec = shared[key] = _layer_from_obj(layer, k)
-        else:
+        key = None
+        if type(layer) is dict and len(layer) == 1:
+            if type(raw := layer.get("nodes")) in _SCALARS:
+                key = type(raw), raw
+            elif type(raw := layer.get("antennas")) is list and _INTS.issuperset(map(type, raw)):
+                key = tuple(raw)
+        if key is None:
             spec = _layer_from_obj(layer, k)
+        elif (spec := shared.get(key)) is None:
+            spec = shared[key] = _layer_from_obj(layer, k)
         specs.append(spec)
     return NetworkTopology(tuple(specs))
 

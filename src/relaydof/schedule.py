@@ -35,6 +35,7 @@ from .model import (
     DemandMatrix,
     ExtRational,
     INFINITY,
+    InvariantError,
     NetworkTopology,
     TopologyError,
     demand_to_obj,
@@ -61,10 +62,6 @@ __all__ = [
     "schedule_to_obj",
     "plan_to_dot",
 ]
-
-
-class InvariantError(RuntimeError):
-    """A construction invariant does not hold: a bug, never a bad input."""
 
 
 @dataclass(frozen=True, slots=True)

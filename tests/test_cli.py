@@ -106,6 +106,17 @@ def test_check_infeasible_demand(files, capsys):
     assert {"constraint": "src:1", "lhs": "1/4", "rhs": "1/5"} in obj["violations"]
 
 
+@pytest.mark.parametrize("demand, code", [("good_demand", 0), ("fat_demand", 1)])
+def test_check_json_decimal_notes_that_json_stays_exact(files, capsys, demand, code):
+    assert main(["check", files["t3333"], files[demand]]) == code
+    exact = capsys.readouterr()
+    assert main(["check", files["t3333"], files[demand], "--decimal"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == exact.out
+    assert exact.err == ""
+    assert captured.err == "note: --decimal does not apply to --format json; JSON values stay exact\n"
+
+
 def test_check_missing_demand_file(files, capsys):
     assert main(["check", files["t3333"], str(files["tmp"] / "nope.json")]) == 2
 

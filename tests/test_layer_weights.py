@@ -145,6 +145,20 @@ def test_a_shared_value_never_admits_an_equal_value_of_another_type(layers, mess
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([{"antennas": [1, 2]}, {"antennas": [True, 2]}], "layer 1: antenna count must be a positive integer, got True"),
+        ([{"antennas": [2, 1]}, {"antennas": [2, 1.0]}], "layer 1: antenna count must be a positive integer, got 1.0"),
+        ([{"antennas": [3]}, {"nodes": 3}, {"antennas": ["3"]}], "layer 2: antenna count must be a positive integer, got '3'"),
+    ],
+)
+def test_a_shared_antenna_list_never_admits_entries_of_another_type(layers, message):
+    with pytest.raises(TopologyError) as info:
+        parse_topology(json.dumps({"layers": layers}))
+    assert str(info.value) == message
+
+
 def test_repeated_values_share_one_spec():
     t = parse_topology('{"layers":[{"nodes":3},{"antennas":[1,2]},{"nodes":3},{"antennas":[1,2]},{"nodes":3}]}')
     assert t.layers[0] is t.layers[2] is t.layers[4]
@@ -168,6 +182,27 @@ def test_parse_builds_one_spec_per_distinct_value(monkeypatch):
     t = parse_topology(json.dumps(CHAIN))
     assert len(t.layers) == 4000
     assert built <= 65
+
+
+ANTENNA_LISTS = [[1], [2], [1, 2], [2, 1], [1, 1], [3, 1, 2], [1, 2, 3], [4, 4], [1, 1, 1, 1], [7], [2, 2, 2]]
+ANTENNA_CHAIN = {"layers": [{"antennas": ANTENNA_LISTS[(k * 7) % 11]} for k in range(4000)]}
+
+
+def test_parse_builds_one_spec_per_distinct_antenna_list(monkeypatch):
+    built = 0
+    original = LayerSpec.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LayerSpec, "__init__", counting)
+    t = parse_topology(json.dumps(ANTENNA_CHAIN))
+    assert len(t.layers) == 4000
+    assert built <= len(ANTENNA_LISTS)
+    assert [layer.antennas for layer in t.layers] == [tuple(layer["antennas"]) for layer in ANTENNA_CHAIN["layers"]]
+    assert t.effective_sizes() == tuple(sum(layer["antennas"]) for layer in ANTENNA_CHAIN["layers"])
 
 
 def test_warm_report_formats_each_hop_value_once(monkeypatch):
