@@ -6,6 +6,8 @@ linearly; pinning any layer caps it at a constant; keeping all layer sizes
 fixed while the chain gets longer drives it down like 1/n.  The classifier
 samples n over a doubling grid, fits log(alpha) against log(n) by least
 squares, and snaps the slope to {1, 0, -1} within a fixed tolerance.
+Each sample is computed from the family's layer sizes at n alone; no
+topology is built for it.
 
 This is the only place floating point appears; the sampled alpha values
 themselves stay exact.
@@ -42,12 +44,15 @@ __all__ = [
     "sweep_rows",
 ]
 
-FAMILY_KINDS = (
-    "ProportionalFixedK",
-    "PinnedLayerFixedK",
-    "FixedSizesGrowingK",
-    "AntennaScaled",
-)
+# the document fields each kind takes besides 'kind'
+_FIELDS = ("base", "pinned", "topology")
+_KIND_FIELDS = {
+    "ProportionalFixedK": ("base",),
+    "PinnedLayerFixedK": ("base", "pinned"),
+    "FixedSizesGrowingK": ("base",),
+    "AntennaScaled": ("topology",),
+}
+FAMILY_KINDS = tuple(_KIND_FIELDS)
 
 # Doubling grid 16..4096; the three canonical families are well separated
 # by the top of this range.
@@ -69,6 +74,7 @@ class FamilySpec:
     kinds) or the single fixed layer size (growing-depth kind);
     ``pinned`` maps 0-based layer indices to constant sizes;
     ``topology`` is the fixed base network of the antenna-scaled kind.
+    A field the kind does not take is rejected, not ignored.
     """
 
     kind: str
@@ -79,6 +85,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
+        for name in _FIELDS:
+            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
+                raise FamilyError(f"{self.kind} takes no '{name}'")
         if self.kind == "AntennaScaled":
             if self.topology is None:
                 raise FamilyError("AntennaScaled needs a base topology")
@@ -125,6 +134,9 @@ def parse_family(text: str) -> FamilySpec:
         raise FamilyError(f"family document is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FamilyError("family document must be an object with a 'kind'")
+    unknown = sorted(obj.keys() - {"kind", *_FIELDS})
+    if unknown:
+        raise FamilyError(f"unknown family field {unknown[0]!r}")
     kind = obj["kind"]
     base = None
     if "base" in obj:
@@ -168,33 +180,37 @@ def _round_half_up(q: Fraction) -> int:
     return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
-def evaluate_family(f: FamilySpec, n: int) -> tuple[NetworkTopology, ExtRational]:
-    """Instantiate the family at parameter n and compute its sum DoF."""
+def _family_sizes(f: FamilySpec, n: int) -> list[int]:
+    """Per-layer effective sizes of the family instantiated at parameter n."""
     if n < 1:
         raise FamilyError(f"family parameter must be positive, got {n}")
     if f.kind == "AntennaScaled":
-        topology = scale_antennas(f.topology, n)
-    elif f.kind == "FixedSizesGrowingK":
+        return [n * e for e in f.topology.effective_sizes()]
+    if f.kind == "FixedSizesGrowingK":
         size = int(f.base[0])
         layer_count = _round_half_up(Fraction(n, size))
         if layer_count < 2:
             raise FamilyError(f"degenerate instantiation at n={n}: fewer than 2 layers")
-        topology = NetworkTopology((LayerSpec(nodes=size),) * layer_count)
+        return [size] * layer_count
+    pinned = dict(f.pinned or ())
+    budget = max(0, n - sum(pinned.values()))
+    growth_total = sum(b for k, b in enumerate(f.base) if k not in pinned)
+    return [
+        pinned[k] if k in pinned else max(1, _round_half_up(b * budget / growth_total))
+        for k, b in enumerate(f.base)
+    ]
+
+
+def evaluate_family(f: FamilySpec, n: int) -> tuple[NetworkTopology, ExtRational]:
+    """Instantiate the family at parameter n and compute its sum DoF."""
+    sizes = _family_sizes(f, n)
+    if f.kind == "AntennaScaled":
+        # the scaled network keeps its per-node antenna lists
+        topology = scale_antennas(f.topology, n)
     else:
-        pinned = dict(f.pinned) if f.pinned else {}
-        budget = n - sum(pinned.values())
-        if budget < 0:
-            budget = 0
-        growth_total = sum(b for k, b in enumerate(f.base) if k not in pinned)
-        sizes = []
-        for k, b in enumerate(f.base):
-            if k in pinned:
-                sizes.append(pinned[k])
-            else:
-                sizes.append(max(1, _round_half_up(b * budget / growth_total)))
         specs = {s: LayerSpec(nodes=s) for s in set(sizes)}
         topology = NetworkTopology(tuple(map(specs.__getitem__, sizes)))
-    return topology, achievable_sum_dof(topology.effective_sizes())
+    return topology, achievable_sum_dof(sizes)
 
 
 def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
@@ -208,10 +224,7 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
 
 def classify(f: FamilySpec, grid: tuple[int, ...] = SAMPLE_GRID) -> ScalingVerdict:
     """Fit the log-log slope over the sample grid and snap it to a class."""
-    samples = []
-    for n in grid:
-        _, alpha = evaluate_family(f, n)
-        samples.append((n, alpha))
+    samples = [(n, achievable_sum_dof(_family_sizes(f, n))) for n in grid]
     slope = _least_squares_slope(
         [math.log(n) for n, _ in samples],
         [math.log(float(alpha)) for _, alpha in samples],

@@ -126,9 +126,10 @@ class SplitEdge:
 class _PlanView(Sequence):
     """Read-only sequence over a plan's per-layer structure, expanded on demand.
 
-    ``len`` is O(1) and indexing O(layers); iteration yields the elements
-    in plan order without keeping them.  Two views compare equal when they
-    are views of the same kind over equal structure.
+    ``len`` is O(1); iteration yields the elements in plan order without
+    keeping them, and indexing walks that iteration, so ``view[i]`` is O(i).
+    Two views compare equal when they are views of the same kind over equal
+    structure.
     """
 
     __slots__ = ("_key", "_len")
@@ -145,7 +146,10 @@ class _PlanView(Sequence):
             return tuple(self)[index]
         if not -self._len <= index < self._len:
             raise IndexError(f"{type(self).__name__} index out of range")
-        return self._at(index % self._len)
+        return next(islice(self, index % self._len, None))
+
+    def __reversed__(self):
+        return reversed(tuple(self))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -172,13 +176,6 @@ class _TransferView(_PlanView):
             for tx in range(sizes[k]):
                 for rx in range(sizes[k + 1]):
                     yield k, tx, rx, bits
-
-    def _at(self, i: int) -> PhaseMessage:
-        sizes, per_pair = self._key
-        for k, bits in enumerate(per_pair):
-            if i < sizes[k] * sizes[k + 1]:
-                return PhaseMessage(k, *divmod(i, sizes[k + 1]), bits)
-            i -= sizes[k] * sizes[k + 1]
 
     def __iter__(self):
         return (PhaseMessage(*row) for row in self._rows())
@@ -237,27 +234,6 @@ class _EdgeView(_PlanView):
             sink = _sink_id(j)
             for inbound in ids[-1]:
                 yield inbound[j], sink, share
-
-    def _at(self, i: int) -> SplitEdge:
-        sizes, per_pair, sources, paddings = self._key
-        fan = sizes[1]
-        if i < len(sources) * fan:
-            msg = sources[i // fan]
-            return SplitEdge(_msg_id(msg.dst, msg.src), _phase_id(0, msg.src, i % fan), msg.bits / fan)
-        i -= len(sources) * fan
-        if i < len(paddings) * fan:
-            pad = paddings[i // fan]
-            return SplitEdge(_pad_id(pad.src), _phase_id(0, pad.src, i % fan), pad.bits / fan)
-        i -= len(paddings) * fan
-        for k in range(1, len(sizes) - 1):
-            before, layer, after = sizes[k - 1 : k + 2]
-            if i < before * layer * after:
-                n, rest = divmod(i, before * after)
-                tx, rx = divmod(rest, after)
-                return SplitEdge(_phase_id(k - 1, tx, n), _phase_id(k, n, rx), per_pair[k] / before)
-            i -= before * layer * after
-        j, n = divmod(i, sizes[-2])
-        return SplitEdge(_phase_id(len(sizes) - 2, n, j), _sink_id(j), per_pair[-1])
 
     def __iter__(self):
         return (SplitEdge(*row) for row in self._rows())

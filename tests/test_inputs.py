@@ -26,7 +26,7 @@ from relaydof.analysis import (
 )
 from relaydof.cli import main
 from relaydof.model import DemandError, DemandMatrix, TopologyError, parse_topology
-from relaydof.scaling import FamilyError, parse_family
+from relaydof.scaling import FamilyError, FamilySpec, parse_family
 from relaydof.schedule import InvariantError, PhasePlan, _build_plan, phase_ratios, recurrence_sum_dof
 
 SOURCES = sorted(Path(relaydof.__file__).parent.glob("*.py"))
@@ -115,6 +115,43 @@ def test_duplicate_pinned_layer_exits_2(tmp_path, capsys):
 def test_non_integer_pinned_size_is_rejected(size):
     with pytest.raises(FamilyError, match="pinned size of layer 1"):
         parse_family('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":' + size + "}}")
+
+
+# -- family fields: a kind takes only its own -----------------------------------------
+
+BASE_222 = '"topology":{"layers":[{"nodes":2},{"nodes":2},{"nodes":2}]}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind":"ProportionalFixedK","base":[1,1,1],"pinned":{"7":5}}', "ProportionalFixedK takes no 'pinned'"),
+        ('{"kind":"ProportionalFixedK","base":[1,1,1],"pinned":{}}', "ProportionalFixedK takes no 'pinned'"),
+        ('{"kind":"ProportionalFixedK","base":[1,1,1],' + BASE_222 + "}", "ProportionalFixedK takes no 'topology'"),
+        ('{"kind":"FixedSizesGrowingK","base":[2],"pinned":{"0":1}}', "FixedSizesGrowingK takes no 'pinned'"),
+        ('{"kind":"FixedSizesGrowingK","base":[2],' + BASE_222 + "}", "FixedSizesGrowingK takes no 'topology'"),
+        ('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":2},' + BASE_222 + "}", "PinnedLayerFixedK takes no 'topology'"),
+        ('{"kind":"AntennaScaled","base":[1,1],' + BASE_222 + "}", "AntennaScaled takes no 'base'"),
+        ('{"kind":"AntennaScaled","pinned":{"0":1},' + BASE_222 + "}", "AntennaScaled takes no 'pinned'"),
+        ('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinnned":{"1":2}}', "unknown family field 'pinnned'"),
+        ('{"kind":"ProportionalFixedK","base":[1,1],"n":4}', "unknown family field 'n'"),
+    ],
+)
+def test_family_field_the_kind_does_not_take_exits_2(tmp_path, capsys, text, message):
+    with pytest.raises(FamilyError) as info:
+        parse_family(text)
+    assert str(info.value) == message
+    family = tmp_path / "f.json"
+    family.write_text(text, encoding="utf-8")
+    assert main(["classify", str(family)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_family_spec_rejects_a_field_the_kind_does_not_take():
+    with pytest.raises(FamilyError, match="^ProportionalFixedK takes no 'pinned'$"):
+        FamilySpec(kind="ProportionalFixedK", base=(Fraction(1), Fraction(1)), pinned=((0, 1),))
+    with pytest.raises(FamilyError, match="^AntennaScaled takes no 'base'$"):
+        FamilySpec(kind="AntennaScaled", base=(Fraction(1),), topology=parse_topology('{"layers":[{"nodes":2},{"nodes":2}]}'))
 
 
 # -- demand keys --------------------------------------------------------------------
