@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
-from typing import Sequence
 
-from .model import ExtCount, ExtRational, Infinity, INFINITY, NetworkTopology
+from .model import ExtCount, ExtRational, Infinity, INFINITY, NetworkTopology, Record
 
 __all__ = [
     "AnalysisError",
@@ -43,25 +42,53 @@ class AnalysisError(ValueError):
     """A requested quantity is undefined for the given topology."""
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """All derived DoF quantities for one topology.
 
     ``ultimate_capacity`` and ``relay_loss_factor`` are populated only when
     both endpoint layers are finite.
     """
 
-    achievable: ExtRational
-    achievable_per_hop: tuple[ExtRational, ...]
-    cutset: ExtRational
-    cutset_per_hop: tuple[ExtRational, ...]
-    inverse_gap: ExtRational
-    absolute_gap: ExtRational
-    fractional_gap_bound: ExtRational
-    bounding_set: frozenset[int]
-    optimal: bool
-    ultimate_capacity: ExtRational | None
-    relay_loss_factor: ExtRational | None
+    __slots__ = _fields = (
+        "achievable",
+        "achievable_per_hop",
+        "cutset",
+        "cutset_per_hop",
+        "inverse_gap",
+        "absolute_gap",
+        "fractional_gap_bound",
+        "bounding_set",
+        "optimal",
+        "ultimate_capacity",
+        "relay_loss_factor",
+    )
+
+    def __init__(
+        self,
+        achievable: ExtRational,
+        achievable_per_hop: tuple[ExtRational, ...],
+        cutset: ExtRational,
+        cutset_per_hop: tuple[ExtRational, ...],
+        inverse_gap: ExtRational,
+        absolute_gap: ExtRational,
+        fractional_gap_bound: ExtRational,
+        bounding_set: frozenset[int],
+        optimal: bool,
+        ultimate_capacity: ExtRational | None,
+        relay_loss_factor: ExtRational | None,
+    ):
+        a, b, c, d, e, f, g, h, i, j, k = self._put
+        a(self, achievable)
+        b(self, achievable_per_hop)
+        c(self, cutset)
+        d(self, cutset_per_hop)
+        e(self, inverse_gap)
+        f(self, absolute_gap)
+        g(self, fractional_gap_bound)
+        h(self, bounding_set)
+        i(self, optimal)
+        j(self, ultimate_capacity)
+        k(self, relay_loss_factor)
 
 
 def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:

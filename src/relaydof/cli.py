@@ -13,7 +13,6 @@ results to standard output, and signals outcomes through exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -140,9 +139,9 @@ def cmd_analyze(args) -> int:
         obj.update(report_to_obj(report))
         print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        from dataclasses import fields
+        import csv
 
-        names = [f.name for f in fields(AnalysisReport)]
+        names = AnalysisReport._fields
         # the row is rendered before anything is written, so a value that
         # cannot be rendered leaves no partial output
         row = [" ".join(map(str, topology.effective_sizes()))]
@@ -210,6 +209,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
     family = parse_family(_read(args.family))
     verdict = classify(family)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Mapping, Union
 
 __all__ = [
     "Infinity",
@@ -113,7 +112,7 @@ class Infinity:
 INFINITY = Infinity()
 
 # A layer size: a positive integer or the symbolic infinity.
-ExtCount = Union[int, Infinity]
+ExtCount = int | Infinity
 
 
 class ExtRational:
@@ -322,8 +321,55 @@ def _ext_count_to_obj(value: ExtCount):
     return "inf" if isinstance(value, Infinity) else value
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class Record:
+    """Base of the immutable value types: a slotted record.
+
+    A subclass lists its constructor fields in ``_fields`` and names them,
+    then any values it derives from them, in ``__slots__``.  Plain
+    assignment and deletion raise ``AttributeError``, so its own
+    ``__init__`` fills every slot through ``_put``: the C-level setter of
+    each slot, in ``__slots__`` order, which costs less than
+    ``object.__setattr__``.  Equality, hashing and the repr cover
+    ``_fields`` only and read as a frozen dataclass's would: equal only to
+    the same class, the hash of the field tuple, ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls._fields
+        # a subclass without slots of its own keeps its base's setters
+        if slots := cls.__dict__.get("__slots__"):
+            cls._put = tuple(cls.__dict__[name].__set__ for name in slots)
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which derives every other slot
+        return self.__class__, self._astuple()
+
+
+class LayerSpec(Record):
     """One layer of the chain: a node count or a per-node antenna profile.
 
     Exactly one of ``nodes`` / ``antennas`` is set.  An antenna profile
@@ -333,21 +379,32 @@ class LayerSpec:
     construction.
     """
 
-    nodes: ExtCount | None = None
-    antennas: tuple[int, ...] | None = None
-    effective_size: ExtCount = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "antennas", "effective_size")
+    _fields = ("nodes", "antennas")
+
+    def __init__(self, nodes: ExtCount | None = None, antennas: tuple[int, ...] | None = None):
+        put_nodes, put_antennas, _ = self._put
+        put_nodes(self, nodes)
+        put_antennas(self, antennas)
+        self.__post_init__()
 
     def __post_init__(self):
-        if (self.nodes is None) == (self.antennas is None):
+        # the check after the fields are stored, as in a dataclass: every
+        # LayerSpec passes here, so replacing it intercepts them all
+        _, put_antennas, put_size = self._put
+        antennas = self.antennas
+        if (self.nodes is None) == (antennas is None):
             raise TopologyError("layer needs exactly one of 'nodes' or 'antennas'")
-        if self.antennas is not None:
-            object.__setattr__(self, "antennas", tuple(self.antennas))
-            if len(self.antennas) == 0:
+        if antennas is not None:
+            if type(antennas) is not tuple:
+                antennas = tuple(antennas)
+                put_antennas(self, antennas)
+            if len(antennas) == 0:
                 raise TopologyError("antenna list must be nonempty")
-            for a in self.antennas:
+            for a in antennas:
                 if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                     raise TopologyError(f"antenna count must be a positive integer, got {a!r}")
-            object.__setattr__(self, "effective_size", sum(self.antennas))
+            put_size(self, sum(antennas))
             return
         n = self.nodes
         if not isinstance(n, Infinity):
@@ -357,7 +414,7 @@ class LayerSpec:
                 raise TopologyError("zero nodes")
             if n < 0:
                 raise TopologyError(f"node count must be positive, got {n}")
-        object.__setattr__(self, "effective_size", n)
+        put_size(self, n)
 
     @property
     def is_infinite(self) -> bool:
@@ -379,22 +436,23 @@ class LayerSpec:
 _EFFECTIVE_SIZE = attrgetter("effective_size")
 
 
-@dataclass(frozen=True)
-class NetworkTopology:
+class NetworkTopology(Record):
     """Ordered layer chain: sources, relay layers, destinations.
 
     Layers may be shared: a parsed topology holds one ``LayerSpec`` per
     distinct ``{"nodes": ...}`` value.
     """
 
-    layers: tuple[LayerSpec, ...]
-    _effective_sizes: tuple[ExtCount, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("layers", "_effective_sizes")
+    _fields = ("layers",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.layers) < 2:
+    def __init__(self, layers: tuple[LayerSpec, ...]):
+        put_layers, put_sizes = self._put
+        layers = tuple(layers)
+        if len(layers) < 2:
             raise TopologyError("topology needs at least a source and a destination layer")
-        object.__setattr__(self, "_effective_sizes", tuple(map(_EFFECTIVE_SIZE, self.layers)))
+        put_layers(self, layers)
+        put_sizes(self, tuple(map(_EFFECTIVE_SIZE, layers)))
 
     @property
     def relay_count(self) -> int:
@@ -418,20 +476,21 @@ class NetworkTopology:
         return self.layers[-1]
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
+class DemandMatrix(Record):
     """Per-message DoF values keyed by (destination, source), 0-based.
 
     Absent entries mean zero; explicit zeros are dropped at construction.
     Values are finite Fractions; sign and index bounds are checked against a
-    topology by :func:`validate_demand`, not here.
+    topology by :func:`validate_demand`, not here.  A matrix is not
+    hashable: its entries are a read-only view of a dict.
     """
 
-    entries: Mapping[tuple[int, int], Fraction]
+    __slots__ = ("entries",)
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: Mapping[tuple[int, int], Fraction]):
         cleaned = {}
-        for key, value in self.entries.items():
+        for key, value in entries.items():
             if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is type(key[1]) is int):
                 raise DemandError(f"demand key {key!r} must be a (destination, source) pair of ints")
             j, i = key
@@ -445,7 +504,8 @@ class DemandMatrix:
                 value = Fraction(value)
             if value != 0:
                 cleaned[key] = value
-        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+        put_entries, = self._put
+        put_entries(self, MappingProxyType(cleaned))
 
     @property
     def total(self) -> Fraction:
@@ -487,6 +547,9 @@ class DemandMatrix:
         if not isinstance(other, DemandMatrix):
             return NotImplemented
         return dict(self.entries) == dict(other.entries)
+
+    # hashes the field tuple, which raises TypeError for the entries view
+    __hash__ = Record.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +734,19 @@ def antenna_split(t: NetworkTopology) -> NetworkTopology:
     )
 
 
-def scale_antennas(t: NetworkTopology, s: int) -> NetworkTopology:
-    """Multiply every node's antenna count by ``s`` (finite topologies only)."""
+def _check_antenna_scale(t: NetworkTopology, s: int) -> None:
+    """Raise unless every antenna count of ``t`` can be multiplied by ``s``:
+    a positive integer factor first, then a finite layer at every index."""
     if not isinstance(s, int) or s < 1:
         raise TopologyError(f"antenna scale factor must be a positive integer, got {s!r}")
-    layers = []
     for k, layer in enumerate(t.layers):
         if layer.is_infinite:
             raise TopologyError(f"layer {k}: cannot antenna-scale an infinite layer")
-        layers.append(LayerSpec(antennas=tuple(a * s for a in layer.antenna_profile())))
-    return NetworkTopology(tuple(layers))
+
+
+def scale_antennas(t: NetworkTopology, s: int) -> NetworkTopology:
+    """Multiply every node's antenna count by ``s`` (finite topologies only)."""
+    _check_antenna_scale(t, s)
+    return NetworkTopology(
+        tuple(LayerSpec(antennas=tuple(a * s for a in layer.antenna_profile())) for layer in t.layers)
+    )

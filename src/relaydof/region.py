@@ -9,11 +9,10 @@ All comparisons are exact; the boundary is feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import achievable_sum_dof
-from .model import DemandError, DemandMatrix, ExtRational, NetworkTopology, validate_demand
+from .model import DemandError, DemandMatrix, ExtRational, NetworkTopology, Record, validate_demand
 
 __all__ = [
     "Violation",
@@ -25,29 +24,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed constraint: identifier plus both sides of the comparison."""
 
-    constraint: str
-    lhs: ExtRational
-    rhs: ExtRational
+    __slots__ = _fields = ("constraint", "lhs", "rhs")
+
+    def __init__(self, constraint: str, lhs: ExtRational, rhs: ExtRational):
+        put_constraint, put_lhs, put_rhs = self._put
+        put_constraint(self, constraint)
+        put_lhs(self, lhs)
+        put_rhs(self, rhs)
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
-    feasible: bool
-    violations: tuple[Violation, ...]
-    binding: tuple[str, ...]
+class RegionVerdict(Record):
+    __slots__ = _fields = ("feasible", "violations", "binding")
+
+    def __init__(self, feasible: bool, violations: tuple[Violation, ...], binding: tuple[str, ...]):
+        put_feasible, put_violations, put_binding = self._put
+        put_feasible(self, feasible)
+        put_violations(self, violations)
+        put_binding(self, binding)
 
 
-@dataclass(frozen=True)
-class ScaleResult:
+class ScaleResult(Record):
     """Largest feasible uniform scaling of a demand pattern."""
 
-    t_star: ExtRational
-    scaled: DemandMatrix
-    verdict: RegionVerdict
+    __slots__ = _fields = ("t_star", "scaled", "verdict")
+
+    def __init__(self, t_star: ExtRational, scaled: DemandMatrix, verdict: RegionVerdict):
+        put_t_star, put_scaled, put_verdict = self._put
+        put_t_star(self, t_star)
+        put_scaled(self, scaled)
+        put_verdict(self, verdict)
 
 
 def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fraction, Fraction]]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import achievable_sum_dof
@@ -26,6 +25,8 @@ from .model import (
     ExtRational,
     NetworkTopology,
     LayerSpec,
+    Record,
+    _check_antenna_scale,
     scale_antennas,
     topology_from_obj,
 )
@@ -66,8 +67,34 @@ class FamilyError(DocumentError):
     """Invalid family document or degenerate instantiation."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+def _checked_profile(kind: str, base, pinned) -> tuple[tuple[Fraction, ...], tuple[tuple[int, int], ...] | None]:
+    """The base profile as Fractions and the pinned layers in order, once
+    they are checked against the kind (any kind but AntennaScaled)."""
+    if base is None or len(base) == 0:
+        raise FamilyError(f"{kind} needs a base profile")
+    base = tuple(b if type(b) is Fraction else Fraction(b) for b in base)
+    if any(b <= 0 for b in base):
+        raise FamilyError("base profile entries must be positive")
+    if kind == "FixedSizesGrowingK":
+        if len(base) != 1 or base[0].denominator != 1:
+            raise FamilyError("FixedSizesGrowingK takes a single integer layer size")
+    elif len(base) < 2:
+        raise FamilyError(f"{kind} base profile needs at least 2 layers")
+    if kind == "PinnedLayerFixedK":
+        if not pinned:
+            raise FamilyError("PinnedLayerFixedK needs at least one pinned layer")
+        pinned = tuple(sorted(pinned))
+        for idx, size in pinned:
+            if not 0 <= idx < len(base):
+                raise FamilyError(f"pinned layer {idx} outside base profile")
+            if size < 1:
+                raise FamilyError(f"pinned layer {idx}: size must be >= 1")
+        if len(pinned) >= len(base):
+            raise FamilyError("pinning every layer leaves nothing to grow")
+    return base, pinned
+
+
+class FamilySpec(Record):
     """Parameterized topology family.
 
     ``base`` is the per-layer growth profile (proportional and pinned
@@ -77,53 +104,49 @@ class FamilySpec:
     A field the kind does not take is rejected, not ignored.
     """
 
-    kind: str
-    base: tuple[Fraction, ...] | None = None
-    pinned: tuple[tuple[int, int], ...] | None = None
-    topology: NetworkTopology | None = None
+    __slots__ = _fields = ("kind", "base", "pinned", "topology")
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise FamilyError(f"unknown family kind {self.kind!r}")
-        for name in _FIELDS:
-            if getattr(self, name) is not None and name not in _KIND_FIELDS[self.kind]:
-                raise FamilyError(f"{self.kind} takes no '{name}'")
-        if self.kind == "AntennaScaled":
-            if self.topology is None:
+    def __init__(
+        self,
+        kind: str,
+        base: tuple[Fraction, ...] | None = None,
+        pinned: tuple[tuple[int, int], ...] | None = None,
+        topology: NetworkTopology | None = None,
+    ):
+        if kind not in FAMILY_KINDS:
+            raise FamilyError(f"unknown family kind {kind!r}")
+        for name, value in zip(_FIELDS, (base, pinned, topology)):
+            if value is not None and name not in _KIND_FIELDS[kind]:
+                raise FamilyError(f"{kind} takes no '{name}'")
+        if kind == "AntennaScaled":
+            if topology is None:
                 raise FamilyError("AntennaScaled needs a base topology")
-            if not self.topology.is_finite:
+            if not topology.is_finite:
                 raise FamilyError("AntennaScaled base topology must be finite")
-            return
-        if self.base is None or len(self.base) == 0:
-            raise FamilyError(f"{self.kind} needs a base profile")
-        object.__setattr__(self, "base", tuple(Fraction(b) for b in self.base))
-        if any(b <= 0 for b in self.base):
-            raise FamilyError("base profile entries must be positive")
-        if self.kind == "FixedSizesGrowingK":
-            if len(self.base) != 1 or self.base[0].denominator != 1:
-                raise FamilyError("FixedSizesGrowingK takes a single integer layer size")
-        elif len(self.base) < 2:
-            raise FamilyError(f"{self.kind} base profile needs at least 2 layers")
-        if self.kind == "PinnedLayerFixedK":
-            if not self.pinned:
-                raise FamilyError("PinnedLayerFixedK needs at least one pinned layer")
-            object.__setattr__(self, "pinned", tuple(sorted(self.pinned)))
-            for idx, size in self.pinned:
-                if not 0 <= idx < len(self.base):
-                    raise FamilyError(f"pinned layer {idx} outside base profile")
-                if size < 1:
-                    raise FamilyError(f"pinned layer {idx}: size must be >= 1")
-            if len(self.pinned) >= len(self.base):
-                raise FamilyError("pinning every layer leaves nothing to grow")
+        else:
+            base, pinned = _checked_profile(kind, base, pinned)
+        put_kind, put_base, put_pinned, put_topology = self._put
+        put_kind(self, kind)
+        put_base(self, base)
+        put_pinned(self, pinned)
+        put_topology(self, topology)
 
 
-@dataclass(frozen=True)
-class ScalingVerdict:
+class ScalingVerdict(Record):
     """Fitted slope and its class; ``classification`` is None when ambiguous."""
 
-    classification: str | None
-    slope_estimate: float
-    samples: tuple[tuple[int, ExtRational], ...]
+    __slots__ = _fields = ("classification", "slope_estimate", "samples")
+
+    def __init__(
+        self,
+        classification: str | None,
+        slope_estimate: float,
+        samples: tuple[tuple[int, ExtRational], ...],
+    ):
+        put_classification, put_slope, put_samples = self._put
+        put_classification(self, classification)
+        put_slope(self, slope_estimate)
+        put_samples(self, samples)
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -245,8 +268,11 @@ def antenna_scale_check(
     Returns (base value, scaled value, ratio).  The ratio approaches s from
     below as the network grows; it is reported, never asserted to equal s.
     """
-    alpha_base = achievable_sum_dof(t.effective_sizes())
-    alpha_scaled = achievable_sum_dof(scale_antennas(t, s).effective_sizes())
+    _check_antenna_scale(t, s)
+    # scaling every antenna count by s scales every layer's size by s
+    sizes = t.effective_sizes()
+    alpha_base = achievable_sum_dof(sizes)
+    alpha_scaled = achievable_sum_dof([s * e for e in sizes])
     return alpha_base, alpha_scaled, alpha_scaled / alpha_base
 
 

@@ -237,3 +237,60 @@ def test_a_patched_cli_name_is_the_one_that_runs(files, monkeypatch, capsys, nam
     monkeypatch.setattr(cli, name, counting)
     assert cli.main(argv) == 0
     assert calls == 1
+
+
+# -- standard-library modules a command leaves out ----------------------------------
+
+# what `import dataclasses` pulls in, plus `typing` and `csv`
+HEAVY = ("ast", "csv", "dataclasses", "dis", "inspect", "tokenize", "typing")
+
+
+def heavy_loaded_by_main(argv: list[str], cwd) -> tuple[int, list[str]]:
+    """Exit code and the HEAVY modules loaded by ``cli.main(argv)`` in a
+    fresh interpreter started without ``site``, which can import ``typing``
+    itself through a ``.pth`` file."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from relaydof import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, sorted(set(sys.modules) & set({HEAVY!r}))]))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.fixture
+def bad_files(files):
+    (files / "bad_t.json").write_text('{"layers":[{"nodes":0},{"nodes":2}]}', encoding="utf-8")
+    (files / "bad_d.json").write_text('{"demands":[{"dst":1}]}', encoding="utf-8")
+    (files / "bad_f.json").write_text('{"kind":"ProportionalFixedK"', encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "t.json"], 0),
+        (["analyze", "t.json", "--format", "json"], 0),
+        (["analyze", "t.json", "--decimal"], 0),
+        (["check", "t.json", "d.json"], 0),
+        (["check", "t.json", "d.json", "--format", "table"], 0),
+        (["classify", "f.json"], 0),
+        (["analyze", "bad_t.json"], 2),
+        (["check", "t.json", "bad_d.json"], 2),
+        (["classify", "bad_f.json"], 2),
+        (["analyze", "missing.json"], 2),
+    ],
+)
+def test_command_loads_no_dataclasses_typing_or_csv(bad_files, argv, code):
+    assert heavy_loaded_by_main(argv, bad_files) == (code, [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "t.json", "--format", "csv"], ["sweep", "f.json", "--out", "rows.csv"]],
+)
+def test_csv_output_adds_only_csv(files, argv):
+    assert heavy_loaded_by_main(argv, files) == (0, ["csv"])
