@@ -63,32 +63,17 @@ class AnalysisReport(Record):
         "relay_loss_factor",
     )
 
-    def __init__(
-        self,
-        achievable: ExtRational,
-        achievable_per_hop: tuple[ExtRational, ...],
-        cutset: ExtRational,
-        cutset_per_hop: tuple[ExtRational, ...],
-        inverse_gap: ExtRational,
-        absolute_gap: ExtRational,
-        fractional_gap_bound: ExtRational,
-        bounding_set: frozenset[int],
-        optimal: bool,
-        ultimate_capacity: ExtRational | None,
-        relay_loss_factor: ExtRational | None,
-    ):
-        a, b, c, d, e, f, g, h, i, j, k = self._put
-        a(self, achievable)
-        b(self, achievable_per_hop)
-        c(self, cutset)
-        d(self, cutset_per_hop)
-        e(self, inverse_gap)
-        f(self, absolute_gap)
-        g(self, fractional_gap_bound)
-        h(self, bounding_set)
-        i(self, optimal)
-        j(self, ultimate_capacity)
-        k(self, relay_loss_factor)
+    achievable: ExtRational
+    achievable_per_hop: tuple[ExtRational, ...]
+    cutset: ExtRational
+    cutset_per_hop: tuple[ExtRational, ...]
+    inverse_gap: ExtRational
+    absolute_gap: ExtRational
+    fractional_gap_bound: ExtRational
+    bounding_set: frozenset[int]
+    optimal: bool
+    ultimate_capacity: ExtRational | None
+    relay_loss_factor: ExtRational | None
 
 
 def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:

@@ -326,22 +326,27 @@ class Record:
 
     A subclass lists its constructor fields in ``_fields`` and names them,
     then any values it derives from them, in ``__slots__``.  Plain
-    assignment and deletion raise ``AttributeError``, so its own
-    ``__init__`` fills every slot through ``_put``: the C-level setter of
-    each slot, in ``__slots__`` order, which costs less than
-    ``object.__setattr__``.  Equality, hashing and the repr cover
-    ``_fields`` only and read as a frozen dataclass's would: equal only to
-    the same class, the hash of the field tuple, ``Name(field=value, ...)``.
+    assignment and deletion raise ``AttributeError``.  A subclass that
+    defines no ``__init__`` gets one that stores its fields in order, with
+    the defaults in ``_defaults``; one that validates writes its own and
+    fills every slot through ``_put``: the C-level setter of each slot, in
+    ``__slots__`` order, which costs less than ``object.__setattr__``.
+    Equality, hashing and the repr cover ``_fields`` only and read as a
+    frozen dataclass's would: equal only to the same class, the hash of the
+    field tuple, ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = MappingProxyType({})
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls._fields
         # a subclass without slots of its own keeps its base's setters
         if slots := cls.__dict__.get("__slots__"):
             cls._put = tuple(cls.__dict__[name].__set__ for name in slots)
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _storing_init(cls)
 
     def _astuple(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -367,6 +372,22 @@ class Record:
     def __reduce__(self):
         # rebuilt through the constructor, which derives every other slot
         return self.__class__, self._astuple()
+
+
+def _storing_init(cls: type[Record]):
+    """``__init__(self, <fields>)`` that stores each field through its
+    slot's setter.  Compiled once per class, as ``dataclasses`` does it, so
+    a call costs what a hand-written one does."""
+    names, defaults = cls._fields, cls._defaults
+    env = {"__name__": cls.__module__}
+    env.update((f"_set_{name}", getattr(cls, name).__set__) for name in names)
+    env.update((f"_default_{name}", value) for name, value in defaults.items())
+    params = "".join(f", {name}=_default_{name}" if name in defaults else f", {name}" for name in names)
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self{params}):{body}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class LayerSpec(Record):

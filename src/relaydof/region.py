@@ -29,21 +29,17 @@ class Violation(Record):
 
     __slots__ = _fields = ("constraint", "lhs", "rhs")
 
-    def __init__(self, constraint: str, lhs: ExtRational, rhs: ExtRational):
-        put_constraint, put_lhs, put_rhs = self._put
-        put_constraint(self, constraint)
-        put_lhs(self, lhs)
-        put_rhs(self, rhs)
+    constraint: str
+    lhs: ExtRational
+    rhs: ExtRational
 
 
 class RegionVerdict(Record):
     __slots__ = _fields = ("feasible", "violations", "binding")
 
-    def __init__(self, feasible: bool, violations: tuple[Violation, ...], binding: tuple[str, ...]):
-        put_feasible, put_violations, put_binding = self._put
-        put_feasible(self, feasible)
-        put_violations(self, violations)
-        put_binding(self, binding)
+    feasible: bool
+    violations: tuple[Violation, ...]
+    binding: tuple[str, ...]
 
 
 class ScaleResult(Record):
@@ -51,11 +47,9 @@ class ScaleResult(Record):
 
     __slots__ = _fields = ("t_star", "scaled", "verdict")
 
-    def __init__(self, t_star: ExtRational, scaled: DemandMatrix, verdict: RegionVerdict):
-        put_t_star, put_scaled, put_verdict = self._put
-        put_t_star(self, t_star)
-        put_scaled(self, scaled)
-        put_verdict(self, verdict)
+    t_star: ExtRational
+    scaled: DemandMatrix
+    verdict: RegionVerdict
 
 
 def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fraction, Fraction]]:

@@ -137,16 +137,9 @@ class ScalingVerdict(Record):
 
     __slots__ = _fields = ("classification", "slope_estimate", "samples")
 
-    def __init__(
-        self,
-        classification: str | None,
-        slope_estimate: float,
-        samples: tuple[tuple[int, ExtRational], ...],
-    ):
-        put_classification, put_slope, put_samples = self._put
-        put_classification(self, classification)
-        put_slope(self, slope_estimate)
-        put_samples(self, samples)
+    classification: str | None
+    slope_estimate: float
+    samples: tuple[tuple[int, ExtRational], ...]
 
 
 def parse_family(text: str) -> FamilySpec:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -37,6 +36,7 @@ from .model import (
     INFINITY,
     InvariantError,
     NetworkTopology,
+    Record,
     TopologyError,
     demand_to_obj,
 )
@@ -64,9 +64,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PhasePlan:
+class PhasePlan(Record):
     """One hop's X-network phase: who transmits, for how long, at what rate."""
+
+    __slots__ = _fields = ("hop", "tx_count", "rx_count", "block_length", "per_pair_dof", "per_pair_bits")
 
     hop: int
     tx_count: int
@@ -76,26 +77,29 @@ class PhasePlan:
     per_pair_bits: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class SourceMessage:
+class SourceMessage(Record):
     """Payload bits a source owes one destination (virtual indices, 0-based)."""
+
+    __slots__ = _fields = ("dst", "src", "bits")
 
     dst: int
     src: int
     bits: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class PaddingMessage:
+class PaddingMessage(Record):
     """Dummy bits that top a source up to the uniform outbound budget."""
+
+    __slots__ = _fields = ("src", "bits")
 
     src: int
     bits: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseMessage:
+class PhaseMessage(Record):
     """The phase-k X-network message from layer-k node tx to node rx."""
+
+    __slots__ = _fields = ("phase", "tx", "rx", "bits")
 
     phase: int
     tx: int
@@ -103,9 +107,10 @@ class PhaseMessage:
     bits: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class DestinationBin:
+class DestinationBin(Record):
     """What one destination reassembles: real bits per source, plus padding."""
+
+    __slots__ = _fields = ("dst", "received", "padding_bits")
 
     dst: int
     received: tuple[tuple[int, Fraction], ...]
@@ -116,8 +121,11 @@ class DestinationBin:
         return sum((b for _, b in self.received), Fraction(0)) + self.padding_bits
 
 
-@dataclass(frozen=True, slots=True)
-class SplitEdge:
+class SplitEdge(Record):
+    """One edge of the split DAG: ``bits`` flow from node ``head`` to ``tail``."""
+
+    __slots__ = _fields = ("head", "tail", "bits")
+
     head: str
     tail: str
     bits: Fraction
@@ -239,8 +247,7 @@ class _EdgeView(_PlanView):
         return (SplitEdge(*row) for row in self._rows())
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """Layered split/merge DAG with exact bit shares on every node and edge.
 
     Everything lives on the virtual (antenna-split) network, so a
@@ -252,10 +259,21 @@ class SplitPlan:
     The plan is stored per layer: ``per_pair[k]`` is the size of every
     phase-k message, and each relay re-splits its inbound bits evenly, so
     the DAG is fixed by the sizes, the shares, the sources and the padding.
-    ``transfers`` and ``edges`` default to lazy views over that structure;
-    an explicitly supplied sequence is kept as given and verified by
-    expansion.
+    ``transfers`` and ``edges`` are always lazy views over that structure,
+    never stored.
     """
+
+    __slots__ = _fields = (
+        "sizes",
+        "demand",
+        "per_pair",
+        "sources",
+        "paddings",
+        "sinks",
+        "total_bits",
+        "padding_bits",
+        "bits_per_dof",
+    )
 
     sizes: tuple[int, ...]
     demand: DemandMatrix
@@ -266,34 +284,22 @@ class SplitPlan:
     total_bits: int
     padding_bits: Fraction
     bits_per_dof: Fraction
-    transfers: Sequence[PhaseMessage] | None = None
-    edges: Sequence[SplitEdge] | None = None
 
-    def __post_init__(self):
-        if self.transfers is None:
-            object.__setattr__(self, "transfers", _TransferView(*self._transfer_key()))
-        if self.edges is None:
-            object.__setattr__(self, "edges", _EdgeView(*self._edge_key()))
+    @property
+    def transfers(self) -> _TransferView:
+        """Every phase message, as :class:`PhaseMessage` values."""
+        return _TransferView(self.sizes, self.per_pair)
 
-    def _transfer_key(self) -> tuple:
-        return (self.sizes, self.per_pair)
-
-    def _edge_key(self) -> tuple:
-        return (self.sizes, self.per_pair, self.sources, self.paddings)
-
-    def _structural(self) -> bool:
-        """True when ``transfers`` and ``edges`` are views of this plan's own structure."""
-        return (
-            isinstance(self.transfers, _TransferView)
-            and isinstance(self.edges, _EdgeView)
-            and self.transfers._key == self._transfer_key()
-            and self.edges._key == self._edge_key()
-        )
+    @property
+    def edges(self) -> _EdgeView:
+        """Every split edge, as :class:`SplitEdge` values."""
+        return _EdgeView(self.sizes, self.per_pair, self.sources, self.paddings)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Integer phase plan plus the split/merge plan that fills it."""
+
+    __slots__ = _fields = ("phases", "total_delay", "total_bits", "sum_dof", "split_plan")
 
     phases: tuple[PhasePlan, ...]
     total_delay: int
@@ -302,15 +308,18 @@ class Schedule:
     split_plan: SplitPlan
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
+
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = _fields = ("checks",)
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -541,50 +550,10 @@ def splitting_plan(t: NetworkTopology, demand: DemandMatrix) -> SplitPlan:
 # -- verification -------------------------------------------------------------
 
 
-def _expanded_conservation(plan: SplitPlan, hops: int) -> tuple[list, list, list]:
-    """Conservation by summing every edge into its endpoints (the oracle).
-
-    Returns the unbalanced node ids, relay (layer, node) pairs and phases.
-    """
-    inbound: dict[str, Fraction] = {}
-    outbound: dict[str, Fraction] = {}
-    for e in plan.edges:
-        outbound[e.head] = outbound.get(e.head, Fraction(0)) + e.bits
-        inbound[e.tail] = inbound.get(e.tail, Fraction(0)) + e.bits
-    bad_nodes = []
-    for msg in plan.sources:
-        if outbound.get(_msg_id(msg.dst, msg.src), Fraction(0)) != msg.bits:
-            bad_nodes.append(_msg_id(msg.dst, msg.src))
-    for pad in plan.paddings:
-        if outbound.get(_pad_id(pad.src), Fraction(0)) != pad.bits:
-            bad_nodes.append(_pad_id(pad.src))
-    for tr in plan.transfers:
-        node = _phase_id(tr.phase, tr.tx, tr.rx)
-        if inbound.get(node, Fraction(0)) != tr.bits:
-            bad_nodes.append(node)
-        if outbound.get(node, Fraction(0)) != tr.bits:
-            bad_nodes.append(node)
-    for sink in plan.sinks:
-        if inbound.get(_sink_id(sink.dst), Fraction(0)) != sink.bits:
-            bad_nodes.append(_sink_id(sink.dst))
-    relay_totals: dict[tuple[int, int], list[Fraction]] = {}
-    for tr in plan.transfers:
-        if tr.phase >= 1:
-            key = (tr.phase, tr.tx)
-            relay_totals.setdefault(key, [Fraction(0), Fraction(0)])[1] += tr.bits
-        if tr.phase <= hops - 2:
-            key = (tr.phase + 1, tr.rx)
-            relay_totals.setdefault(key, [Fraction(0), Fraction(0)])[0] += tr.bits
-    bad_relays = [key for key, (got, sent) in relay_totals.items() if got != sent]
-    phase_totals = {}
-    for tr in plan.transfers:
-        phase_totals[tr.phase] = phase_totals.get(tr.phase, Fraction(0)) + tr.bits
-    uneven_phases = [k for k, total in phase_totals.items() if total != plan.total_bits]
-    return bad_nodes, bad_relays, uneven_phases
-
-
 def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
-    """The expansion check's findings, derived from the per-layer structure.
+    """Bit conservation on the per-layer structure: the unbalanced node ids,
+    relay (layer, node) pairs and phases, as summing every edge into its
+    endpoints would find them.
 
     Every bit count is an integer in one unit, the LCM of all denominators.
     A relay edge into phase k carries per_pair[k]/S_{k-1}, so phase-k
@@ -672,23 +641,20 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     # (2) bit conservation: edge sums must reproduce every node total, each
     # relay node forwards exactly what it decoded, each phase carries the
-    # same total
-    if plan._structural() and len(plan.sizes) == hops + 1:
+    # same total; a plan for other layer sizes than the phases' conserves
+    # none of their bits
+    if list(plan.sizes) == sizes:
         bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan)
-    else:
-        bad_nodes, bad_relays, uneven_phases = _expanded_conservation(plan, hops)
-    ok = not (bad_nodes or bad_relays or uneven_phases)
-    detail = ""
-    if not ok:
         parts = []
         if bad_nodes:
-            parts.append(f"node imbalance at {bad_nodes[:4]}")
+            parts.append(f"node imbalance at {bad_nodes}")
         if bad_relays:
-            parts.append(f"relay (layer, node) imbalance at {bad_relays[:4]}")
+            parts.append(f"relay (layer, node) imbalance at {bad_relays}")
         if uneven_phases:
             parts.append(f"phase totals off at {uneven_phases}")
-        detail = "; ".join(parts)
-    checks.append(CheckResult("bit-conservation", ok, detail))
+    else:
+        parts = [f"plan sizes {list(plan.sizes)} differ from phase sizes {sizes}"]
+    checks.append(CheckResult("bit-conservation", not parts, "; ".join(parts)))
 
     # (3) the realized rate equals the achievable sum DoF
     alpha = achievable_sum_dof(sizes)
@@ -740,20 +706,6 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 # -- serialization ------------------------------------------------------------
 
 
-def _transfer_rows(plan: SplitPlan):
-    """(phase, tx, rx, bits text) per transfer, in plan order."""
-    if isinstance(plan.transfers, _TransferView):
-        return plan.transfers._rows(text=True)
-    return ((t.phase, t.tx, t.rx, str(t.bits)) for t in plan.transfers)
-
-
-def _edge_rows(plan: SplitPlan):
-    """(head, tail, bits text) per edge, in plan order."""
-    if isinstance(plan.edges, _EdgeView):
-        return plan.edges._rows(text=True)
-    return ((e.head, e.tail, str(e.bits)) for e in plan.edges)
-
-
 def _plan_to_obj(plan: SplitPlan) -> dict:
     nodes = []
     for msg in plan.sources:
@@ -764,7 +716,7 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
         nodes.append({"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)})
     nodes.extend(
         {"id": _phase_id(k, tx, rx), "kind": "transfer", "phase": k, "bits": bits}
-        for k, tx, rx, bits in _transfer_rows(plan)
+        for k, tx, rx, bits in plan.transfers._rows(text=True)
     )
     for sink in plan.sinks:
         nodes.append(
@@ -785,7 +737,7 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
         "bits_per_dof": str(plan.bits_per_dof),
         "padding_policy": "uniform-fill",
         "nodes": nodes,
-        "edges": [{"from": h, "to": t, "bits": b} for h, t, b in _edge_rows(plan)],
+        "edges": [{"from": h, "to": t, "bits": b} for h, t, b in plan.edges._rows(text=True)],
     }
 
 
@@ -816,11 +768,11 @@ def plan_to_dot(plan: SplitPlan) -> str:
         lines.append(f'  "{_msg_id(msg.dst, msg.src)}" [shape=box, label="{_msg_id(msg.dst, msg.src)}\\n{msg.bits} bits"];')
     for pad in plan.paddings:
         lines.append(f'  "{_pad_id(pad.src)}" [shape=box, style=dashed, label="{_pad_id(pad.src)}\\n{pad.bits} bits"];')
-    for k, tx, rx, bits in _transfer_rows(plan):
+    for k, tx, rx, bits in plan.transfers._rows(text=True):
         node = _phase_id(k, tx, rx)
         lines.append(f'  "{node}" [label="{node}\\n{bits} bits"];')
     for sink in plan.sinks:
         lines.append(f'  "{_sink_id(sink.dst)}" [shape=doublecircle, label="{_sink_id(sink.dst)}\\n{sink.bits} bits"];')
-    lines.extend(f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in _edge_rows(plan))
+    lines.extend(f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in plan.edges._rows(text=True))
     lines.append("}")
     return "\n".join(lines)

@@ -278,8 +278,12 @@ def bad_files(files):
         (["check", "t.json", "d.json"], 0),
         (["check", "t.json", "d.json", "--format", "table"], 0),
         (["classify", "f.json"], 0),
+        (["schedule", "t.json"], 0),
+        (["schedule", "t.json", "--format", "dot"], 0),
+        (["schedule", "t.json", "--demand", "d.json"], 0),
         (["analyze", "bad_t.json"], 2),
         (["check", "t.json", "bad_d.json"], 2),
+        (["schedule", "t.json", "--demand", "bad_d.json"], 2),
         (["classify", "bad_f.json"], 2),
         (["analyze", "missing.json"], 2),
     ],

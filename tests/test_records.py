@@ -1,8 +1,8 @@
 """The value records against frozen-dataclass twins.
 
-The nine value types outside ``schedule`` are slotted records, not
-dataclasses.  Each gets a twin here: a frozen dataclass with the same
-constructor fields and defaults, as the types were declared before.  On
+Every value type of the package is a slotted record, not a dataclass.
+Each gets a twin here: a frozen dataclass with the same constructor fields
+and defaults, as the types were declared before.  On
 drawn values a record and its twin must agree on the constructor signature,
 ``repr``, ``==``/``!=`` (also against other types) and ``hash`` (the
 same ``TypeError`` for a demand matrix), and both must refuse to assign or
@@ -23,6 +23,19 @@ from relaydof.analysis import AnalysisReport
 from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, NetworkTopology
 from relaydof.region import RegionVerdict, ScaleResult, Violation
 from relaydof.scaling import FAMILY_KINDS, FamilySpec, ScalingVerdict
+from relaydof.schedule import (
+    CheckResult,
+    DestinationBin,
+    PaddingMessage,
+    PhaseMessage,
+    PhasePlan,
+    Schedule,
+    SourceMessage,
+    SplitEdge,
+    SplitPlan,
+    VerificationReport,
+    integer_schedule,
+)
 
 
 def _demand_eq(self, other):
@@ -30,6 +43,10 @@ def _demand_eq(self, other):
     if not isinstance(other, type(self)):
         return NotImplemented
     return dict(self.entries) == dict(other.entries)
+
+
+def _required(*names):
+    return [(name, dataclasses.MISSING) for name in names]
 
 
 # type -> its fields as (name, default or MISSING), and any methods of its own
@@ -67,6 +84,21 @@ DECLARED = {
         [("classification", dataclasses.MISSING), ("slope_estimate", dataclasses.MISSING), ("samples", dataclasses.MISSING)],
         {},
     ),
+    PhasePlan: (_required("hop", "tx_count", "rx_count", "block_length", "per_pair_dof", "per_pair_bits"), {}),
+    SourceMessage: (_required("dst", "src", "bits"), {}),
+    PaddingMessage: (_required("src", "bits"), {}),
+    PhaseMessage: (_required("phase", "tx", "rx", "bits"), {}),
+    DestinationBin: (_required("dst", "received", "padding_bits"), {}),
+    SplitEdge: (_required("head", "tail", "bits"), {}),
+    SplitPlan: (
+        _required(
+            "sizes", "demand", "per_pair", "sources", "paddings", "sinks", "total_bits", "padding_bits", "bits_per_dof"
+        ),
+        {},
+    ),
+    Schedule: (_required("phases", "total_delay", "total_bits", "sum_dof", "split_plan"), {}),
+    CheckResult: ([("name", dataclasses.MISSING), ("passed", dataclasses.MISSING), ("detail", "")], {}),
+    VerificationReport: (_required("checks"), {}),
 }
 
 TWINS = {
@@ -113,6 +145,27 @@ violations = st.builds(Violation, names, ext, ext)
 verdicts = st.builds(
     RegionVerdict, st.booleans(), st.lists(violations, max_size=2).map(tuple), st.lists(names, max_size=2).map(tuple)
 )
+fractions = st.fractions(max_denominator=7)
+counts = st.integers(0, 9)
+check_args = st.tuples(names, st.booleans()) | st.tuples(names, st.booleans(), names)
+
+
+def records(cls, max_size=2):
+    """Tuples of up to ``max_size`` records drawn from ``ARGS[cls]``."""
+    return st.deferred(lambda: st.lists(ARGS[cls].map(lambda args: cls(*args)), max_size=max_size).map(tuple))
+
+
+plan_args = st.tuples(
+    st.lists(st.integers(1, 4), min_size=3, max_size=4).map(tuple),
+    demands,
+    st.lists(fractions, max_size=3).map(tuple),
+    records(SourceMessage),
+    records(PaddingMessage),
+    records(DestinationBin),
+    counts,
+    fractions,
+    fractions,
+)
 profile = st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4), min_size=2, max_size=4).map(tuple)
 
 
@@ -157,6 +210,16 @@ ARGS = {
         st.floats(allow_infinity=True, allow_nan=True),
         st.lists(st.tuples(st.integers(1, 64), ext), max_size=3).map(tuple),
     ),
+    PhasePlan: st.tuples(counts, counts, counts, counts, fractions, fractions),
+    SourceMessage: st.tuples(counts, counts, fractions),
+    PaddingMessage: st.tuples(counts, fractions),
+    PhaseMessage: st.tuples(counts, counts, counts, fractions),
+    DestinationBin: st.tuples(counts, st.lists(st.tuples(counts, fractions), max_size=2).map(tuple), fractions),
+    SplitEdge: st.tuples(names, names, fractions),
+    SplitPlan: plan_args,
+    Schedule: st.tuples(records(PhasePlan), counts, counts, fractions, plan_args.map(lambda args: SplitPlan(*args))),
+    CheckResult: check_args,
+    VerificationReport: st.tuples(records(CheckResult, max_size=3)),
 }
 TYPES = list(DECLARED)
 _ids = [cls.__name__ for cls in TYPES]
@@ -239,7 +302,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls, data):
 def test_copies_are_equal_records(cls, data):
     record = cls(*data.draw(ARGS[cls]))
     assert copy.copy(record) == record
-    if cls in (DemandMatrix, ScaleResult):
+    if cls in (DemandMatrix, ScaleResult, SplitPlan, Schedule):
         # a demand matrix holds a read-only dict view, which cannot be pickled
         return
     for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -254,6 +317,20 @@ def test_defaults_and_derived_slots():
     assert LayerSpec(antennas=(2, 1)).effective_size == 3
     assert NetworkTopology([LayerSpec(2), LayerSpec(antennas=(1, 1))]).effective_sizes() == (2, 2)
     assert FamilySpec("ProportionalFixedK", (1, 2)) == FamilySpec(kind="ProportionalFixedK", base=(1, 2), pinned=None)
-    # derived slots take no part in equality, hashing or the repr
+    assert CheckResult("x", True) == CheckResult("x", True, "") == CheckResult(name="x", passed=True)
+    # derived values take no part in equality, hashing or the repr
     assert "effective_size" not in repr(LayerSpec(antennas=(1, 2)))
     assert "_effective_sizes" not in repr(NetworkTopology((LayerSpec(1), LayerSpec(2))))
+    assert "edges" not in repr(integer_schedule(NetworkTopology((LayerSpec(2), LayerSpec(2), LayerSpec(2)))))
+
+
+def test_schedule_records_keep_their_derived_values():
+    assert DestinationBin(0, ((0, Fraction(1, 2)), (1, Fraction(1, 3))), Fraction(1, 6)).bits == 1
+    report = VerificationReport((CheckResult("a", True), CheckResult("b", False, "why")))
+    assert not report.ok and report.failures() == [CheckResult("b", False, "why")]
+    assert VerificationReport((CheckResult("a", True),)).ok
+    plan = integer_schedule(NetworkTopology((LayerSpec(2), LayerSpec(3), LayerSpec(2)))).split_plan
+    # four source messages fan out to three relays, each relay re-splits, two sinks collect
+    assert len(plan.edges) == 4 * 3 + 2 * 3 * 2 + 3 * 2 and len(plan.transfers) == 2 * 3 + 3 * 2
+    with pytest.raises(TypeError):
+        SplitPlan(*(getattr(plan, name) for name in SplitPlan._fields), edges=())

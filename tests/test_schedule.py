@@ -1,7 +1,6 @@
 """Phase schedules, split plans, verification, and the recurrence oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,6 @@ from relaydof.model import (
 )
 from relaydof.schedule import (
     PhaseMessage,
-    SplitEdge,
     integer_schedule,
     phase_ratios,
     plan_to_dot,
@@ -33,6 +31,11 @@ from relaydof.schedule import (
 
 def _chain(sizes):
     return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+
+
+def _replace(record, **changes):
+    """A copy of the record with some fields changed, through its constructor."""
+    return type(record)(**{name: changes.pop(name, getattr(record, name)) for name in record._fields}, **changes)
 
 
 # -- phase ratios --------------------------------------------------------------
@@ -247,8 +250,8 @@ def test_verification_passes_by_construction():
 
 def test_perturbed_block_length_fails_recurrence():
     s = integer_schedule(_chain([1, 2, 4]))
-    bad_phase = replace(s.phases[1], block_length=s.phases[1].block_length + 1)
-    report = verify_schedule(replace(s, phases=(s.phases[0], bad_phase)))
+    bad_phase = _replace(s.phases[1], block_length=s.phases[1].block_length + 1)
+    report = verify_schedule(_replace(s, phases=(s.phases[0], bad_phase)))
     failed = {c.name for c in report.failures()}
     assert "phase-recurrence" in failed
     [rec] = [c for c in report.checks if c.name == "phase-recurrence"]
@@ -258,24 +261,35 @@ def test_perturbed_block_length_fails_recurrence():
 def test_reduced_relay_share_fails_conservation():
     s = integer_schedule(_chain([2, 2, 2]))
     plan = s.split_plan
-    victim = plan.transfers[-1]
-    tampered = replace(victim, bits=victim.bits - 1)
-    report = verify_schedule(
-        replace(s, split_plan=replace(plan, transfers=plan.transfers[:-1] + (tampered,)))
-    )
+    # every phase-0 message one bit short: its relay receives more than it sends
+    reduced = _replace(plan, per_pair=(plan.per_pair[0] - 1,) + plan.per_pair[1:])
+    report = verify_schedule(_replace(s, split_plan=reduced))
     failed = {c.name for c in report.failures()}
     assert "bit-conservation" in failed
     [cons] = [c for c in report.checks if c.name == "bit-conservation"]
-    assert f"ph{victim.phase}[{victim.tx + 1}->{victim.rx + 1}]" in cons.detail
+    assert "ph0[1->1]" in cons.detail
 
 
 def test_tampered_edge_fails_conservation():
     s = integer_schedule(_chain([2, 2, 2]))
     plan = s.split_plan
-    edges = list(plan.edges)
-    edges[0] = SplitEdge(edges[0].head, edges[0].tail, edges[0].bits / 2)
-    report = verify_schedule(replace(s, split_plan=replace(plan, edges=tuple(edges))))
-    assert not report.ok
+    # the first edge fans out the first source message, which fixes its bits
+    first = plan.sources[0]
+    sources = (_replace(first, bits=first.bits / 2),) + plan.sources[1:]
+    report = verify_schedule(_replace(s, split_plan=_replace(plan, sources=sources)))
+    assert "bit-conservation" in {c.name for c in report.failures()}
+
+
+@pytest.mark.parametrize("phase_sizes, plan_sizes", [([2, 3, 2], [2, 3, 2, 2]), ([2, 3, 2, 2], [2, 3, 2])])
+def test_plan_for_other_sizes_fails_conservation(phase_sizes, plan_sizes):
+    s = integer_schedule(_chain(phase_sizes))
+    carried = _replace(s, split_plan=integer_schedule(_chain(plan_sizes)).split_plan)
+    report = verify_schedule(carried)
+    [cons] = report.failures()
+    assert cons.name == "bit-conservation"
+    assert str(phase_sizes) in cons.detail and str(plan_sizes) in cons.detail
+    # the other checks read the phases or the plan alone, and still pass
+    assert [c for c in report.checks if c is not cons] == [c for c in verify_schedule(s).checks if c.name != cons.name]
 
 
 # -- structural properties ----------------------------------------------------------
