@@ -5,8 +5,10 @@ achievable sum DoF is M*N/(M+N-1); the chain combines like series
 capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
 matching harmonic combination.  Both sums of reciprocals come from one
-integer weight per layer, unit/size (``_reciprocal_sums``); every public
-result is an exact ExtRational.
+integer weight per layer, unit/size (``_reciprocal_sums``); a topology
+keeps its pair once computed (``_topology_sums``), while the functions of
+raw sizes compute theirs on every call.  Every public result is an exact
+ExtRational.
 """
 
 from __future__ import annotations
@@ -160,6 +162,22 @@ def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
     return inv_alpha, Fraction(ends + spreads, 2 * unit)
 
 
+_store_sums = NetworkTopology._sums.__set__
+
+
+def _topology_sums(t: NetworkTopology) -> tuple[Fraction, Fraction]:
+    """``_reciprocal_sums`` of the topology's effective sizes, computed on
+    first use and kept in its ``_sums`` slot: ``analyze``, the region
+    checks and ``antenna_scale_check`` of one topology share one pass.
+    """
+    try:
+        return t._sums
+    except AttributeError:
+        sums = _reciprocal_sums(t.effective_sizes())
+        _store_sums(t, sums)
+        return sums
+
+
 def _harmonic(inverse_sum: Fraction) -> ExtRational:
     return ExtRational(INFINITY) if inverse_sum == 0 else ExtRational(1 / inverse_sum)
 
@@ -258,7 +276,7 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     sizes = t.effective_sizes()
     if all(isinstance(s, Infinity) for s in sizes):
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
-    inv_alpha, inv_beta = _reciprocal_sums(sizes)
+    inv_alpha, inv_beta = _topology_sums(t)
     lower, upper = 1 / inv_alpha, 1 / inv_beta
     tx, rx = sizes[:-1], sizes[1:]
     endpoints_finite = not (

@@ -9,7 +9,10 @@ finite values are ``fractions.Fraction`` and the single infinite value is
 symbolic, so identities can be asserted with ``==`` instead of tolerances.
 
 All types are immutable after construction and all operations are pure
-functions, safe to share across threads.
+functions, safe to share across threads.  The one slot filled after
+construction is a topology's pair of reciprocal sums, stored on first use
+by ``relaydof.analysis``: a value derived from the layers alone, so two
+threads that fill it at once store equal values and either one may stay.
 """
 
 from __future__ import annotations
@@ -329,7 +332,7 @@ class Record:
     assignment and deletion raise ``AttributeError``.  A subclass that
     defines no ``__init__`` gets one that stores its fields in order, with
     the defaults in ``_defaults``; one that validates writes its own and
-    fills every slot through ``_put``: the C-level setter of each slot, in
+    fills its slots through ``_put``: the C-level setter of each slot, in
     ``__slots__`` order, which costs less than ``object.__setattr__``.
     Equality, hashing and the repr cover ``_fields`` only and read as a
     frozen dataclass's would: equal only to the same class, the hash of the
@@ -461,14 +464,16 @@ class NetworkTopology(Record):
     """Ordered layer chain: sources, relay layers, destinations.
 
     Layers may be shared: a parsed topology holds one ``LayerSpec`` per
-    distinct ``{"nodes": ...}`` value.
+    distinct ``{"nodes": ...}`` value.  ``_sums`` stays empty until the
+    chain's (sum of 1/alpha_k, sum of 1/beta_k) is first needed; see
+    ``analysis._topology_sums``.
     """
 
-    __slots__ = ("layers", "_effective_sizes")
+    __slots__ = ("layers", "_effective_sizes", "_sums")
     _fields = ("layers",)
 
     def __init__(self, layers: tuple[LayerSpec, ...]):
-        put_layers, put_sizes = self._put
+        put_layers, put_sizes, _ = self._put
         layers = tuple(layers)
         if len(layers) < 2:
             raise TopologyError("topology needs at least a source and a destination layer")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import achievable_sum_dof
+from .analysis import _topology_sums
 from .model import DemandError, DemandMatrix, ExtRational, NetworkTopology, Record, validate_demand
 
 __all__ = [
@@ -62,7 +62,8 @@ def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fractio
     errors = validate_demand(t, d)
     if errors:
         raise DemandError("; ".join(errors))
-    alpha = achievable_sum_dof(t.effective_sizes()).as_fraction()
+    # finite endpoints give a positive sum, so alpha is finite
+    alpha = 1 / _topology_sums(t)[0]
     unit, rows, cols = d.unit_sums()
     constraints = [("total", Fraction(sum(rows.values()), unit), alpha)]
     for prefix, layer, sums in (("src", t.source_layer, rows), ("dst", t.destination_layer, cols)):

@@ -19,7 +19,7 @@ import json
 import math
 from fractions import Fraction
 
-from .analysis import achievable_sum_dof
+from .analysis import _harmonic, _topology_sums, achievable_sum_dof
 from .model import (
     DocumentError,
     ExtRational,
@@ -263,9 +263,8 @@ def antenna_scale_check(
     """
     _check_antenna_scale(t, s)
     # scaling every antenna count by s scales every layer's size by s
-    sizes = t.effective_sizes()
-    alpha_base = achievable_sum_dof(sizes)
-    alpha_scaled = achievable_sum_dof([s * e for e in sizes])
+    alpha_base = _harmonic(_topology_sums(t)[0])
+    alpha_scaled = achievable_sum_dof([s * e for e in t.effective_sizes()])
     return alpha_base, alpha_scaled, alpha_scaled / alpha_base
 
 

@@ -641,9 +641,13 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     # (2) bit conservation: edge sums must reproduce every node total, each
     # relay node forwards exactly what it decoded, each phase carries the
-    # same total; a plan for other layer sizes than the phases' conserves
-    # none of their bits
-    if list(plan.sizes) == sizes:
+    # same total; a plan for other layer sizes than the phases', or with
+    # other than one share per hop, conserves none of their bits
+    if list(plan.sizes) != sizes:
+        parts = [f"plan sizes {list(plan.sizes)} differ from phase sizes {sizes}"]
+    elif len(plan.per_pair) != hops:
+        parts = [f"plan has {len(plan.per_pair)} per-pair shares for {hops} hops"]
+    else:
         bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan)
         parts = []
         if bad_nodes:
@@ -652,8 +656,6 @@ def verify_schedule(s: Schedule) -> VerificationReport:
             parts.append(f"relay (layer, node) imbalance at {bad_relays}")
         if uneven_phases:
             parts.append(f"phase totals off at {uneven_phases}")
-    else:
-        parts = [f"plan sizes {list(plan.sizes)} differ from phase sizes {sizes}"]
     checks.append(CheckResult("bit-conservation", not parts, "; ".join(parts)))
 
     # (3) the realized rate equals the achievable sum DoF

@@ -6,7 +6,8 @@ and defaults, as the types were declared before.  On
 drawn values a record and its twin must agree on the constructor signature,
 ``repr``, ``==``/``!=`` (also against other types) and ``hash`` (the
 same ``TypeError`` for a demand matrix), and both must refuse to assign or
-delete a field.
+delete a field.  A topology runs the checks once more with its reciprocal
+sums slot filled, which must change none of them.
 """
 
 import copy
@@ -19,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaydof.analysis import AnalysisReport
+from relaydof.analysis import AnalysisReport, _topology_sums
 from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, NetworkTopology
 from relaydof.region import RegionVerdict, ScaleResult, Violation
 from relaydof.scaling import FAMILY_KINDS, FamilySpec, ScalingVerdict
@@ -223,6 +224,18 @@ ARGS = {
 }
 TYPES = list(DECLARED)
 _ids = [cls.__name__ for cls in TYPES]
+# (type, what fills its derived slots after construction): every type as
+# constructed, and a topology whose reciprocal sums are already computed
+CASES = [(cls, None) for cls in TYPES] + [(NetworkTopology, _topology_sums)]
+_case_ids = _ids + ["NetworkTopology-filled"]
+
+
+def build(case, args):
+    cls, fill = case
+    record = cls(*args)
+    if fill is not None:
+        fill(record)
+    return record
 
 
 # -- the checks ----------------------------------------------------------------------
@@ -240,12 +253,13 @@ def test_signature_and_fields_match_the_twin(cls):
     assert not dataclasses.is_dataclass(cls)
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=_ids)
+@pytest.mark.parametrize("case", CASES, ids=_case_ids)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_record_agrees_with_its_twin(cls, data):
+def test_record_agrees_with_its_twin(case, data):
+    cls = case[0]
     args = data.draw(ARGS[cls])
-    record = cls(*args)
+    record = build(case, args)
     assert not hasattr(record, "__dict__")
     by_keyword = cls(**dict(zip(cls._fields, args)))
     assert repr(by_keyword) == repr(record)
@@ -278,14 +292,15 @@ def test_record_agrees_with_its_twin(cls, data):
     assert (record != sub, sub != record) == (twin != twin_sub, twin_sub != twin)
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=_ids)
+@pytest.mark.parametrize("case", CASES, ids=_case_ids)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_fields_cannot_be_assigned_or_deleted(cls, data):
-    record = cls(*data.draw(ARGS[cls]))
+def test_fields_cannot_be_assigned_or_deleted(case, data):
+    cls = case[0]
+    record = build(case, data.draw(ARGS[cls]))
     twin = twin_of(record)
     before = repr(record)
-    for name in (*cls._fields, "not_a_field"):
+    for name in (*cls._fields, *cls.__slots__, "not_a_field"):
         for target in (record, twin):
             with pytest.raises(AttributeError) as assigned:
                 setattr(target, name, 0)
@@ -294,21 +309,26 @@ def test_fields_cannot_be_assigned_or_deleted(cls, data):
             assert str(assigned.value) == f"cannot assign to field {name!r}"
             assert str(deleted.value) == f"cannot delete field {name!r}"
     assert repr(record) == before
+    if case[1] is not None:
+        assert record._sums == case[1](cls(*(getattr(record, name) for name in cls._fields)))
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=_ids)
+@pytest.mark.parametrize("case", CASES, ids=_case_ids)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_copies_are_equal_records(cls, data):
-    record = cls(*data.draw(ARGS[cls]))
+def test_copies_are_equal_records(case, data):
+    cls = case[0]
+    record = build(case, data.draw(ARGS[cls]))
     assert copy.copy(record) == record
     if cls in (DemandMatrix, ScaleResult, SplitPlan, Schedule):
         # a demand matrix holds a read-only dict view, which cannot be pickled
         return
-    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls and repr(clone) == repr(record)
         # a NaN slope compares unequal to the copy of it, as in the twin
         assert clone == record or math.isnan(record.slope_estimate)
+        # rebuilt through the constructor, which leaves the sums to first use
+        assert not hasattr(clone, "_sums")
 
 
 def test_defaults_and_derived_slots():

@@ -292,6 +292,18 @@ def test_plan_for_other_sizes_fails_conservation(phase_sizes, plan_sizes):
     assert [c for c in report.checks if c is not cons] == [c for c in verify_schedule(s).checks if c.name != cons.name]
 
 
+@pytest.mark.parametrize("shares", [lambda p: p[:-1], lambda p: p + p[-1:]], ids=["one-short", "one-extra"])
+def test_share_count_other_than_hop_count_fails_conservation(shares):
+    s = integer_schedule(_chain([2, 3, 2, 2]))
+    plan = s.split_plan
+    carried = _replace(s, split_plan=_replace(plan, per_pair=shares(plan.per_pair)))
+    report = verify_schedule(carried)
+    [cons] = report.failures()
+    assert cons.name == "bit-conservation"
+    assert cons.detail == f"plan has {len(shares(plan.per_pair))} per-pair shares for 3 hops"
+    assert [c for c in report.checks if c is not cons] == [c for c in verify_schedule(s).checks if c.name != cons.name]
+
+
 # -- structural properties ----------------------------------------------------------
 
 
