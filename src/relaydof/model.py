@@ -650,6 +650,8 @@ def parse_topology(text: str) -> NetworkTopology:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TopologyError(f"topology document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
+        raise TopologyError(f"topology document cannot be read: {exc}") from exc
     return topology_from_obj(obj)
 
 
@@ -703,6 +705,8 @@ def parse_demand(text: str) -> DemandMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DemandError(f"demand document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
+        raise DemandError(f"demand document cannot be read: {exc}") from exc
     return demand_from_obj(obj)
 
 

@@ -148,6 +148,8 @@ def parse_family(text: str) -> FamilySpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"family document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
+        raise FamilyError(f"family document cannot be read: {exc}") from exc
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FamilyError("family document must be an object with a 'kind'")
     unknown = sorted(obj.keys() - {"kind", *_FIELDS})

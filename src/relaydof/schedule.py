@@ -12,7 +12,9 @@ message is split evenly over the first relay layer, every relay merges its
 inbound bits and re-splits them evenly toward the next layer, and the last
 relay layer only reorganizes bits by destination.  Demands below capacity
 are topped up with explicitly marked padding so the uniform structure (and
-hence the X-network rate guarantee) is preserved.
+hence the X-network rate guarantee) is preserved.  Every bit count of a plan
+is a whole number of one unit, so it is built, verified and written with
+integers, each share's text rendered once per fan-out block.
 
 Multi-antenna nodes are handled by antenna splitting: plans are built
 entirely on the virtual single-antenna network, and
@@ -118,7 +120,9 @@ class DestinationBin(Record):
 
     @property
     def bits(self) -> Fraction:
-        return sum((b for _, b in self.received), Fraction(0)) + self.padding_bits
+        values = [*(b for _, b in self.received), self.padding_bits]
+        unit = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (unit // v.denominator) for v in values), unit)
 
 
 class SplitEdge(Record):
@@ -142,8 +146,10 @@ class _PlanView(Sequence):
 
     __slots__ = ("_key", "_len")
 
-    def __init__(self, *key):
-        self._key = key
+    def __init__(self, sizes, per_pair, *key):
+        if len(per_pair) != len(sizes) - 1:
+            raise InvariantError(f"plan has {len(per_pair)} per-pair shares for {len(sizes) - 1} hops")
+        self._key = sizes, per_pair, *key
         self._len = self._count()
 
     def __len__(self) -> int:
@@ -177,23 +183,22 @@ class _TransferView(_PlanView):
         sizes = self._key[0]
         return sum(a * b for a, b in zip(sizes, sizes[1:]))
 
-    def _rows(self, text: bool = False):
-        sizes, per_pair = self._key
-        for k, bits in enumerate(per_pair):
-            bits = str(bits) if text else bits
-            for tx in range(sizes[k]):
-                for rx in range(sizes[k + 1]):
-                    yield k, tx, rx, bits
-
     def __iter__(self):
-        return (PhaseMessage(*row) for row in self._rows())
+        sizes, per_pair = self._key
+        return (
+            PhaseMessage(k, tx, rx, bits)
+            for k, bits in enumerate(per_pair)
+            for tx in range(sizes[k])
+            for rx in range(sizes[k + 1])
+        )
 
 
 class _EdgeView(_PlanView):
     """Every split edge: source fan-out, padding fan-out, relay layers, sinks.
 
-    Key: sizes, per_pair, sources, paddings.  Each relay layer's edges all
-    carry the same share, so the view only formats node ids and shares.
+    Key: sizes, per_pair, sources, paddings.  The edges come in fan-out
+    blocks whose edges all carry one share, so the view computes each share
+    once per block, from integers, and otherwise only formats node ids.
     """
 
     __slots__ = ()
@@ -203,13 +208,12 @@ class _EdgeView(_PlanView):
         relays = sum(a * b * c for a, b, c in zip(sizes, sizes[1:], sizes[2:]))
         return (len(sources) + len(paddings)) * sizes[1] + relays + sizes[-2] * sizes[-1]
 
-    def _rows(self, text: bool = False):
+    def _blocks(self, ids, text: bool = False):
+        """(heads, tails, share) per block: every head sends ``share`` (its
+        text, or a Fraction) to every tail, head-major.  ``ids`` is the
+        plan's :func:`_phase_ids` table."""
         sizes, per_pair, sources, paddings = self._key
-        fmt = str if text else (lambda bits: bits)
-        ids = [
-            [[_phase_id(k, tx, rx) for rx in range(sizes[k + 1])] for tx in range(sizes[k])]
-            for k in range(len(sizes) - 1)
-        ]
+        share = _text if text else Fraction
 
         def fan_out(src):
             if 0 <= src < sizes[0]:
@@ -219,32 +223,28 @@ class _EdgeView(_PlanView):
         # phase 0: every source message and padding block splits evenly over
         # the first relay layer
         for msg in sources:
-            head, share = _msg_id(msg.dst, msg.src), fmt(msg.bits / sizes[1])
-            for tail in fan_out(msg.src):
-                yield head, tail, share
+            bits = msg.bits
+            yield (_msg_id(msg.dst, msg.src),), fan_out(msg.src), share(bits.numerator, bits.denominator * sizes[1])
         for pad in paddings:
-            head, share = _pad_id(pad.src), fmt(pad.bits / sizes[1])
-            for tail in fan_out(pad.src):
-                yield head, tail, share
-        # relay layers: merge everything inbound, re-split evenly outbound; the
-        # last layer's "split" is the reorganization by destination
+            bits = pad.bits
+            yield (_pad_id(pad.src),), fan_out(pad.src), share(bits.numerator, bits.denominator * sizes[1])
+        # relay layers: node n merges column n of the phase before it and
+        # re-splits evenly over its row of the next; the last layer's "split"
+        # is the reorganization by destination
         for k in range(1, len(sizes) - 1):
-            share = fmt(per_pair[k] / sizes[k - 1])
-            for n in range(sizes[k]):
-                tails = ids[k][n]
-                for inbound in ids[k - 1]:
-                    head = inbound[n]
-                    for tail in tails:
-                        yield head, tail, share
+            bits = per_pair[k]
+            relay_share = share(bits.numerator, bits.denominator * sizes[k - 1])
+            for heads, tails in zip(zip(*ids[k - 1]), ids[k]):
+                yield heads, tails, relay_share
         # destination bins collect their full inbound messages
-        share = fmt(per_pair[-1])
-        for j in range(sizes[-1]):
-            sink = _sink_id(j)
-            for inbound in ids[-1]:
-                yield inbound[j], sink, share
+        bits = per_pair[-1]
+        sink_share = share(bits.numerator, bits.denominator)
+        for j, heads in enumerate(zip(*ids[-1])):
+            yield heads, (_sink_id(j),), sink_share
 
     def __iter__(self):
-        return (SplitEdge(*row) for row in self._rows())
+        blocks = self._blocks(_phase_ids(self._key[0]))
+        return (SplitEdge(h, t, s) for heads, tails, s in blocks for h in heads for t in tails)
 
 
 class SplitPlan(Record):
@@ -349,6 +349,20 @@ def _sink_id(dst: int) -> str:
     return f"dst[{dst + 1}]"
 
 
+def _phase_ids(sizes: Sequence[int]) -> list[list[list[str]]]:
+    """Every phase node's id, by phase, transmitter and receiver."""
+    return [
+        [[_phase_id(k, tx, rx) for rx in range(sizes[k + 1])] for tx in range(sizes[k])]
+        for k in range(len(sizes) - 1)
+    ]
+
+
+def _text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for a positive denominator."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
+
+
 # -- schedule construction ---------------------------------------------------
 
 
@@ -435,23 +449,11 @@ def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> dict[tuple[i
         dst_offsets.append(dst_offsets[-1] + a)
     entries: dict[tuple[int, int], Fraction] = {}
     for (j, i), value in demand.entries.items():
-        share = value / (src_antennas[i] * dst_antennas[j])
+        share = Fraction(value.numerator, value.denominator * src_antennas[i] * dst_antennas[j])
         for jv in range(dst_offsets[j], dst_offsets[j + 1]):
             for iv in range(src_offsets[i], src_offsets[i + 1]):
                 entries[(jv, iv)] = share
     return entries
-
-
-def _to_bits(entries, bits_per_dof) -> dict[tuple[int, int], Fraction]:
-    """Each demand entry in bits; runs of one value object (a uniform demand)
-    share one product."""
-    out = {}
-    value = bits = None
-    for key, v in entries.items():
-        if v is not value:
-            value, bits = v, v * bits_per_dof
-        out[key] = bits
-    return out
 
 
 def _build_plan(
@@ -460,35 +462,46 @@ def _build_plan(
     entries: dict[tuple[int, int], Fraction],
 ) -> SplitPlan:
     per_pair = tuple(p.per_pair_bits for p in phases)
-    total_bits = per_pair[0] * sizes[0] * sizes[1]
-    if total_bits.denominator != 1:
-        raise InvariantError(f"total bits {total_bits} are not whole")
-    total_bits = int(total_bits)
+    total_bits, rest = divmod(per_pair[0].numerator * sizes[0] * sizes[1], per_pair[0].denominator)
+    if rest:
+        raise InvariantError(f"total bits {per_pair[0] * sizes[0] * sizes[1]} are not whole")
     delay = sum(p.block_length for p in phases)
 
+    # every bit count is a whole number of U = 1/(unit*S_0*S_L) bits, with
+    # unit the demand's; d demand units (d/unit DoF) carry d*per_unit of them
     demand = DemandMatrix(entries)
     unit, rows, cols = demand.unit_sums()
+    denominator = unit * sizes[0] * sizes[-1]
+    total, per_unit = total_bits * denominator, delay * sizes[0] * sizes[-1]
+    shared: dict[int, Fraction] = {}
+
+    def bits(units: int) -> Fraction:
+        """A count of U as bits; equal counts share one Fraction."""
+        value = shared.get(units)
+        if value is None:
+            value = shared[units] = Fraction(units, denominator)
+        return value
+
     received: dict[int, list[tuple[int, Fraction]]] = {}
     sources = []
-    for (j, i), bits in sorted(_to_bits(demand.entries, delay).items()):
-        sources.append(SourceMessage(dst=j, src=i, bits=bits))
+    last = None
+    for (j, i), v in sorted(demand.entries.items()):
+        if v is not last:  # a run of one value object (a uniform demand) shares one count
+            last, b = v, bits(v.numerator * (unit // v.denominator) * per_unit)
+        sources.append(SourceMessage(dst=j, src=i, bits=b))
         if 0 <= i < sizes[0]:
-            received.setdefault(j, []).append((i, bits))
-
-    def unused(demand_units: int, count: int) -> Fraction:
-        """Bits left in a 1/count share of the total that carries demand_units."""
-        return Fraction(total_bits * unit - count * demand_units * delay, count * unit)
-
+            received.setdefault(j, []).append((i, b))
+    # padding tops each source and destination up to its 1/S share of the total
     paddings = []
     for i in range(sizes[0]):
-        pad = unused(rows.get(i, 0), sizes[0])
+        pad = total // sizes[0] - rows.get(i, 0) * per_unit
         if pad > 0:
-            paddings.append(PaddingMessage(src=i, bits=pad))
+            paddings.append(PaddingMessage(src=i, bits=bits(pad)))
     sinks = tuple(
         DestinationBin(
             dst=j,
             received=tuple(received.get(j, ())),
-            padding_bits=unused(cols.get(j, 0), sizes[-1]),
+            padding_bits=bits(total // sizes[-1] - cols.get(j, 0) * per_unit),
         )
         for j in range(sizes[-1])
     )
@@ -501,7 +514,7 @@ def _build_plan(
         paddings=tuple(paddings),
         sinks=sinks,
         total_bits=total_bits,
-        padding_bits=unused(sum(rows.values()), 1),
+        padding_bits=bits(total - sum(rows.values()) * per_unit),
         bits_per_dof=Fraction(delay),
     )
 
@@ -516,12 +529,13 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     """
     sizes = _schedule_sizes(t.effective_sizes())
     phases = _integer_phases(sizes)
-    total_bits = int(phases[0].per_pair_bits * sizes[0] * sizes[1])
+    first = phases[0].per_pair_bits
+    total_bits = first.numerator * sizes[0] * sizes[1] // first.denominator
     total_delay = sum(p.block_length for p in phases)
     sum_dof = Fraction(total_bits, total_delay)
 
     if demand is None:
-        share = sum_dof / (sizes[0] * sizes[-1])
+        share = Fraction(total_bits, total_delay * sizes[0] * sizes[-1])
         entries = {(j, i): share for j in range(sizes[-1]) for i in range(sizes[0])}
     else:
         verdict = check_demand(t, demand)
@@ -550,47 +564,52 @@ def splitting_plan(t: NetworkTopology, demand: DemandMatrix) -> SplitPlan:
 # -- verification -------------------------------------------------------------
 
 
-def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
-    """Bit conservation on the per-layer structure: the unbalanced node ids,
-    relay (layer, node) pairs and phases, as summing every edge into its
-    endpoints would find them.
-
-    Every bit count is an integer in one unit, the LCM of all denominators.
-    A relay edge into phase k carries per_pair[k]/S_{k-1}, so phase-k
-    in-flow is per_pair[k] for k >= 1 and phase k's out-flow is
-    S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its source row over S_1.
-    Only the first four unbalanced nodes and relays are listed.
-    """
-    sizes, hops = plan.sizes, len(plan.sizes) - 1
-    values = [*plan.per_pair, plan.total_bits]
+def _plan_units(plan: SplitPlan):
+    """The function that writes any of the plan's bit counts as an integer
+    in the plan's unit U, the LCM of all their denominators."""
+    values = [*plan.per_pair, plan.total_bits, plan.padding_bits, plan.bits_per_dof]
     values += [m.bits for m in plan.sources] + [p.bits for p in plan.paddings]
     for sink in plan.sinks:
         values += [b for _, b in sink.received] + [sink.padding_bits]
     unit = math.lcm(*(v.denominator for v in values))
+    return lambda v: v.numerator * (unit // v.denominator)
 
-    def units(v) -> int:
-        return v.numerator * (unit // v.denominator)
 
+def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
+    """Bit conservation on the per-layer structure: the unbalanced node ids,
+    relay (layer, node) pairs and phases, as summing every edge into its
+    endpoints would find them.
+
+    Every bit count is an integer in the plan's unit (``units``, from
+    :func:`_plan_units`).  A relay edge into phase k carries
+    per_pair[k]/S_{k-1}, so phase-k in-flow is per_pair[k] for k >= 1 and
+    phase k's out-flow is S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its
+    source row over S_1.  Only the first four unbalanced nodes and relays
+    are listed.
+    """
+    sizes, hops = plan.sizes, len(plan.sizes) - 1
     pair = [units(b) for b in plan.per_pair]
+    sources = [(m.dst, m.src, units(m.bits)) for m in plan.sources]
+    paddings = [(p.src, units(p.bits)) for p in plan.paddings]
     sent: dict[tuple[int, int], int] = {}
     padded: dict[int, int] = {}
     row: dict[int, int] = {}
-    for m in plan.sources:
-        sent[m.dst, m.src] = sent.get((m.dst, m.src), 0) + units(m.bits)
-        row[m.src] = row.get(m.src, 0) + units(m.bits)
-    for p in plan.paddings:
-        padded[p.src] = padded.get(p.src, 0) + units(p.bits)
-        row[p.src] = row.get(p.src, 0) + units(p.bits)
+    for j, i, bits in sources:
+        sent[j, i] = sent.get((j, i), 0) + bits
+        row[i] = row.get(i, 0) + bits
+    for i, bits in paddings:
+        padded[i] = padded.get(i, 0) + bits
+        row[i] = row.get(i, 0) + bits
     out_bad = [k < hops - 1 and sizes[k + 2] * pair[k + 1] != sizes[k] * pair[k] for k in range(hops)]
     sink_in = sizes[-2] * pair[-1]
 
     def bad_nodes():
-        for m in plan.sources:
-            if sent[m.dst, m.src] != units(m.bits):
-                yield _msg_id(m.dst, m.src)
-        for p in plan.paddings:
-            if padded[p.src] != units(p.bits):
-                yield _pad_id(p.src)
+        for j, i, bits in sources:
+            if sent[j, i] != bits:
+                yield _msg_id(j, i)
+        for i, bits in paddings:
+            if padded[i] != bits:
+                yield _pad_id(i)
         for k in range(hops):
             for tx in range(sizes[k]):
                 in_bad = k == 0 and row.get(tx, 0) != sizes[1] * pair[0]
@@ -622,6 +641,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
     hops = len(s.phases)
     plan = s.split_plan
+    units = _plan_units(plan)
     checks = []
 
     # (1) forwarding recurrence between consecutive phases
@@ -648,7 +668,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     elif len(plan.per_pair) != hops:
         parts = [f"plan has {len(plan.per_pair)} per-pair shares for {hops} hops"]
     else:
-        bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan)
+        bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan, units)
         parts = []
         if bad_nodes:
             parts.append(f"node imbalance at {bad_nodes}")
@@ -674,25 +694,27 @@ def verify_schedule(s: Schedule) -> VerificationReport:
         )
     )
 
-    # (4) destination bins and source messages match the demand exactly
-    norm = plan.bits_per_dof
+    # (4) destination bins and source messages match the demand exactly; with
+    # d the demand's unit, a bit count b is right when b*U*d equals its DoF
+    # in d times the bits per DoF in U
+    per_dof = units(plan.bits_per_dof)
     unit, _, cols = plan.demand.unit_sums()
-    wanted = _to_bits(plan.demand.entries, norm)
-    expected: dict[int, dict[int, Fraction]] = {}
+    wanted = {key: v.numerator * (unit // v.denominator) * per_dof for key, v in plan.demand.entries.items()}
+    expected: dict[int, dict[int, int]] = {}
     for (j, i), bits in wanted.items():
         if 0 <= i < sizes[0]:
             expected.setdefault(j, {})[i] = bits
-    sink_budget = Fraction(plan.total_bits, sizes[-1])
+    total = units(plan.total_bits) * unit
     problems = []
     for sink in plan.sinks:
-        if dict(sink.received) != expected.get(sink.dst, {}):
+        if {i: units(b) * unit for i, b in sink.received} != expected.get(sink.dst, {}):
             problems.append(f"dst {sink.dst + 1} reassembly")
-        if sink.padding_bits != sink_budget - Fraction(cols.get(sink.dst, 0), unit) * norm:
+        if units(sink.padding_bits) * unit * sizes[-1] != total - sizes[-1] * cols.get(sink.dst, 0) * per_dof:
             problems.append(f"dst {sink.dst + 1} padding")
     for msg in plan.sources:
-        if msg.bits != wanted.get((msg.dst, msg.src), 0):
+        if units(msg.bits) * unit != wanted.get((msg.dst, msg.src), 0):
             problems.append(f"message {_msg_id(msg.dst, msg.src)}")
-    if plan.padding_bits != plan.total_bits - Fraction(sum(cols.values()), unit) * norm:
+    if units(plan.padding_bits) * unit != total - sum(cols.values()) * per_dof:
         problems.append("total padding")
     checks.append(
         CheckResult(
@@ -709,17 +731,15 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
 
 def _plan_to_obj(plan: SplitPlan) -> dict:
-    nodes = []
-    for msg in plan.sources:
-        nodes.append(
-            {"id": _msg_id(msg.dst, msg.src), "kind": "source", "bits": str(msg.bits)}
-        )
-    for pad in plan.paddings:
-        nodes.append({"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)})
-    nodes.extend(
-        {"id": _phase_id(k, tx, rx), "kind": "transfer", "phase": k, "bits": bits}
-        for k, tx, rx, bits in plan.transfers._rows(text=True)
-    )
+    edges = plan.edges  # checks the share count
+    ids = _phase_ids(plan.sizes)
+    nodes = [
+        {"id": _msg_id(msg.dst, msg.src), "kind": "source", "bits": str(msg.bits)} for msg in plan.sources
+    ]
+    nodes += [{"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)} for pad in plan.paddings]
+    for k, (phase, bits) in enumerate(zip(ids, plan.per_pair)):
+        bits = str(bits)
+        nodes += [{"id": node, "kind": "transfer", "phase": k, "bits": bits} for row in phase for node in row]
     for sink in plan.sinks:
         nodes.append(
             {
@@ -739,7 +759,12 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
         "bits_per_dof": str(plan.bits_per_dof),
         "padding_policy": "uniform-fill",
         "nodes": nodes,
-        "edges": [{"from": h, "to": t, "bits": b} for h, t, b in plan.edges._rows(text=True)],
+        "edges": [
+            {"from": h, "to": t, "bits": share}
+            for heads, tails, share in edges._blocks(ids, text=True)
+            for h in heads
+            for t in tails
+        ],
     }
 
 
@@ -765,16 +790,23 @@ def schedule_to_obj(s: Schedule) -> dict:
 
 def plan_to_dot(plan: SplitPlan) -> str:
     """Graph-description text for the split DAG (external rendering)."""
+    edges = plan.edges  # checks the share count
+    ids = _phase_ids(plan.sizes)
     lines = ["digraph split_plan {", "  rankdir=LR;"]
     for msg in plan.sources:
-        lines.append(f'  "{_msg_id(msg.dst, msg.src)}" [shape=box, label="{_msg_id(msg.dst, msg.src)}\\n{msg.bits} bits"];')
+        node = _msg_id(msg.dst, msg.src)
+        lines.append(f'  "{node}" [shape=box, label="{node}\\n{msg.bits} bits"];')
     for pad in plan.paddings:
-        lines.append(f'  "{_pad_id(pad.src)}" [shape=box, style=dashed, label="{_pad_id(pad.src)}\\n{pad.bits} bits"];')
-    for k, tx, rx, bits in plan.transfers._rows(text=True):
-        node = _phase_id(k, tx, rx)
-        lines.append(f'  "{node}" [label="{node}\\n{bits} bits"];')
+        node = _pad_id(pad.src)
+        lines.append(f'  "{node}" [shape=box, style=dashed, label="{node}\\n{pad.bits} bits"];')
+    for phase, bits in zip(ids, plan.per_pair):
+        suffix = f'\\n{bits} bits"];'
+        lines += [f'  "{node}" [label="{node}{suffix}' for row in phase for node in row]
     for sink in plan.sinks:
-        lines.append(f'  "{_sink_id(sink.dst)}" [shape=doublecircle, label="{_sink_id(sink.dst)}\\n{sink.bits} bits"];')
-    lines.extend(f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in plan.edges._rows(text=True))
+        node = _sink_id(sink.dst)
+        lines.append(f'  "{node}" [shape=doublecircle, label="{node}\\n{sink.bits} bits"];')
+    for heads, tails, share in edges._blocks(ids, text=True):
+        suffix = f'" [label="{share}"];'
+        lines += [f'  "{h}" -> "{t}{suffix}' for h in heads for t in tails]
     lines.append("}")
     return "\n".join(lines)

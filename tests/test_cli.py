@@ -197,3 +197,32 @@ def test_sweep_bad_family_exits_2(files, tmp_path, capsys):
     bad = tmp_path / "bad_family.json"
     bad.write_text('{"kind":"Nonsense"}', encoding="utf-8")
     assert main(["sweep", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# -- documents that json.loads cannot read --------------------------------------------
+
+_HUGE = "1" + "0" * 4400  # past CPython's 4,300-digit int-string limit
+
+
+@pytest.mark.parametrize(
+    "argv, name, text, kind",
+    [
+        (["analyze", "{}"], "t.json", '{"layers":[{"nodes":%s},{"nodes":2}]}' % _HUGE, "topology"),
+        (["check", "{t222}", "{}"], "d.json", '{"demands":[{"dst":1,"src":1,"dof":%s}]}' % _HUGE, "demand"),
+        (["classify", "{}"], "f.json", '{"kind":"ProportionalFixedK","base":[%s,1,1]}' % _HUGE, "family"),
+    ],
+    ids=["analyze", "check", "classify"],
+)
+def test_huge_integer_literal_exits_2(files, capsys, argv, name, text, kind):
+    path = files["tmp"] / name
+    path.write_text(text, encoding="utf-8")
+    assert main([a.format(str(path), t222=files["t222"]) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} document cannot be read: Exceeds the limit") and "Traceback" not in err
+
+
+def test_deeply_nested_document_exits_2(files, capsys):
+    path = files["tmp"] / "deep.json"
+    path.write_text('{"layers":' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: topology document cannot be read: maximum recursion depth")

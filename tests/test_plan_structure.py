@@ -1,14 +1,17 @@
-"""Per-layer plan storage: the lazy views, and structural verification
-against the expansion oracle."""
+"""Per-layer plan storage: the lazy views, structural verification against
+the expansion oracle, and the integer-unit build, checks and writers against
+the Fraction-route oracles they replaced."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from relaydof import schedule
-from relaydof.model import DemandMatrix, LayerSpec, NetworkTopology
+from relaydof.model import DemandMatrix, LayerSpec, NetworkTopology, demand_to_obj
 from relaydof.region import max_uniform_scale
 from relaydof.schedule import (
+    CheckResult,
     PaddingMessage,
     PhaseMessage,
     SplitEdge,
@@ -16,6 +19,7 @@ from relaydof.schedule import (
     _pad_id,
     _phase_id,
     _sink_id,
+    _plan_units,
     _structural_conservation,
     integer_schedule,
     plan_to_dot,
@@ -177,7 +181,7 @@ def test_structural_path_expands_nothing(monkeypatch):
 def test_structural_and_expanded_verification_agree(s):
     report = verify_schedule(s)
     assert report.ok, report.failures()
-    assert _structural_conservation(s.split_plan) == _oracle_findings(s.split_plan) == ([], [], [])
+    assert _structural_conservation(s.split_plan, _plan_units(s.split_plan)) == _oracle_findings(s.split_plan) == ([], [], [])
 
 
 @settings(max_examples=80, deadline=None)
@@ -223,7 +227,7 @@ def test_structural_mutation_fails_both_routes_alike(s, target, data):
         per_pair = plan.per_pair[:k] + (plan.per_pair[k] + delta,) + plan.per_pair[k + 1 :]
         mutated = _replace(plan, per_pair=per_pair)
     assert not verify_schedule(_with_plan(s, mutated)).ok
-    assert _structural_conservation(mutated) == _oracle_findings(mutated)
+    assert _structural_conservation(mutated, _plan_units(mutated)) == _oracle_findings(mutated)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,3 +241,286 @@ def test_single_edge_or_transfer_mutation_fails_conservation(s, edge, data):
     items[k] = _replace(items[k], bits=items[k].bits + data.draw(_deltas))
     findings = _expanded_conservation(plan, **{"edges" if edge else "transfers": items})
     assert findings != ([], [], [])
+
+
+# -- the integer unit against the Fraction route ------------------------------------
+#
+# The oracles below are the Fraction-route text path, writers, demand-share
+# check and build steps (`_to_bits`, `unused`) that the integer-unit code
+# replaced, kept as they were apart from reading the plan from their arguments.
+
+_oracle_settings = settings(max_examples=40, deadline=None)
+
+
+def _oracle_sink_bits(sink):
+    return sum((b for _, b in sink.received), Fraction(0)) + sink.padding_bits
+
+
+def _oracle_transfer_rows(plan, text=False):
+    sizes, per_pair = plan.sizes, plan.per_pair
+    for k, bits in enumerate(per_pair):
+        bits = str(bits) if text else bits
+        for tx in range(sizes[k]):
+            for rx in range(sizes[k + 1]):
+                yield k, tx, rx, bits
+
+
+def _oracle_edge_rows(plan, text=False):
+    sizes, per_pair, sources, paddings = plan.sizes, plan.per_pair, plan.sources, plan.paddings
+    fmt = str if text else (lambda bits: bits)
+    ids = [
+        [[_phase_id(k, tx, rx) for rx in range(sizes[k + 1])] for tx in range(sizes[k])]
+        for k in range(len(sizes) - 1)
+    ]
+
+    def fan_out(src):
+        if 0 <= src < sizes[0]:
+            return ids[0][src]
+        return [_phase_id(0, src, n) for n in range(sizes[1])]
+
+    for msg in sources:
+        head, share = _msg_id(msg.dst, msg.src), fmt(msg.bits / sizes[1])
+        for tail in fan_out(msg.src):
+            yield head, tail, share
+    for pad in paddings:
+        head, share = _pad_id(pad.src), fmt(pad.bits / sizes[1])
+        for tail in fan_out(pad.src):
+            yield head, tail, share
+    for k in range(1, len(sizes) - 1):
+        share = fmt(per_pair[k] / sizes[k - 1])
+        for n in range(sizes[k]):
+            tails = ids[k][n]
+            for inbound in ids[k - 1]:
+                head = inbound[n]
+                for tail in tails:
+                    yield head, tail, share
+    share = fmt(per_pair[-1])
+    for j in range(sizes[-1]):
+        sink = _sink_id(j)
+        for inbound in ids[-1]:
+            yield inbound[j], sink, share
+
+
+def _oracle_plan_to_obj(plan):
+    nodes = []
+    for msg in plan.sources:
+        nodes.append({"id": _msg_id(msg.dst, msg.src), "kind": "source", "bits": str(msg.bits)})
+    for pad in plan.paddings:
+        nodes.append({"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)})
+    nodes.extend(
+        {"id": _phase_id(k, tx, rx), "kind": "transfer", "phase": k, "bits": bits}
+        for k, tx, rx, bits in _oracle_transfer_rows(plan, text=True)
+    )
+    for sink in plan.sinks:
+        nodes.append(
+            {
+                "id": _sink_id(sink.dst),
+                "kind": "destination",
+                "bits": str(_oracle_sink_bits(sink)),
+                "received": [{"src": i + 1, "bits": str(b)} for i, b in sink.received],
+                "padding_bits": str(sink.padding_bits),
+            }
+        )
+    return {
+        "demand": demand_to_obj(plan.demand),
+        "total_bits": plan.total_bits,
+        "padding_bits": str(plan.padding_bits),
+        "bits_per_dof": str(plan.bits_per_dof),
+        "padding_policy": "uniform-fill",
+        "nodes": nodes,
+        "edges": [{"from": h, "to": t, "bits": b} for h, t, b in _oracle_edge_rows(plan, text=True)],
+    }
+
+
+def _oracle_plan_to_dot(plan):
+    lines = ["digraph split_plan {", "  rankdir=LR;"]
+    for msg in plan.sources:
+        lines.append(f'  "{_msg_id(msg.dst, msg.src)}" [shape=box, label="{_msg_id(msg.dst, msg.src)}\\n{msg.bits} bits"];')
+    for pad in plan.paddings:
+        lines.append(f'  "{_pad_id(pad.src)}" [shape=box, style=dashed, label="{_pad_id(pad.src)}\\n{pad.bits} bits"];')
+    for k, tx, rx, bits in _oracle_transfer_rows(plan, text=True):
+        node = _phase_id(k, tx, rx)
+        lines.append(f'  "{node}" [label="{node}\\n{bits} bits"];')
+    for sink in plan.sinks:
+        lines.append(
+            f'  "{_sink_id(sink.dst)}" [shape=doublecircle, label="{_sink_id(sink.dst)}\\n{_oracle_sink_bits(sink)} bits"];'
+        )
+    lines.extend(f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in _oracle_edge_rows(plan, text=True))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _oracle_to_bits(entries, bits_per_dof):
+    out = {}
+    value = bits = None
+    for key, v in entries.items():
+        if v is not value:
+            value, bits = v, v * bits_per_dof
+        out[key] = bits
+    return out
+
+
+def _oracle_demand_shares(s):
+    """Check (4) of verify_schedule, by the Fraction route."""
+    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
+    plan = s.split_plan
+    norm = plan.bits_per_dof
+    unit, _, cols = plan.demand.unit_sums()
+    wanted = _oracle_to_bits(plan.demand.entries, norm)
+    expected = {}
+    for (j, i), bits in wanted.items():
+        if 0 <= i < sizes[0]:
+            expected.setdefault(j, {})[i] = bits
+    sink_budget = Fraction(plan.total_bits, sizes[-1])
+    problems = []
+    for sink in plan.sinks:
+        if dict(sink.received) != expected.get(sink.dst, {}):
+            problems.append(f"dst {sink.dst + 1} reassembly")
+        if sink.padding_bits != sink_budget - Fraction(cols.get(sink.dst, 0), unit) * norm:
+            problems.append(f"dst {sink.dst + 1} padding")
+    for msg in plan.sources:
+        if msg.bits != wanted.get((msg.dst, msg.src), 0):
+            problems.append(f"message {_msg_id(msg.dst, msg.src)}")
+    if plan.padding_bits != plan.total_bits - Fraction(sum(cols.values()), unit) * norm:
+        problems.append("total padding")
+    return CheckResult("demand-shares", not problems, "" if not problems else "; ".join(problems[:4]))
+
+
+def _oracle_plan(s):
+    """The plan as the Fraction route builds it from the schedule's demand."""
+    plan = s.split_plan
+    sizes, delay = list(plan.sizes), s.total_delay
+    unit, rows, cols = plan.demand.unit_sums()
+    received, sources = {}, []
+    for (j, i), bits in sorted(_oracle_to_bits(plan.demand.entries, delay).items()):
+        sources.append(schedule.SourceMessage(dst=j, src=i, bits=bits))
+        if 0 <= i < sizes[0]:
+            received.setdefault(j, []).append((i, bits))
+
+    def unused(demand_units, count):
+        return Fraction(s.total_bits * unit - count * demand_units * delay, count * unit)
+
+    paddings = [PaddingMessage(src=i, bits=unused(rows.get(i, 0), sizes[0])) for i in range(sizes[0])]
+    sinks = tuple(
+        schedule.DestinationBin(dst=j, received=tuple(received.get(j, ())), padding_bits=unused(cols.get(j, 0), sizes[-1]))
+        for j in range(sizes[-1])
+    )
+    return _replace(
+        plan,
+        sources=tuple(sources),
+        paddings=tuple(p for p in paddings if p.bits > 0),
+        sinks=sinks,
+        padding_bits=unused(sum(rows.values()), 1),
+        bits_per_dof=Fraction(delay),
+    )
+
+
+_COPRIME = (1, 2, 3, 5, 7)
+
+
+@st.composite
+def _endpoint(draw):
+    """A source or destination layer: plain nodes, or antennas summing to at most 8."""
+    if draw(st.booleans()):
+        return LayerSpec(nodes=draw(st.integers(1, 8)))
+    return LayerSpec(antennas=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda a: sum(a) <= 8))))
+
+
+@st.composite
+def oracle_schedules(draw):
+    """Chains of 3-6 layers with sizes 1-8 (or pairwise coprime sizes),
+    antenna or plain endpoints, and no demand, or a sparse demand on the
+    region boundary or inside it."""
+    length = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        relays = [LayerSpec(nodes=n) for n in draw(st.lists(st.integers(1, 8), min_size=length - 2, max_size=length - 2))]
+        t = NetworkTopology((draw(_endpoint()), *relays, draw(_endpoint())))
+    else:
+        t = _chain(draw(st.permutations(_COPRIME))[: min(length, len(_COPRIME))])
+    demand = None
+    if draw(st.booleans()):
+        src, dst = len(t.source_layer.antenna_profile()), len(t.destination_layer.antenna_profile())
+        cells = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, dst - 1), st.integers(0, src - 1)), st.integers(1, 5), min_size=1, max_size=6
+            )
+        )
+        demand = max_uniform_scale(t, DemandMatrix(cells)).scaled
+        if draw(st.booleans()):
+            demand = demand.scale(draw(st.fractions(min_value=Fraction(1, 9), max_value=1, max_denominator=9)))
+    return integer_schedule(t, demand)
+
+
+def _tamper(s, how, data):
+    plan = s.split_plan
+    if how == "source":
+        k = data.draw(st.integers(0, len(plan.sources) - 1))
+        victim = plan.sources[k]
+        sources = plan.sources[:k] + (_replace(victim, bits=victim.bits / 2),) + plan.sources[k + 1 :]
+        return _with_plan(s, _replace(plan, sources=sources))
+    if how == "padding":
+        delta = data.draw(_deltas)
+        if plan.paddings:
+            k = data.draw(st.integers(0, len(plan.paddings) - 1))
+            victim = plan.paddings[k]
+            paddings = plan.paddings[:k] + (_replace(victim, bits=victim.bits + delta),) + plan.paddings[k + 1 :]
+            return _with_plan(s, _replace(plan, paddings=paddings))
+        k = data.draw(st.integers(0, len(plan.sinks) - 1))
+        victim = plan.sinks[k]
+        sinks = plan.sinks[:k] + (_replace(victim, padding_bits=victim.padding_bits + delta),) + plan.sinks[k + 1 :]
+        return _with_plan(s, _replace(plan, sinks=sinks, padding_bits=plan.padding_bits + delta))
+    # a wrong sink `received`: one entry's bits or source index changed, or one dropped
+    k = data.draw(st.integers(0, len(plan.sinks) - 1))
+    victim = plan.sinks[k]
+    received = list(victim.received) or [(0, Fraction(0))]
+    r = data.draw(st.integers(0, len(received) - 1))
+    i, bits = received[r]
+    changes = [(i, bits + data.draw(_deltas)), (i + 1, bits)] + [None] * bool(victim.received)
+    received[r] = data.draw(st.sampled_from(changes))
+    received = tuple(x for x in received if x is not None)
+    sinks = plan.sinks[:k] + (_replace(victim, received=received),) + plan.sinks[k + 1 :]
+    return _with_plan(s, _replace(plan, sinks=sinks))
+
+
+def _assert_matches_the_fraction_route(s):
+    # texts are compared by lines: a failing comparison of lists reports the
+    # first differing line without diffing whole documents on every shrink step
+    plan = s.split_plan
+    assert plan_to_dot(plan).splitlines() == _oracle_plan_to_dot(plan).splitlines()
+    new, old = schedule_to_obj(s)["split_plan"], _oracle_plan_to_obj(plan)
+    assert json.dumps(new, indent=2).splitlines() == json.dumps(old, indent=2).splitlines()
+    assert list(plan.edges) == [SplitEdge(*row) for row in _oracle_edge_rows(plan)]
+    assert list(plan.transfers) == [PhaseMessage(*row) for row in _oracle_transfer_rows(plan)]
+    for sink in plan.sinks:
+        bits = sink.bits
+        assert type(bits) is Fraction and bits == _oracle_sink_bits(sink)
+    assert verify_schedule(s).checks[3] == _oracle_demand_shares(s)
+
+
+@_oracle_settings
+@given(oracle_schedules())
+def test_integer_unit_matches_the_fraction_route(s):
+    _assert_matches_the_fraction_route(s)
+    assert verify_schedule(s).ok
+    assert s.split_plan == _oracle_plan(s)
+
+
+@_oracle_settings
+@given(oracle_schedules(), st.sampled_from(["source", "padding", "received"]), st.data())
+def test_integer_unit_matches_the_fraction_route_on_tampered_plans(s, how, data):
+    tampered = _tamper(s, how, data)
+    _assert_matches_the_fraction_route(tampered)
+    assert [(c.name, c.detail) for c in verify_schedule(tampered).failures()]
+
+
+def test_integer_unit_reports_as_the_fraction_route():
+    # one plan per tampering, with the detail strings the Fraction route gives
+    s = integer_schedule(_chain([2, 3, 2]), DemandMatrix({(0, 0): Fraction(1, 5), (1, 1): Fraction(1, 7)}))
+    plan = s.split_plan
+    halved = _replace(plan, sources=(_replace(plan.sources[0], bits=plan.sources[0].bits / 2),) + plan.sources[1:])
+    padded = _replace(plan, sinks=(_replace(plan.sinks[0], padding_bits=plan.sinks[0].padding_bits + 1),) + plan.sinks[1:])
+    misrouted = _replace(plan, sinks=(_replace(plan.sinks[0], received=((1, plan.sinks[0].received[0][1]),)),) + plan.sinks[1:])
+    details = [verify_schedule(_with_plan(s, p)).checks[3].detail for p in (halved, padded, misrouted)]
+    assert details == ["message msg[1,1]", "dst 1 padding", "dst 1 reassembly"]
+    for p in (halved, padded, misrouted):
+        assert verify_schedule(_with_plan(s, p)).checks[3] == _oracle_demand_shares(_with_plan(s, p))

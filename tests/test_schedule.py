@@ -18,6 +18,7 @@ from relaydof.model import (
     parse_topology,
 )
 from relaydof.schedule import (
+    InvariantError,
     PhaseMessage,
     integer_schedule,
     phase_ratios,
@@ -302,6 +303,43 @@ def test_share_count_other_than_hop_count_fails_conservation(shares):
     assert cons.name == "bit-conservation"
     assert cons.detail == f"plan has {len(shares(plan.per_pair))} per-pair shares for 3 hops"
     assert [c for c in report.checks if c is not cons] == [c for c in verify_schedule(s).checks if c.name != cons.name]
+
+
+_PLAN_USES = {
+    "len(edges)": lambda s: len(s.split_plan.edges),
+    "len(transfers)": lambda s: len(s.split_plan.transfers),
+    "iter(edges)": lambda s: list(s.split_plan.edges),
+    "iter(transfers)": lambda s: list(s.split_plan.transfers),
+    "plan_to_dot": lambda s: plan_to_dot(s.split_plan),
+    "schedule_to_obj": schedule_to_obj,
+}
+
+
+@pytest.mark.parametrize("use", _PLAN_USES.values(), ids=_PLAN_USES.keys())
+@pytest.mark.parametrize("shares", [lambda p: p[:-1], lambda p: p + p[-1:]], ids=["one-short", "one-extra"])
+def test_share_count_other_than_hop_count_breaks_views_and_writers(shares, use):
+    s = integer_schedule(_chain([2, 3, 2, 2]))
+    carried = _replace(s, split_plan=_replace(s.split_plan, per_pair=shares(s.split_plan.per_pair)))
+    count = len(carried.split_plan.per_pair)
+    with pytest.raises(InvariantError, match=rf"^plan has {count} per-pair shares for 3 hops$"):
+        use(carried)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_cli_writer_invariant_error_exits_3(fmt, tmp_path, monkeypatch, capsys):
+    from relaydof import cli
+    from relaydof.schedule import VerificationReport
+
+    s = integer_schedule(_chain([2, 3, 2, 2]))
+    carried = _replace(s, split_plan=_replace(s.split_plan, per_pair=s.split_plan.per_pair[:-1]))
+    # a schedule that passes its checks but cannot be written
+    monkeypatch.setattr(cli, "integer_schedule", lambda topology, demand: carried)
+    monkeypatch.setattr(cli, "verify_schedule", lambda schedule: VerificationReport(()))
+    topology = tmp_path / "t.json"
+    topology.write_text('{"layers":[{"nodes":2},{"nodes":3},{"nodes":2},{"nodes":2}]}', encoding="utf-8")
+    assert cli.main(["schedule", str(topology), "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: plan has 2 per-pair shares for 3 hops\n"
 
 
 # -- structural properties ----------------------------------------------------------
