@@ -267,7 +267,7 @@ def main(argv=None) -> int:
         _bind(module)
     try:
         return args.func(args)
-    except (DocumentError, AnalysisError, OSError, json.JSONDecodeError, ArithmeticError) as exc:
+    except (DocumentError, AnalysisError, OSError, ArithmeticError) as exc:
         # ArithmeticError: a valid document whose exact values are too large
         # to render as floats or to expand per node (e.g. 10**400-node layers)
         print(f"error: {exc}", file=sys.stderr)

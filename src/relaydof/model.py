@@ -586,6 +586,16 @@ class DemandMatrix(Record):
 # ---------------------------------------------------------------------------
 
 
+def _load_json(text: str, error: type[DocumentError], kind: str):
+    """``json.loads(text)``, raising ``error`` for a ``kind`` document that cannot be read."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{kind} document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
+        raise error(f"{kind} document cannot be read: {exc}") from exc
+
+
 def _layer_from_obj(obj, index: int) -> LayerSpec:
     """Check the layer's JSON shape here; LayerSpec checks the values."""
     if not isinstance(obj, dict):
@@ -646,13 +656,7 @@ def topology_from_obj(obj) -> NetworkTopology:
 
 def parse_topology(text: str) -> NetworkTopology:
     """Parse a topology document (UTF-8 JSON) into a validated topology."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"topology document is not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
-        raise TopologyError(f"topology document cannot be read: {exc}") from exc
-    return topology_from_obj(obj)
+    return topology_from_obj(_load_json(text, TopologyError, "topology"))
 
 
 def topology_to_obj(t: NetworkTopology) -> dict:
@@ -701,13 +705,7 @@ def demand_from_obj(obj) -> DemandMatrix:
 
 def parse_demand(text: str) -> DemandMatrix:
     """Parse a demand document (UTF-8 JSON, 1-based indices) into a matrix."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DemandError(f"demand document is not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
-        raise DemandError(f"demand document cannot be read: {exc}") from exc
-    return demand_from_obj(obj)
+    return demand_from_obj(_load_json(text, DemandError, "demand"))
 
 
 def demand_to_obj(d: DemandMatrix) -> dict:

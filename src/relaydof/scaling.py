@@ -15,7 +15,6 @@ themselves stay exact.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from .model import (
     LayerSpec,
     Record,
     _check_antenna_scale,
+    _load_json,
     scale_antennas,
     topology_from_obj,
 )
@@ -144,12 +144,7 @@ class ScalingVerdict(Record):
 
 def parse_family(text: str) -> FamilySpec:
     """Parse a family document (UTF-8 JSON)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"family document is not valid JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # a literal past the int-string limit, or deep nesting
-        raise FamilyError(f"family document cannot be read: {exc}") from exc
+    obj = _load_json(text, FamilyError, "family")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FamilyError("family document must be an object with a 'kind'")
     unknown = sorted(obj.keys() - {"kind", *_FIELDS})
@@ -179,7 +174,9 @@ def parse_family(text: str) -> FamilySpec:
         layers: dict[int, int] = {}
         for key, size in obj["pinned"].items():
             try:
-                layer = int(key)
+                if not (key.isascii() and key.isdigit()):
+                    raise ValueError(key)
+                layer = int(key)  # a ValueError past the int-string limit
             except ValueError as exc:
                 raise FamilyError(f"'pinned' key {key!r} is not a layer index") from exc
             if layer in layers:

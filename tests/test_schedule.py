@@ -16,7 +16,9 @@ from relaydof.model import (
     TopologyError,
     antenna_split,
     parse_topology,
+    virtual_node_map,
 )
+from relaydof.region import check_demand, max_uniform_scale
 from relaydof.schedule import (
     InvariantError,
     PhaseMessage,
@@ -305,6 +307,37 @@ def test_share_count_other_than_hop_count_fails_conservation(shares):
     assert [c for c in report.checks if c is not cons] == [c for c in verify_schedule(s).checks if c.name != cons.name]
 
 
+def test_plan_carrying_other_bits_than_its_schedule_fails_conservation():
+    t = _chain([2, 3, 2])
+    eighth = DemandMatrix({(0, 0): Fraction(1, 8)})
+    s = integer_schedule(t, eighth)  # B = 6 bits over T = 8
+    plan = s.split_plan
+    # every count doubled: 12 bits through phases that carry 6
+    doubled = _replace(
+        plan,
+        per_pair=tuple(2 * b for b in plan.per_pair),
+        sources=tuple(_replace(m, bits=2 * m.bits) for m in plan.sources),
+        paddings=tuple(_replace(p, bits=2 * p.bits) for p in plan.paddings),
+        sinks=tuple(
+            _replace(d, received=tuple((i, 2 * b) for i, b in d.received), padding_bits=2 * d.padding_bits)
+            for d in plan.sinks
+        ),
+        total_bits=2 * plan.total_bits,
+        padding_bits=2 * plan.padding_bits,
+        bits_per_dof=2 * plan.bits_per_dof,
+    )
+    # the plan of demand 1/4, relabelled 1/8 at twice the bits per DoF
+    quarter = integer_schedule(t, DemandMatrix({(0, 0): Fraction(1, 4)})).split_plan
+    relabelled = _replace(quarter, demand=eighth, bits_per_dof=2 * quarter.bits_per_dof)
+    for tampered, carried in ((doubled, "(12, 16)"), (relabelled, "(6, 16)")):
+        report = verify_schedule(_replace(s, split_plan=tampered))
+        [cons] = report.failures()
+        assert cons.name == "bit-conservation"
+        assert cons.detail == (
+            f"plan (total_bits, bits_per_dof) {carried} differs from schedule (total_bits, total_delay) (6, 8)"
+        )
+
+
 _PLAN_USES = {
     "len(edges)": lambda s: len(s.split_plan.edges),
     "len(transfers)": lambda s: len(s.split_plan.transfers),
@@ -366,6 +399,47 @@ def test_multi_antenna_schedule_equals_expanded_schedule():
     for doc in docs:
         t = parse_topology(doc)
         assert integer_schedule(t) == integer_schedule(antenna_split(t))
+
+
+@st.composite
+def _antenna_demands(draw):
+    """A chain of 3-5 layers with 1-3 antennas per node, and a feasible
+    demand on its physical endpoints: a sparse pattern scaled to the region
+    boundary, then shrunk."""
+    layers = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=3, max_size=5))
+    t = NetworkTopology(tuple(LayerSpec(antennas=tuple(a)) for a in layers))
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, len(layers[-1]) - 1), st.integers(0, len(layers[0]) - 1)),
+            st.integers(1, 5),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    shrink = draw(st.fractions(min_value=Fraction(1, 8), max_value=1, max_denominator=8))
+    return t, max_uniform_scale(t, DemandMatrix(cells)).scaled.scale(shrink)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_antenna_demands())
+def test_antenna_demand_schedules_as_its_split_twin(case):
+    t, demand = case
+    split = antenna_split(t)
+    src, dst = t.source_layer.antenna_profile(), t.destination_layer.antenna_profile()
+    # each physical demand spread evenly over its endpoints' antennas
+    virtual = DemandMatrix(
+        {
+            (jv, iv): demand.entries[j, i] / (dst[j] * src[i])
+            for jv, j in enumerate(virtual_node_map(t.destination_layer))
+            for iv, i in enumerate(virtual_node_map(t.source_layer))
+            if (j, i) in demand.entries
+        }
+    )
+    s = integer_schedule(t, demand)
+    assert s == integer_schedule(split, virtual)
+    assert s.split_plan.demand == virtual
+    assert check_demand(t, demand).feasible and check_demand(split, virtual).feasible
+    assert max_uniform_scale(t, demand).t_star == max_uniform_scale(split, virtual).t_star
 
 
 def test_schedule_serialization_and_dot():
