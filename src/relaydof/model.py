@@ -7,6 +7,10 @@ node count (possibly the symbolic value ``inf``) or an explicit list of
 per-node antenna counts.  Everything downstream works on exact numbers:
 finite values are ``fractions.Fraction`` and the single infinite value is
 symbolic, so identities can be asserted with ``==`` instead of tolerances.
+Each type writes one ordering beside its ``__eq__`` (``Infinity.__le__``,
+``ExtRational.__lt__``) and ``functools.total_ordering`` derives the rest.
+Ints, Fractions and both extended types compare with each other; anything
+else, a float say, is ``NotImplemented``.
 
 All types are immutable after construction and all operations are pure
 functions, safe to share across threads.  The one slot filled after
@@ -21,6 +25,7 @@ import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import total_ordering
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -65,6 +70,7 @@ class InvariantError(RuntimeError):
     """A construction invariant does not hold: a bug, never a bad input."""
 
 
+@total_ordering
 class Infinity:
     """Symbolic positive infinity for node counts and DoF values.
 
@@ -87,28 +93,12 @@ class Infinity:
     def __hash__(self):
         return hash(float("inf"))
 
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return False
-        return NotImplemented
-
+    # the root of the derived orderings, so ``size <= 1`` is one call
     def __le__(self, other):
         if isinstance(other, Infinity):
             return True
         if isinstance(other, (int, Fraction)):
             return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return False
-        if isinstance(other, (int, Fraction)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return True
         return NotImplemented
 
 
@@ -117,7 +107,12 @@ INFINITY = Infinity()
 # A layer size: a positive integer or the symbolic infinity.
 ExtCount = int | Infinity
 
+# the characters of a finite rational literal: p/q, a sign, a decimal point
+# and an exponent
+_LITERAL_CHARS = frozenset("0123456789+-/.eE")
 
+
+@total_ordering
 class ExtRational:
     """An exact rational extended with symbolic positive infinity.
 
@@ -143,12 +138,14 @@ class ExtRational:
         elif isinstance(numerator, str):
             if denominator is not None:
                 raise TypeError("string construction takes no denominator")
-            text = numerator.strip()
-            if text == "inf":
+            if numerator == "inf":
                 object.__setattr__(self, "_value", None)
             else:
                 try:
-                    object.__setattr__(self, "_value", Fraction(text))
+                    # Fraction would also take spaces, '_' and non-ASCII digits
+                    if not _LITERAL_CHARS.issuperset(numerator):
+                        raise ValueError(numerator)
+                    object.__setattr__(self, "_value", Fraction(numerator))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise DocumentError(f"bad rational literal {numerator!r}") from exc
         else:
@@ -176,11 +173,7 @@ class ExtRational:
         return self.as_fraction().denominator
 
     def reciprocal(self) -> "ExtRational":
-        if self._value is None:
-            return ExtRational(0)
-        if self._value == 0:
-            return ExtRational(INFINITY)
-        return ExtRational(1 / self._value)
+        return ExtRational(1) / self
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -281,24 +274,6 @@ class ExtRational:
         if v is None:
             return True
         return self._value < v
-
-    def __le__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v is None:
-            return True
-        if self._value is None:
-            return False
-        return self._value <= v
-
-    def __gt__(self, other):
-        result = self.__le__(other)
-        return NotImplemented if result is NotImplemented else not result
-
-    def __ge__(self, other):
-        result = self.__lt__(other)
-        return NotImplemented if result is NotImplemented else not result
 
     def __bool__(self):
         return self._value is None or self._value != 0
@@ -407,38 +382,29 @@ class LayerSpec(Record):
     _fields = ("nodes", "antennas")
 
     def __init__(self, nodes: ExtCount | None = None, antennas: tuple[int, ...] | None = None):
-        put_nodes, put_antennas, _ = self._put
-        put_nodes(self, nodes)
-        put_antennas(self, antennas)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # the check after the fields are stored, as in a dataclass: every
-        # LayerSpec passes here, so replacing it intercepts them all
-        _, put_antennas, put_size = self._put
-        antennas = self.antennas
-        if (self.nodes is None) == (antennas is None):
+        if (nodes is None) == (antennas is None):
             raise TopologyError("layer needs exactly one of 'nodes' or 'antennas'")
         if antennas is not None:
-            if type(antennas) is not tuple:
-                antennas = tuple(antennas)
-                put_antennas(self, antennas)
+            antennas = tuple(antennas)
             if len(antennas) == 0:
                 raise TopologyError("antenna list must be nonempty")
             for a in antennas:
                 if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                     raise TopologyError(f"antenna count must be a positive integer, got {a!r}")
-            put_size(self, sum(antennas))
-            return
-        n = self.nodes
-        if not isinstance(n, Infinity):
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise TopologyError(f"node count must be a positive integer or 'inf', got {n!r}")
-            if n == 0:
-                raise TopologyError("zero nodes")
-            if n < 0:
-                raise TopologyError(f"node count must be positive, got {n}")
-        put_size(self, n)
+            size = sum(antennas)
+        else:
+            if not isinstance(nodes, Infinity):
+                if not isinstance(nodes, int) or isinstance(nodes, bool):
+                    raise TopologyError(f"node count must be a positive integer or 'inf', got {nodes!r}")
+                if nodes == 0:
+                    raise TopologyError("zero nodes")
+                if nodes < 0:
+                    raise TopologyError(f"node count must be positive, got {nodes}")
+            size = nodes
+        put_nodes, put_antennas, put_size = self._put
+        put_nodes(self, nodes)
+        put_antennas(self, antennas)
+        put_size(self, size)
 
     @property
     def is_infinite(self) -> bool:
@@ -618,13 +584,11 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
 
 # the hashable JSON values a valid or invalid "nodes" entry can take
 _SCALARS = frozenset((str, int, float, bool))
-_INTS = frozenset((int,))
 
 
 def topology_from_obj(obj) -> NetworkTopology:
-    """Validate a topology object; each distinct ``{"nodes": v}`` value and
-    each distinct ``{"antennas": [...]}`` list of ints is checked once and
-    its ``LayerSpec`` shared by every layer that repeats it.
+    """Validate a topology object; each distinct ``{"nodes": v}`` value is
+    checked once and its ``LayerSpec`` shared by every layer that repeats it.
     """
     if not isinstance(obj, dict) or "layers" not in obj:
         raise TopologyError("topology document must be an object with a 'layers' list")
@@ -634,22 +598,15 @@ def topology_from_obj(obj) -> NetworkTopology:
     if len(layers) < 2:
         raise TopologyError("topology needs at least 2 layers")
     # a node count is keyed on (type, value), so true and 1, 2.0 and 2 are
-    # different values here; an antenna list is shared only when it holds
-    # plain ints (true or 1.0 in a list always fails), keyed on the tuple of
-    # its entries, which never equals a node count's key
+    # different values here
     shared: dict[tuple, LayerSpec] = {}
     specs = []
     for k, layer in enumerate(layers):
-        key = None
-        if type(layer) is dict and len(layer) == 1:
-            if type(raw := layer.get("nodes")) in _SCALARS:
-                key = type(raw), raw
-            elif type(raw := layer.get("antennas")) is list and _INTS.issuperset(map(type, raw)):
-                key = tuple(raw)
-        if key is None:
+        if type(layer) is dict and len(layer) == 1 and type(raw := layer.get("nodes")) in _SCALARS:
+            if (spec := shared.get(key := (type(raw), raw))) is None:
+                spec = shared[key] = _layer_from_obj(layer, k)
+        else:
             spec = _layer_from_obj(layer, k)
-        elif (spec := shared.get(key)) is None:
-            spec = shared[key] = _layer_from_obj(layer, k)
         specs.append(spec)
     return NetworkTopology(tuple(specs))
 

@@ -237,9 +237,9 @@ def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
     )
 
 
-def classify(f: FamilySpec, grid: tuple[int, ...] = SAMPLE_GRID) -> ScalingVerdict:
-    """Fit the log-log slope over the sample grid and snap it to a class."""
-    samples = [(n, achievable_sum_dof(_family_sizes(f, n))) for n in grid]
+def classify(f: FamilySpec) -> ScalingVerdict:
+    """Fit the log-log slope over ``SAMPLE_GRID`` and snap it to a class."""
+    samples = [(n, achievable_sum_dof(_family_sizes(f, n))) for n in SAMPLE_GRID]
     slope = _least_squares_slope(
         [math.log(n) for n, _ in samples],
         [math.log(float(alpha)) for _, alpha in samples],

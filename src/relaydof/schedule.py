@@ -622,20 +622,23 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     units = _plan_units(plan)
     checks = []
 
-    # (1) forwarding recurrence between consecutive phases
+    # (1) forwarding recurrence between consecutive phases, and each phase's
+    # own fields: its hop index and its per-pair share of the X network
     bad_hops = []
     for k in range(1, hops):
         lhs = Fraction(s.phases[k - 1].block_length * sizes[k - 1], sizes[k - 1] + sizes[k] - 1)
         rhs = Fraction(s.phases[k].block_length * sizes[k + 1], sizes[k] + sizes[k + 1] - 1)
         if lhs != rhs:
             bad_hops.append(k)
-    checks.append(
-        CheckResult(
-            "phase-recurrence",
-            not bad_hops,
-            "" if not bad_hops else f"forwarding mismatch at hop(s) {bad_hops}",
-        )
-    )
+    bad_fields = []
+    for k, p in enumerate(s.phases):
+        pairs = p.tx_count + p.rx_count - 1
+        if (p.hop, p.per_pair_dof, p.per_pair_bits) != (k, Fraction(1, pairs), Fraction(p.block_length, pairs)):
+            bad_fields.append(k)
+    parts = [f"forwarding mismatch at hop(s) {bad_hops}"] if bad_hops else []
+    if bad_fields:
+        parts.append(f"phase fields off at hop(s) {bad_fields}")
+    checks.append(CheckResult("phase-recurrence", not parts, "; ".join(parts)))
 
     # (2) bit conservation: edge sums must reproduce every node total, each
     # relay node forwards exactly what it decoded, each phase carries the

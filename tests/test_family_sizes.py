@@ -103,7 +103,7 @@ def test_antenna_scaled_classify_expands_no_layer(monkeypatch):
         raise AssertionError("classify built a layer")
 
     monkeypatch.setattr(scaling, "scale_antennas", refuse)
-    monkeypatch.setattr(LayerSpec, "__post_init__", refuse)
+    monkeypatch.setattr(LayerSpec, "__init__", refuse)
     start = time.perf_counter()
     verdict = classify(family)
     assert time.perf_counter() - start < 1
