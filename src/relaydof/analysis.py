@@ -4,11 +4,11 @@ Every hop between adjacent layers behaves like a single-hop X network whose
 achievable sum DoF is M*N/(M+N-1); the chain combines like series
 capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
-matching harmonic combination.  Both sums of reciprocals come from one
-integer weight per layer, unit/size (``_reciprocal_sums``); a topology
-keeps its pair once computed (``_topology_sums``), while the functions of
-raw sizes compute theirs on every call.  Every public result is an exact
-ExtRational.
+matching harmonic combination.  Both sums come from one integer weight
+per layer, unit/size (``_layer_weights``), kept by a topology once computed
+(``_topology_sums``).  Every other value is a closed form in the integers
+of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
+result is one exact ExtRational built from a numerator and a denominator.
 """
 
 from __future__ import annotations
@@ -45,11 +45,8 @@ class AnalysisError(ValueError):
 
 
 class AnalysisReport(Record):
-    """All derived DoF quantities for one topology.
-
-    ``ultimate_capacity`` and ``relay_loss_factor`` are populated only when
-    both endpoint layers are finite.
-    """
+    """All derived DoF quantities for one topology; ``ultimate_capacity`` and
+    ``relay_loss_factor`` are None unless both endpoint layers are finite."""
 
     __slots__ = _fields = (
         "achievable",
@@ -135,11 +132,18 @@ def _count_dof(size: ExtCount) -> ExtRational:
     return ExtRational(size)
 
 
+def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[set[int], int, list[int]]:
+    """(finite sizes, unit = their lcm, w = unit/size per layer, 0 if infinite)."""
+    finite = _finite_sizes(sizes)
+    unit = math.lcm(*finite)
+    weight = {s: unit // s for s in finite}
+    return finite, unit, list(map(weight.get, sizes, repeat(0)))
+
+
 def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
     """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly.
 
-    With unit = lcm of the finite sizes, every layer has an integer weight
-    w = unit/size, 0 for an infinite layer.  A hop (m, n) adds
+    In the ``_layer_weights`` of the chain, a hop (m, n) adds
     1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit) and
     1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
     1/(mn) term, unit**2 // (mn) over unit**2, is there only when both ends
@@ -147,10 +151,7 @@ def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
     Every sum is a C-level pass over the layers, and no two weights are
     multiplied, so the cost stays linear in the digits of the unit.
     """
-    finite = _finite_sizes(sizes)
-    unit = math.lcm(*finite)
-    weight = {s: unit // s for s in finite}
-    w = list(map(weight.get, sizes, repeat(0)))
+    finite, unit, w = _layer_weights(sizes)
     # sum over hops of (w_m + w_n): every layer twice except the two ends
     ends = 2 * sum(w) - w[0] - w[-1]
     spreads = sum(map(abs, map(operator.sub, w, w[1:])))
@@ -179,7 +180,17 @@ def _topology_sums(t: NetworkTopology) -> tuple[Fraction, Fraction]:
 
 
 def _harmonic(inverse_sum: Fraction) -> ExtRational:
-    return ExtRational(INFINITY) if inverse_sum == 0 else ExtRational(1 / inverse_sum)
+    n, d = inverse_sum.as_integer_ratio()
+    return ExtRational(d, n) if n else ExtRational(INFINITY)
+
+
+def _gaps(inv_alpha: Fraction, inv_beta: Fraction) -> tuple[ExtRational, ExtRational, ExtRational]:
+    """(inverse gap g/(ad*bd), absolute gap g/(an*bn), fractional bound g/(ad*bn)) with
+    g = an*bd - bn*ad, from sum 1/alpha = an/ad > 0 and sum 1/beta = bn/bd."""
+    an, ad = inv_alpha.as_integer_ratio()
+    bn, bd = inv_beta.as_integer_ratio()
+    g = an * bd - bn * ad
+    return ExtRational(g, ad * bd), ExtRational(g, an * bn), ExtRational(g, ad * bn)
 
 
 def achievable_sum_dof(sizes: Sequence[ExtCount]) -> ExtRational:
@@ -213,15 +224,13 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     """
     inv_alpha, inv_beta = _reciprocal_sums(sizes)
     members = _bounding_set(sizes)
-    bound1 = ExtRational(0)
-    for k in members:
-        bound1 = bound1 + ExtRational(max(sizes[k], sizes[k + 1])).reciprocal()
-    if members:
-        smallest_tx = min(sizes[k] for k in members)
-        bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
-    else:
-        bound2 = ExtRational(0)
-    return ExtRational(inv_alpha - inv_beta), bound1, bound2
+    # 1/max(m, n) of a hop is min(w_m, w_n)/unit, 0 with an infinite end
+    _, unit, w = _layer_weights(sizes)
+    bound1 = ExtRational(sum(min(w[k], w[k + 1]) for k in members), unit)
+    smallest_tx = min(map(sizes.__getitem__, members), default=INFINITY)
+    bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
+    # an all-infinite chain has both sums 0, and no gap
+    return _gaps(inv_alpha, inv_beta)[0] if inv_alpha else ExtRational(0), bound1, bound2
 
 
 def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational]:
@@ -234,8 +243,7 @@ def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational,
     inv_alpha, inv_beta = _reciprocal_sums(sizes)
     if inv_alpha == 0:
         raise AnalysisError("gap is undefined when both bounds are infinite")
-    upper = 1 / inv_beta
-    return ExtRational(upper - 1 / inv_alpha), ExtRational(upper * (inv_alpha - inv_beta))
+    return _gaps(inv_alpha, inv_beta)[1:]
 
 
 def is_optimal(sizes: Sequence[ExtCount]) -> bool:
@@ -244,31 +252,28 @@ def is_optimal(sizes: Sequence[ExtCount]) -> bool:
     Exactly then the achievable and cut-set values coincide.
     """
     _finite_sizes(sizes)
-    return all(
-        m == 1 or n == 1 or isinstance(m, Infinity) or isinstance(n, Infinity)
-        for m, n in zip(sizes, sizes[1:])
-    )
+    return all(1 in hop or INFINITY in hop for hop in zip(sizes, sizes[1:]))
+
+
+def _endpoint_total(source_size: ExtCount, destination_size: ExtCount, what: str) -> int:
+    _finite_sizes((source_size, destination_size))
+    if isinstance(source_size, Infinity) or isinstance(destination_size, Infinity):
+        raise AnalysisError(f"{what} needs finite endpoint layers")
+    return source_size + destination_size
 
 
 def ultimate_capacity(source_size: ExtCount, destination_size: ExtCount) -> ExtRational:
-    """Sum DoF ceiling once every relay layer grows without bound."""
-    _finite_sizes((source_size, destination_size))
-    if isinstance(source_size, Infinity) or isinstance(destination_size, Infinity):
-        raise AnalysisError("ultimate capacity needs finite endpoint layers")
-    return (ExtRational(1, source_size) + ExtRational(1, destination_size)).reciprocal()
+    """Sum DoF ceiling once every relay layer grows without bound: S0*SL/(S0 + SL)."""
+    total = _endpoint_total(source_size, destination_size, "ultimate capacity")
+    return ExtRational(source_size * destination_size, total)
 
 
 def relay_loss_factor(source_size: ExtCount, destination_size: ExtCount) -> ExtRational:
-    """Fraction of single-hop X-network DoF that survives relaying.
-
-    Equals the ultimate capacity divided by the direct-link X-network value,
-    i.e. 1 - 1/(S0 + SK1); worst case 1/2 with one source and one
-    destination.
-    """
-    _finite_sizes((source_size, destination_size))
-    if isinstance(source_size, Infinity) or isinstance(destination_size, Infinity):
-        raise AnalysisError("relay loss factor needs finite endpoint layers")
-    return ExtRational(1) - ExtRational(1, source_size + destination_size)
+    """Fraction of single-hop X-network DoF that survives relaying: the ultimate
+    capacity over the direct-link X-network value, 1 - 1/(S0 + SL); worst case
+    1/2 with one source and one destination."""
+    total = _endpoint_total(source_size, destination_size, "relay loss factor")
+    return ExtRational(total - 1, total)
 
 
 def analyze(t: NetworkTopology) -> AnalysisReport:
@@ -277,29 +282,24 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     if all(isinstance(s, Infinity) for s in sizes):
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
     inv_alpha, inv_beta = _topology_sums(t)
-    lower, upper = 1 / inv_alpha, 1 / inv_beta
+    inverse_gap, absolute_gap, fractional_gap_bound = _gaps(inv_alpha, inv_beta)
     tx, rx = sizes[:-1], sizes[1:]
-    endpoints_finite = not (
-        isinstance(sizes[0], Infinity) or isinstance(sizes[-1], Infinity)
-    )
+    ends = sizes[0], sizes[-1]
+    endpoints_finite = INFINITY not in ends
     return AnalysisReport(
-        achievable=ExtRational(lower),
+        achievable=_harmonic(inv_alpha),
         achievable_per_hop=tuple(map(_hop_achievable, tx, rx)),
-        cutset=ExtRational(upper),
+        cutset=_harmonic(inv_beta),
         cutset_per_hop=tuple(map(_hop_cutset, tx, rx)),
-        inverse_gap=ExtRational(inv_alpha - inv_beta),
-        absolute_gap=ExtRational(upper - lower),
-        fractional_gap_bound=ExtRational(upper * (inv_alpha - inv_beta)),
+        inverse_gap=inverse_gap,
+        absolute_gap=absolute_gap,
+        fractional_gap_bound=fractional_gap_bound,
         bounding_set=_bounding_set(sizes),
         # a hop's gap (min - 1)/(mn) is zero exactly when it has a 1 or an
         # infinite end, so the sums agree exactly when every hop does
-        optimal=inv_alpha == inv_beta,
-        ultimate_capacity=(
-            ultimate_capacity(sizes[0], sizes[-1]) if endpoints_finite else None
-        ),
-        relay_loss_factor=(
-            relay_loss_factor(sizes[0], sizes[-1]) if endpoints_finite else None
-        ),
+        optimal=not inverse_gap,
+        ultimate_capacity=ultimate_capacity(*ends) if endpoints_finite else None,
+        relay_loss_factor=relay_loss_factor(*ends) if endpoints_finite else None,
     )
 
 

@@ -5,7 +5,8 @@ results to standard output, and signals outcomes through exit codes:
 
     0  success (and, for ``check``, a feasible demand)
     1  negative verdict (infeasible demand, unclassifiable scaling slope)
-    2  input error (missing file, bad document, failed validation)
+    2  input error (missing file, bad document, failed validation, or a
+       result too large to print)
     3  internal failure (a schedule that fails its own checks or breaks a
        construction invariant)
 """
@@ -25,14 +26,13 @@ from importlib import import_module
 # time, so a name that a caller patched on this module is the one that runs.
 _NAMES = {
     "model": (
-        "DocumentError",
         "InvariantError",
         "parse_demand",
         "parse_topology",
         "topology_to_obj",
         "virtual_node_map",
     ),
-    "analysis": ("AnalysisError", "AnalysisReport", "analyze", "report_to_obj"),
+    "analysis": ("AnalysisReport", "analyze", "report_to_obj"),
     "region": ("check_demand", "verdict_to_obj"),
     "schedule": ("integer_schedule", "plan_to_dot", "schedule_to_obj", "verify_schedule"),
     "scaling": ("classify", "parse_family", "sweep_rows"),
@@ -267,9 +267,10 @@ def main(argv=None) -> int:
         _bind(module)
     try:
         return args.func(args)
-    except (DocumentError, AnalysisError, OSError, ArithmeticError) as exc:
-        # ArithmeticError: a valid document whose exact values are too large
-        # to render as floats or to expand per node (e.g. 10**400-node layers)
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # ValueError: a bad document, or an exact value past the int-string
+        # limit; ArithmeticError: one too large for a float or to expand per
+        # node.  Each writer renders its whole output before printing any.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -112,6 +112,19 @@ ExtCount = int | Infinity
 _LITERAL_CHARS = frozenset("0123456789+-/.eE")
 
 
+def _read_rational(text: str) -> Fraction | None:
+    """The value of a rational literal, None for "inf"; every document reads its rationals here."""
+    if text == "inf":
+        return None
+    try:
+        # Fraction would also take spaces, '_' and non-ASCII digits
+        if not _LITERAL_CHARS.issuperset(text):
+            raise ValueError(text)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"bad rational literal {text!r}") from exc
+
+
 @total_ordering
 class ExtRational:
     """An exact rational extended with symbolic positive infinity.
@@ -127,31 +140,17 @@ class ExtRational:
     __slots__ = ("_value", "_text")
 
     def __init__(self, numerator=0, denominator=None):
-        if isinstance(numerator, Infinity):
-            if denominator is not None:
-                raise TypeError("infinite value takes no denominator")
-            object.__setattr__(self, "_value", None)
+        if type(numerator) is Fraction and denominator is None:
+            value = numerator  # already in lowest terms
+        elif not isinstance(numerator, (Infinity, ExtRational, str)):
+            value = Fraction(numerator, 1 if denominator is None else denominator)
+        elif denominator is not None:
+            raise TypeError(f"{type(numerator).__name__} construction takes no denominator")
         elif isinstance(numerator, ExtRational):
-            if denominator is not None:
-                raise TypeError("copy construction takes no denominator")
-            object.__setattr__(self, "_value", numerator._value)
-        elif isinstance(numerator, str):
-            if denominator is not None:
-                raise TypeError("string construction takes no denominator")
-            if numerator == "inf":
-                object.__setattr__(self, "_value", None)
-            else:
-                try:
-                    # Fraction would also take spaces, '_' and non-ASCII digits
-                    if not _LITERAL_CHARS.issuperset(numerator):
-                        raise ValueError(numerator)
-                    object.__setattr__(self, "_value", Fraction(numerator))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise DocumentError(f"bad rational literal {numerator!r}") from exc
+            value = numerator._value
         else:
-            object.__setattr__(
-                self, "_value", Fraction(numerator, denominator if denominator is not None else 1)
-            )
+            value = None if isinstance(numerator, Infinity) else _read_rational(numerator)
+        object.__setattr__(self, "_value", value)
 
     # -- predicates and accessors ------------------------------------------
 
@@ -528,7 +527,8 @@ class DemandMatrix(Record):
     def scale(self, factor) -> "DemandMatrix":
         if isinstance(factor, ExtRational):
             factor = factor.as_fraction()
-        factor = Fraction(factor)
+        elif type(factor) is not Fraction:
+            factor = Fraction(factor)
         return DemandMatrix({k: v * factor for k, v in self.entries.items()})
 
     @property
@@ -645,10 +645,8 @@ def demand_from_obj(obj) -> DemandMatrix:
             if isinstance(idx, bool) or not isinstance(idx, int) or idx < 1:
                 raise DemandError(f"demand entry {pos}: '{name}' must be a 1-based integer index")
         if isinstance(dof, str):
-            value = ExtRational(dof)
-            if not value.is_finite:
+            if (value := _read_rational(dof)) is None:
                 raise DemandError(f"demand entry {pos}: 'dof' must be finite")
-            value = value.as_fraction()
         elif isinstance(dof, int) and not isinstance(dof, bool):
             value = Fraction(dof)
         else:

@@ -4,12 +4,11 @@ The region is a simple closed polytope over the per-message DoF values:
 one total constraint and one share constraint per source and per
 destination node, each share proportional to that node's antenna count.
 For single-antenna endpoints the shares reduce to an even 1/|V| split.
-All comparisons are exact; the boundary is feasible.
+Both sides of a constraint are integer ratios, compared exactly by
+cross-multiplication; the boundary is feasible.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .analysis import _topology_sums
 from .model import DemandError, DemandMatrix, ExtRational, NetworkTopology, Record, validate_demand
@@ -52,44 +51,39 @@ class ScaleResult(Record):
     verdict: RegionVerdict
 
 
-def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, Fraction, Fraction]]:
-    """The region constraints as (id, lhs, rhs), exactly, in report order.
-
-    A source or destination without demand has lhs 0 below its positive
-    share, so it can be neither violated nor binding and is left out: the
-    cost follows the demand, not the endpoint sizes.
+def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, int, int, int, int]]:
+    """The region constraints as (id, p, q, r, s): lhs p/q against rhs r/s, in
+    report order.  A sum of p demand units is p/unit, and the share of a node
+    with a of its layer's S antennas is alpha*a/S = ad*a/(an*S).  A source or
+    destination without demand has lhs 0 below its positive share, so it is
+    left out: the cost follows the demand, not the endpoint sizes.
     """
     errors = validate_demand(t, d)
     if errors:
         raise DemandError("; ".join(errors))
     # finite endpoints give a positive sum, so alpha is finite
-    alpha = 1 / _topology_sums(t)[0]
+    an, ad = _topology_sums(t)[0].as_integer_ratio()
     unit, rows, cols = d.unit_sums()
-    constraints = [("total", Fraction(sum(rows.values()), unit), alpha)]
+    constraints = [("total", sum(rows.values()), unit, ad, an)]
     for prefix, layer, sums in (("src", t.source_layer, rows), ("dst", t.destination_layer, cols)):
         antennas = layer.antennas
-        share: dict[int, Fraction] = {}
+        s = an * layer.effective_size
         for k in sorted(sums):
             a = 1 if antennas is None else antennas[k]
-            if a not in share:
-                share[a] = alpha * Fraction(a, layer.effective_size)
-            constraints.append((f"{prefix}:{k + 1}", Fraction(sums[k], unit), share[a]))
+            constraints.append((f"{prefix}:{k + 1}", sums[k], unit, ad * a, s))
     return constraints
 
 
 def _verdict(constraints) -> RegionVerdict:
     violations = []
     binding = []
-    for name, lhs, rhs in constraints:
+    for name, p, q, r, s in constraints:
+        lhs, rhs = p * s, r * q  # p/q against r/s, cross-multiplied
         if lhs > rhs:
-            violations.append(Violation(name, ExtRational(lhs), ExtRational(rhs)))
+            violations.append(Violation(name, ExtRational(p, q), ExtRational(r, s)))
         elif lhs == rhs:
             binding.append(name)
-    return RegionVerdict(
-        feasible=not violations,
-        violations=tuple(violations),
-        binding=tuple(binding),
-    )
+    return RegionVerdict(not violations, tuple(violations), tuple(binding))
 
 
 def check_demand(t: NetworkTopology, d: DemandMatrix) -> RegionVerdict:
@@ -106,11 +100,17 @@ def max_uniform_scale(t: NetworkTopology, pattern: DemandMatrix) -> ScaleResult:
     if pattern.is_zero:
         raise DemandError("cannot scale a zero demand pattern")
     constraints = _constraints(t, pattern)
-    t_star = min(rhs / lhs for _, lhs, rhs in constraints if lhs != 0)
+    # t* is the least rhs/lhs = r*q/(s*p), found by cross-multiplication;
+    # 1/0 stands above every candidate
+    num, den = 1, 0
+    for _, p, q, r, s in constraints:
+        if r * q * den < num * s * p:
+            num, den = r * q, s * p
     # every left-hand side is a sum of entries, so scaling the pattern by t*
     # scales each one by t* exactly
-    verdict = _verdict((name, lhs * t_star, rhs) for name, lhs, rhs in constraints)
-    return ScaleResult(t_star=ExtRational(t_star), scaled=pattern.scale(t_star), verdict=verdict)
+    verdict = _verdict((name, p * num, q * den, r, s) for name, p, q, r, s in constraints)
+    t_star = ExtRational(num, den)
+    return ScaleResult(t_star=t_star, scaled=pattern.scale(t_star), verdict=verdict)
 
 
 def verdict_to_obj(v: RegionVerdict) -> dict:

@@ -27,6 +27,7 @@ from .model import (
     Record,
     _check_antenna_scale,
     _load_json,
+    _read_rational,
     scale_antennas,
     topology_from_obj,
 )
@@ -158,10 +159,9 @@ def parse_family(text: str) -> FamilySpec:
         base = []
         for entry in obj["base"]:
             if isinstance(entry, str):
-                value = ExtRational(entry)
-                if not value.is_finite:
+                if (value := _read_rational(entry)) is None:
                     raise FamilyError("base profile entries must be finite")
-                base.append(value.as_fraction())
+                base.append(value)
             elif isinstance(entry, int) and not isinstance(entry, bool):
                 base.append(Fraction(entry))
             else:
@@ -191,8 +191,9 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(kind=kind, base=base, pinned=pinned, topology=topology)
 
 
-def _round_half_up(q: Fraction) -> int:
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+def _round_half_up(numerator: int, denominator: int) -> int:
+    """numerator/denominator rounded to the nearest integer, halves up."""
+    return (2 * numerator + denominator) // (2 * denominator)
 
 
 def _family_sizes(f: FamilySpec, n: int) -> list[int]:
@@ -203,16 +204,19 @@ def _family_sizes(f: FamilySpec, n: int) -> list[int]:
         return [n * e for e in f.topology.effective_sizes()]
     if f.kind == "FixedSizesGrowingK":
         size = int(f.base[0])
-        layer_count = _round_half_up(Fraction(n, size))
+        layer_count = _round_half_up(n, size)
         if layer_count < 2:
             raise FamilyError(f"degenerate instantiation at n={n}: fewer than 2 layers")
         return [size] * layer_count
     pinned = dict(f.pinned or ())
     budget = max(0, n - sum(pinned.values()))
-    growth_total = sum(b for k, b in enumerate(f.base) if k not in pinned)
+    # the profile in integer weights b*unit, so b*budget/sum(b) is w*budget/total
+    unit = math.lcm(*(b.denominator for b in f.base))
+    weights = [b.numerator * (unit // b.denominator) for b in f.base]
+    total = sum(w for k, w in enumerate(weights) if k not in pinned)
     return [
-        pinned[k] if k in pinned else max(1, _round_half_up(b * budget / growth_total))
-        for k, b in enumerate(f.base)
+        pinned[k] if k in pinned else max(1, _round_half_up(w * budget, total))
+        for k, w in enumerate(weights)
     ]
 
 

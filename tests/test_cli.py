@@ -226,3 +226,42 @@ def test_deeply_nested_document_exits_2(files, capsys):
     path.write_text('{"layers":' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: topology document cannot be read: maximum recursion depth")
+
+
+# -- results past the int-string limit ------------------------------------------------
+
+
+def _primes_from(low: int, count: int) -> list[int]:
+    sieve = bytearray([1]) * (low + 20 * count)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    return [n for n in range(low, len(sieve)) if sieve[n]][:count]
+
+
+@pytest.fixture(scope="module")
+def prime_chain(tmp_path_factory):
+    """1,000 distinct 7-digit primes: every bound has about 6,000 digits."""
+    path = tmp_path_factory.mktemp("primes") / "primes.json"
+    path.write_text(json.dumps({"layers": [{"nodes": p} for p in _primes_from(10**6, 1000)]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{t}"],
+        ["analyze", "{t}", "--format", "json"],
+        ["analyze", "{t}", "--format", "csv"],
+        ["check", "{t}", "{d}", "--format", "table"],
+        ["check", "{t}", "{d}"],
+    ],
+    ids=["analyze-table", "analyze-json", "analyze-csv", "check-table", "check-json"],
+)
+def test_result_past_the_int_string_limit_exits_2(files, capsys, prime_chain, argv):
+    demand = files["tmp"] / "half.json"
+    demand.write_text('{"demands":[{"dst":1,"src":1,"dof":"1/2"}]}', encoding="utf-8")
+    assert main([a.format(t=prime_chain, d=demand) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Exceeds the limit (4300 digits)") and "Traceback" not in captured.err

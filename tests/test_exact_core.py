@@ -176,9 +176,11 @@ def test_every_chain_quantity_validates_its_sizes(fn, sizes, message):
 
 @st.composite
 def demands(draw):
-    """A finite chain and a demand on it: sparse, or dense on 16 x 16 endpoints."""
+    """A chain with finite endpoints and a demand on it: sparse, or dense on
+    16 x 16 endpoints.  A relay layer may be unbounded or past 10**400."""
     dense = draw(st.integers(0, 3)) == 0
-    relays = draw(st.lists(st.integers(1, 16), min_size=0, max_size=4))
+    relay = st.one_of(st.integers(1, 16), st.just(INFINITY), st.integers(0, 9).map(lambda k: 10**400 + k))
+    relays = draw(st.lists(relay, min_size=0, max_size=4))
     if dense:
         src, dst = LayerSpec(nodes=16), LayerSpec(nodes=16)
     else:

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from relaydof import scaling
 from relaydof.analysis import achievable_sum_dof
 from relaydof.model import LayerSpec, NetworkTopology, scale_antennas
-from relaydof.scaling import FamilyError, FamilySpec, _family_sizes, _round_half_up, classify, evaluate_family
+from relaydof.scaling import FamilyError, FamilySpec, _family_sizes, classify, evaluate_family
+
+
+def _round_half_up(q: Fraction) -> int:
+    """The rounding ``_family_sizes`` did in Fractions, before its integer route."""
+    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
 def reference_family(f, n):

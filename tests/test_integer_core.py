@@ -1,0 +1,129 @@
+"""The integer route of the exact core: each reported value is built once,
+from integers, and the per-hop loops it replaced stay here as oracles.
+
+``reference_bound1`` is the loop ``inverse_gap`` used to add its first
+bound with, one ExtRational per bounding hop.  The counting tests pin how
+many ``Fraction`` and ``ExtRational`` values the region check and the scale
+build, so a return to per-constraint rationals shows as a failure.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from relaydof.analysis import analyze, bounding_set, inverse_gap
+from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, NetworkTopology, parse_demand
+from relaydof.region import check_demand, max_uniform_scale
+from relaydof.scaling import parse_family
+
+
+def reference_bound1(sizes) -> ExtRational:
+    """Sum of 1/max(m, n) over the bounding hops, one hop at a time."""
+    bound1 = ExtRational(0)
+    for k in bounding_set(sizes):
+        bound1 = bound1 + ExtRational(max(sizes[k], sizes[k + 1])).reciprocal()
+    return bound1
+
+
+def _counting(monkeypatch, cls) -> list[int]:
+    """Count the values of ``cls`` built from here on, in a one-item list."""
+    built = [0]
+    if cls is Fraction:
+        original = Fraction.__new__
+
+        def counting_new(klass, *args, **kwargs):
+            built[0] += 1
+            return original(klass, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    else:
+        original_init = cls.__init__
+
+        def counting_init(self, *args):
+            built[0] += 1
+            original_init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def _chain(sizes) -> NetworkTopology:
+    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+
+
+# -- model ----------------------------------------------------------------------
+
+
+def test_extrational_keeps_an_exact_fraction():
+    value = Fraction(6, 4)
+    assert ExtRational(value).as_fraction() is value
+    assert ExtRational(6, 4).as_fraction() == Fraction(3, 2)
+    assert ExtRational(value, 3).as_fraction() == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        ExtRational("1/2", 3)
+
+
+def test_documents_read_rationals_without_extrationals(monkeypatch):
+    built = _counting(monkeypatch, ExtRational)
+    demand = parse_demand('{"demands":[{"dst":1,"src":1,"dof":"1/2"},{"dst":2,"src":1,"dof":"0.25"}]}')
+    family = parse_family('{"kind":"ProportionalFixedK","base":["1/2","3e0",2]}')
+    assert built[0] == 0
+    assert demand.entries == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4)}
+    assert family.base == (Fraction(1, 2), Fraction(3), Fraction(2))
+
+
+# -- inverse_gap ------------------------------------------------------------------
+
+
+_size = st.one_of(st.integers(1, 64), st.just(INFINITY), st.integers(0, 9).map(lambda k: 10**40 + k))
+
+
+@settings(deadline=None)
+@given(st.lists(_size, min_size=2, max_size=60))
+def test_bound1_matches_the_per_hop_loop(sizes):
+    exact, bound1, bound2 = inverse_gap(sizes)
+    assert bound1 == reference_bound1(sizes)
+    assert exact <= bound1 <= bound2
+
+
+def test_bound1_builds_few_extrationals(monkeypatch):
+    sizes = [INFINITY if k % 97 == 0 else 1 + (k * k) % 64 for k in range(1, 4001)]
+    expected = reference_bound1(sizes)
+    built = _counting(monkeypatch, ExtRational)
+    assert inverse_gap(sizes)[1] == expected
+    assert built[0] < 10
+
+
+# -- region -----------------------------------------------------------------------
+
+
+def test_feasible_dense_check_builds_no_fraction(monkeypatch):
+    t = _chain([16, 7, 16])
+    analyze(t)  # fills the topology's sums
+    # alpha = 28/11 of [16, 7, 16]; every row and column sums to 2/15 < 7/44
+    d = DemandMatrix({(j, i): Fraction(1, 120) for j in range(16) for i in range(16)})
+    built = _counting(monkeypatch, Fraction)
+    verdict = check_demand(t, d)
+    assert built[0] == 0
+    assert verdict.feasible and not verdict.binding
+
+
+def test_infeasible_check_builds_two_fractions_per_violation(monkeypatch):
+    t = _chain([16, 7, 16])
+    analyze(t)
+    d = DemandMatrix({(j, i): Fraction(1, 2 + (i + j) % 5) for j in range(16) for i in range(16)})
+    built = _counting(monkeypatch, Fraction)
+    verdict = check_demand(t, d)
+    assert len(verdict.violations) == 33  # the total, and every row and column
+    assert built[0] <= 2 * len(verdict.violations)
+
+
+def test_scale_builds_t_star_once_plus_one_value_per_entry(monkeypatch):
+    t = _chain([16, 7, 16])
+    analyze(t)
+    d = DemandMatrix({(j, i): Fraction(1, 1 + (3 * i + j) % 7) for j in range(16) for i in range(16)})
+    built = _counting(monkeypatch, Fraction)
+    result = max_uniform_scale(t, d)
+    assert built[0] <= 1 + len(d.entries)
+    assert result.verdict.feasible and result.verdict.binding
