@@ -9,13 +9,16 @@ per layer, unit/size (``_layer_weights``), kept by a topology once computed
 (``_topology_sums``).  Every other value is a closed form in the integers
 of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
 result is one exact ExtRational built from a numerator and a denominator.
+A hop value is formatted as it enters the hop caches; reports read its text.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from collections.abc import Sequence
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
@@ -118,7 +121,7 @@ def _hop_achievable(m: ExtCount, n: ExtCount) -> ExtRational:
         return _hop_achievable(n, m)  # symmetric: (m, n) and (n, m) share one value
     if isinstance(n, Infinity):
         return _count_dof(m)
-    return ExtRational(m * n, m + n - 1)
+    return _formatted(ExtRational(m * n, m + n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -129,38 +132,49 @@ def _hop_cutset(m: ExtCount, n: ExtCount) -> ExtRational:
 @lru_cache(maxsize=None)
 def _count_dof(size: ExtCount) -> ExtRational:
     """One shared value per layer size, for every hop whose value it is."""
-    return ExtRational(size)
+    return _formatted(ExtRational(size))
 
 
-def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[set[int], int, list[int]]:
-    """(finite sizes, unit = their lcm, w = unit/size per layer, 0 if infinite)."""
+def _formatted(value: ExtRational) -> ExtRational:
+    """``value`` with its text made, unless it is past the int-string limit."""
+    with suppress(ValueError):  # left for the report to raise
+        str(value)
+    return value
+
+
+def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]]:
+    """(unit = lcm of the finite sizes, then per layer unit/size and the size, 0 if infinite)."""
     finite = _finite_sizes(sizes)
     unit = math.lcm(*finite)
     weight = {s: unit // s for s in finite}
-    return finite, unit, list(map(weight.get, sizes, repeat(0)))
+    plain = dict(zip(finite, finite))
+    return unit, list(map(weight.get, sizes, repeat(0))), list(map(plain.get, sizes, repeat(0)))
 
 
 def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
-    """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly.
+    """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly:
+    ``_weight_sums`` of its ``_layer_weights``."""
+    return _weight_sums(*_layer_weights(sizes))
 
-    In the ``_layer_weights`` of the chain, a hop (m, n) adds
-    1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit) and
-    1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
+
+def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[Fraction, Fraction]:
+    """The two reciprocal sums in a chain's ``_layer_weights``.
+
+    A hop (m, n) adds 1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit)
+    and 1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
     1/(mn) term, unit**2 // (mn) over unit**2, is there only when both ends
     are finite; this covers hops with one or two infinite ends as well.
-    Every sum is a C-level pass over the layers, and no two weights are
-    multiplied, so the cost stays linear in the digits of the unit.
+    Every sum is a C-level pass, over the layers or over the distinct mn,
+    and no two weights are multiplied: the cost is linear in unit's digits.
     """
-    finite, unit, w = _layer_weights(sizes)
     # sum over hops of (w_m + w_n): every layer twice except the two ends
     ends = 2 * sum(w) - w[0] - w[-1]
     spreads = sum(map(abs, map(operator.sub, w, w[1:])))
-    # m*n of every hop with two finite ends (an infinite layer reads as 0)
-    plain = list(map(dict(zip(finite, finite)).get, sizes, repeat(0)))
-    tied = filter(None, map(operator.mul, plain, plain[1:]))
+    # how many hops have each product m*n, over hops with two finite ends
+    tied = Counter(filter(None, map(operator.mul, plain, plain[1:])))
     square = unit * unit
-    inv_alpha = Fraction(unit * ends - sum(map(square.__floordiv__, tied)), square)
-    return inv_alpha, Fraction(ends + spreads, 2 * unit)
+    cross = sum(map(operator.mul, map(square.__floordiv__, tied), tied.values()))
+    return Fraction(unit * ends - cross, square), Fraction(ends + spreads, 2 * unit)
 
 
 _store_sums = NetworkTopology._sums.__set__
@@ -222,10 +236,10 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     with an infinite endpoint contribute nothing; when no hop can contribute
     the bounds are 0 as well.
     """
-    inv_alpha, inv_beta = _reciprocal_sums(sizes)
+    unit, w, plain = _layer_weights(sizes)
+    inv_alpha, inv_beta = _weight_sums(unit, w, plain)
     members = _bounding_set(sizes)
     # 1/max(m, n) of a hop is min(w_m, w_n)/unit, 0 with an infinite end
-    _, unit, w = _layer_weights(sizes)
     bound1 = ExtRational(sum(min(w[k], w[k + 1]) for k in members), unit)
     smallest_tx = min(map(sizes.__getitem__, members), default=INFINITY)
     bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
@@ -279,7 +293,7 @@ def relay_loss_factor(source_size: ExtCount, destination_size: ExtCount) -> ExtR
 def analyze(t: NetworkTopology) -> AnalysisReport:
     """Full report over the topology's effective (antenna-split) sizes."""
     sizes = t.effective_sizes()
-    if all(isinstance(s, Infinity) for s in sizes):
+    if not any(map(isinstance, sizes, repeat(int))):
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
     inv_alpha, inv_beta = _topology_sums(t)
     inverse_gap, absolute_gap, fractional_gap_bound = _gaps(inv_alpha, inv_beta)
@@ -303,13 +317,21 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
     )
 
 
+def _texts(values: tuple[ExtRational, ...]) -> list[str]:
+    """``str`` of each value, read from the texts the hop caches made if all have one."""
+    try:
+        return list(map(operator.attrgetter("_text"), values))
+    except AttributeError:
+        return list(map(str, values))
+
+
 def report_to_obj(report: AnalysisReport) -> dict:
     """JSON-friendly dict with rationals as "p/q" strings, infinity as "inf"."""
     obj = {
         "achievable": str(report.achievable),
-        "achievable_per_hop": list(map(str, report.achievable_per_hop)),
+        "achievable_per_hop": _texts(report.achievable_per_hop),
         "cutset": str(report.cutset),
-        "cutset_per_hop": list(map(str, report.cutset_per_hop)),
+        "cutset_per_hop": _texts(report.cutset_per_hop),
         "inverse_gap": str(report.inverse_gap),
         "absolute_gap": str(report.absolute_gap),
         "fractional_gap_bound": str(report.fractional_gap_bound),

@@ -17,6 +17,8 @@ functions, safe to share across threads.  The one slot filled after
 construction is a topology's pair of reciprocal sums, stored on first use
 by ``relaydof.analysis``: a value derived from the layers alone, so two
 threads that fill it at once store equal values and either one may stay.
+Parsing shares each node count's ``LayerSpec`` across documents through one
+bounded cache, ``_node_spec``, and runs no Python code per node-count layer.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import total_ordering
-from operator import attrgetter
+from functools import lru_cache, total_ordering
+from itertools import compress, count, repeat
+from operator import attrgetter, not_
 from types import MappingProxyType
 
 __all__ = [
@@ -388,7 +391,8 @@ class LayerSpec(Record):
             if len(antennas) == 0:
                 raise TopologyError("antenna list must be nonempty")
             for a in antennas:
-                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+                # one type() test per int entry; other ints but bool also pass
+                if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or a < 1:
                     raise TopologyError(f"antenna count must be a positive integer, got {a!r}")
             size = sum(antennas)
         else:
@@ -428,7 +432,7 @@ _EFFECTIVE_SIZE = attrgetter("effective_size")
 class NetworkTopology(Record):
     """Ordered layer chain: sources, relay layers, destinations.
 
-    Layers may be shared: a parsed topology holds one ``LayerSpec`` per
+    Layers may be shared: parsed topologies hold one ``LayerSpec`` per
     distinct ``{"nodes": ...}`` value.  ``_sums`` stays empty until the
     chain's (sum of 1/alpha_k, sum of 1/beta_k) is first needed; see
     ``analysis._topology_sums``.
@@ -567,29 +571,39 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
     if not isinstance(obj, dict):
         raise TopologyError(f"layer {index}: expected an object, got {type(obj).__name__}")
     try:
-        if len(obj) == 1 and "nodes" in obj:
-            raw = obj["nodes"]
-            return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
         if len(obj) == 1 and "antennas" in obj:
             raw = obj["antennas"]
             if not isinstance(raw, list):
                 raise TopologyError("'antennas' must be a nonempty list")
             if "inf" in raw:
                 raise TopologyError("infinite layer cannot carry an antenna list")
-            return LayerSpec(antennas=tuple(raw))
+            return LayerSpec(None, tuple(raw))  # positional: keywords cost a dict per call
+        if len(obj) == 1 and "nodes" in obj:
+            raw = obj["nodes"]
+            return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
     except TopologyError as exc:
         raise TopologyError(f"layer {index}: {exc}") from None
     raise TopologyError(f"layer {index}: expected exactly one of 'nodes' or 'antennas'")
 
 
-# the hashable JSON values a valid or invalid "nodes" entry can take
-_SCALARS = frozenset((str, int, float, bool))
+_DICT, _ONE, _COUNT_TYPES = frozenset({dict}), frozenset({1}), frozenset({int, str, type(None)})
+
+
+@lru_cache(maxsize=1024)
+def _node_spec(raw: int | str | None) -> LayerSpec | None:
+    """The spec every ``{"nodes": raw}`` layer shares, None for a bad count.
+    Only an int, a str or None may come here: no two of those are equal
+    unless their types are, so the key is typed without storing the type."""
+    try:
+        return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
+    except TopologyError:
+        return None
 
 
 def topology_from_obj(obj) -> NetworkTopology:
-    """Validate a topology object; each distinct ``{"nodes": v}`` value is
-    checked once and its ``LayerSpec`` shared by every layer that repeats it.
-    """
+    """Validate a topology object in C-level passes over its layers: each
+    ``{"nodes": v}`` layer gets the spec ``_node_spec`` keeps for ``v``, and
+    only antenna layers and bad layers are read one at a time."""
     if not isinstance(obj, dict) or "layers" not in obj:
         raise TopologyError("topology document must be an object with a 'layers' list")
     layers = obj["layers"]
@@ -597,17 +611,17 @@ def topology_from_obj(obj) -> NetworkTopology:
         raise TopologyError("'layers' must be a list")
     if len(layers) < 2:
         raise TopologyError("topology needs at least 2 layers")
-    # a node count is keyed on (type, value), so true and 1, 2.0 and 2 are
-    # different values here
-    shared: dict[tuple, LayerSpec] = {}
-    specs = []
-    for k, layer in enumerate(layers):
-        if type(layer) is dict and len(layer) == 1 and type(raw := layer.get("nodes")) in _SCALARS:
-            if (spec := shared.get(key := (type(raw), raw))) is None:
-                spec = shared[key] = _layer_from_obj(layer, k)
-        else:
-            spec = _layer_from_obj(layer, k)
-        specs.append(spec)
+    # each one-key layer's "nodes" value, None for other layers; a bool or
+    # float equals some int, so with one every layer is read alone (and fails)
+    counts = [None] * len(layers)
+    if _DICT.issuperset(map(type, layers)) and _ONE.issuperset(map(len, layers)):
+        values = list(map(dict.get, layers, repeat("nodes")))
+        if _COUNT_TYPES.issuperset(map(type, values)):
+            counts = values
+    specs = list(map(_node_spec, counts))
+    if not all(specs):  # antenna layers or bad layers, read in order
+        for k in compress(count(), map(not_, specs)):
+            specs[k] = _layer_from_obj(layers[k], k)
     return NetworkTopology(tuple(specs))
 
 
