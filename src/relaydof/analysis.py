@@ -18,7 +18,6 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
@@ -137,8 +136,10 @@ def _count_dof(size: ExtCount) -> ExtRational:
 
 def _formatted(value: ExtRational) -> ExtRational:
     """``value`` with its text made, unless it is past the int-string limit."""
-    with suppress(ValueError):  # left for the report to raise
+    try:
         str(value)
+    except ValueError:  # left for the report to raise
+        pass
     return value
 
 
@@ -165,7 +166,9 @@ def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[Fraction, F
     1/(mn) term, unit**2 // (mn) over unit**2, is there only when both ends
     are finite; this covers hops with one or two infinite ends as well.
     Every sum is a C-level pass, over the layers or over the distinct mn,
-    and no two weights are multiplied: the cost is linear in unit's digits.
+    and no two weights are multiplied, so each term costs time linear in
+    unit's digits.  The whole is not linear: on a chain of distinct primes
+    every mn is distinct and unit has O(L) digits, so the sums cost O(L**2).
     """
     # sum over hops of (w_m + w_n): every layer twice except the two ends
     ends = 2 * sum(w) - w[0] - w[-1]

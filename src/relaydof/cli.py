@@ -76,13 +76,10 @@ def _fmt(value, decimal: bool) -> str:
     return str(value)
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
 def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max(len(name) for name, _ in rows)
-    bold, reset = ("\033[1m", "\033[0m") if _use_color() else ("", "")
+    color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    bold, reset = ("\033[1m", "\033[0m") if color else ("", "")
     for name, value in rows:
         print(f"{bold}{name.ljust(width)}{reset}  {value}")
 

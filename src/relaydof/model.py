@@ -7,8 +7,9 @@ node count (possibly the symbolic value ``inf``) or an explicit list of
 per-node antenna counts.  Everything downstream works on exact numbers:
 finite values are ``fractions.Fraction`` and the single infinite value is
 symbolic, so identities can be asserted with ``==`` instead of tolerances.
-Each type writes one ordering beside its ``__eq__`` (``Infinity.__le__``,
-``ExtRational.__lt__``) and ``functools.total_ordering`` derives the rest.
+``Infinity.__le__`` is its ``__eq__``, since inf is at most itself and
+nothing else; ``ExtRational`` writes ``__lt__`` beside its ``__eq__``; and
+``functools.total_ordering`` derives the rest of each.
 Ints, Fractions and both extended types compare with each other; anything
 else, a float say, is ``NotImplemented``.
 
@@ -96,13 +97,9 @@ class Infinity:
     def __hash__(self):
         return hash(float("inf"))
 
-    # the root of the derived orderings, so ``size <= 1`` is one call
-    def __le__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, (int, Fraction)):
-            return False
-        return NotImplemented
+    # inf is at most itself and nothing else, so ``<=`` is ``==``; as the
+    # root of the derived orderings it keeps ``size <= 1`` one call
+    __le__ = __eq__
 
 
 INFINITY = Infinity()
@@ -295,10 +292,6 @@ class ExtRational:
 
     def __repr__(self):
         return f"ExtRational({str(self)!r})"
-
-
-def _ext_count_to_obj(value: ExtCount):
-    return "inf" if isinstance(value, Infinity) else value
 
 
 class Record:
@@ -636,7 +629,7 @@ def topology_to_obj(t: NetworkTopology) -> dict:
         if layer.antennas is not None:
             layers.append({"antennas": list(layer.antennas)})
         else:
-            layers.append({"nodes": _ext_count_to_obj(layer.nodes)})
+            layers.append({"nodes": "inf" if layer.is_infinite else layer.nodes})
     return {"layers": layers}
 
 

@@ -28,9 +28,10 @@ import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 
-from .analysis import _finite_sizes, achievable_sum_dof
+from .analysis import AnalysisError, _finite_sizes, achievable_sum_dof
 from .model import (
     DemandError,
     DemandMatrix,
@@ -483,15 +484,8 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     unit, rows, cols = demand.unit_sums()
     denominator = unit * sizes[0] * sizes[-1]
     total, per_unit = total_bits * denominator, delay * sizes[0] * sizes[-1]
-    shared: dict[int, Fraction] = {}
-
-    def bits(units: int) -> Fraction:
-        """A count of U as bits; equal counts share one Fraction."""
-        value = shared.get(units)
-        if value is None:
-            value = shared[units] = Fraction(units, denominator)
-        return value
-
+    # a count of U as bits; equal counts share one Fraction
+    bits = lru_cache(maxsize=None)(lambda units: Fraction(units, denominator))
     received: dict[int, list[tuple[int, Fraction]]] = {}
     sources = []
     last = None
@@ -600,30 +594,36 @@ def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
             if got != sum(units(b) for _, b in sink.received) + units(sink.padding_bits):
                 yield _sink_id(sink.dst)
 
-    bad_relays = (
-        (k, n)
-        for k in range(1, hops)
-        if sizes[k - 1] * pair[k - 1] != sizes[k + 1] * pair[k]
-        for n in range(sizes[k])
-    )
+    # relay layer k + 1 is unbalanced exactly when phase k's out-flow is
+    bad_relays = ((k + 1, n) for k in range(hops) if out_bad[k] for n in range(sizes[k + 1]))
     total = units(plan.total_bits)
     uneven_phases = [k for k in range(hops) if sizes[k] * sizes[k + 1] * pair[k] != total]
     return list(islice(bad_nodes(), 4)), list(islice(bad_relays, 4)), uneven_phases
 
 
+_CHECKS = ("phase-recurrence", "bit-conservation", "sum-dof", "demand-shares")
+
+
 def verify_schedule(s: Schedule) -> VerificationReport:
     """Re-derive the schedule's defining identities and report each one.
 
-    Failures are reported, never raised.
+    Failures are reported, never raised: phases whose sizes no schedule
+    runs on fail every check, before any check reads them.
     """
-    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
+    sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
+    try:
+        _schedule_sizes(sizes)
+    except (AnalysisError, TopologyError) as exc:
+        detail = f"phase sizes {sizes}: {exc}"
+        return VerificationReport(tuple(CheckResult(name, False, detail) for name in _CHECKS))
     hops = len(s.phases)
     plan = s.split_plan
     units = _plan_units(plan)
-    checks = []
+    results = []  # (passed, detail) of each check, in _CHECKS order
 
     # (1) forwarding recurrence between consecutive phases, and each phase's
-    # own fields: its hop index and its per-pair share of the X network
+    # own fields: its hop index, its receivers (the next layer's size) and
+    # its per-pair share of the X network
     bad_hops = []
     for k in range(1, hops):
         lhs = Fraction(s.phases[k - 1].block_length * sizes[k - 1], sizes[k - 1] + sizes[k] - 1)
@@ -632,13 +632,14 @@ def verify_schedule(s: Schedule) -> VerificationReport:
             bad_hops.append(k)
     bad_fields = []
     for k, p in enumerate(s.phases):
-        pairs = p.tx_count + p.rx_count - 1
-        if (p.hop, p.per_pair_dof, p.per_pair_bits) != (k, Fraction(1, pairs), Fraction(p.block_length, pairs)):
+        pairs = sizes[k] + sizes[k + 1] - 1
+        fields = (p.hop, p.rx_count, p.per_pair_dof, p.per_pair_bits)
+        if fields != (k, sizes[k + 1], Fraction(1, pairs), Fraction(p.block_length, pairs)):
             bad_fields.append(k)
     parts = [f"forwarding mismatch at hop(s) {bad_hops}"] if bad_hops else []
     if bad_fields:
         parts.append(f"phase fields off at hop(s) {bad_fields}")
-    checks.append(CheckResult("phase-recurrence", not parts, "; ".join(parts)))
+    results.append((not parts, "; ".join(parts)))
 
     # (2) bit conservation: edge sums must reproduce every node total, each
     # relay node forwards exactly what it decoded, each phase carries the
@@ -663,7 +664,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
                 f"plan (total_bits, bits_per_dof) ({plan.total_bits}, {plan.bits_per_dof}) differs"
                 f" from schedule (total_bits, total_delay) ({s.total_bits}, {s.total_delay})"
             )
-    checks.append(CheckResult("bit-conservation", not parts, "; ".join(parts)))
+    results.append((not parts, "; ".join(parts)))
 
     # (3) the realized rate equals the achievable sum DoF
     alpha = achievable_sum_dof(sizes)
@@ -673,13 +674,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
         and s.sum_dof * s.total_delay == s.total_bits
         and delay_ok
     )
-    checks.append(
-        CheckResult(
-            "sum-dof",
-            rate_ok,
-            "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {alpha}",
-        )
-    )
+    results.append((rate_ok, "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {alpha}"))
 
     # (4) destination bins and source messages match the demand exactly; with
     # d the demand's unit, a bit count b is right when b*U*d equals its DoF
@@ -703,15 +698,8 @@ def verify_schedule(s: Schedule) -> VerificationReport:
             problems.append(f"message {_msg_id(msg.dst, msg.src)}")
     if units(plan.padding_bits) * unit != total - sum(cols.values()) * per_dof:
         problems.append("total padding")
-    checks.append(
-        CheckResult(
-            "demand-shares",
-            not problems,
-            "" if not problems else "; ".join(problems[:4]),
-        )
-    )
-
-    return VerificationReport(tuple(checks))
+    results.append((not problems, "; ".join(problems[:4])))
+    return VerificationReport(tuple(CheckResult(name, *result) for name, result in zip(_CHECKS, results)))
 
 
 # -- serialization ------------------------------------------------------------

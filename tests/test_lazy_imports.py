@@ -245,20 +245,26 @@ def test_a_patched_cli_name_is_the_one_that_runs(files, monkeypatch, capsys, nam
 HEAVY = ("ast", "csv", "dataclasses", "dis", "inspect", "tokenize", "typing")
 
 
-def heavy_loaded_by_main(argv: list[str], cwd) -> tuple[int, list[str]]:
-    """Exit code and the HEAVY modules loaded by ``cli.main(argv)`` in a
-    fresh interpreter started without ``site``, which can import ``typing``
-    itself through a ``.pth`` file."""
+def stdlib_loaded_by_main(argv: list[str], cwd, names: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Exit code and which of ``names`` ``cli.main(argv)`` loads in a fresh
+    interpreter started without ``site``, which can import ``typing`` itself
+    through a ``.pth`` file.  The streams are swapped by hand, since
+    ``contextlib`` is one of the modules asked about."""
     code = (
-        "import contextlib, io, json, sys\n"
+        "import io, json, sys\n"
         "from relaydof import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, sorted(set(sys.modules) & set({HEAVY!r}))]))"
+        "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, sorted(set(sys.modules) & set({names!r}))]), file=out)"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-S", "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
     return tuple(json.loads(out.stdout.splitlines()[-1]))
+
+
+def heavy_loaded_by_main(argv: list[str], cwd) -> tuple[int, list[str]]:
+    """Exit code and the HEAVY modules loaded by ``cli.main(argv)``."""
+    return stdlib_loaded_by_main(argv, cwd, HEAVY)
 
 
 @pytest.fixture
@@ -269,7 +275,8 @@ def bad_files(files):
     return files
 
 
-@pytest.mark.parametrize(
+# every command, well-formed and malformed, with its exit code
+COMMANDS = pytest.mark.parametrize(
     "argv, code",
     [
         (["analyze", "t.json"], 0),
@@ -288,8 +295,16 @@ def bad_files(files):
         (["analyze", "missing.json"], 2),
     ],
 )
+
+
+@COMMANDS
 def test_command_loads_no_dataclasses_typing_or_csv(bad_files, argv, code):
     assert heavy_loaded_by_main(argv, bad_files) == (code, [])
+
+
+@COMMANDS
+def test_command_loads_no_contextlib(bad_files, argv, code):
+    assert stdlib_loaded_by_main(argv, bad_files, ("contextlib",)) == (code, [])
 
 
 @pytest.mark.parametrize(

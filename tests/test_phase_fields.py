@@ -57,6 +57,46 @@ def test_both_details_are_joined():
     assert detail == "forwarding mismatch at hop(s) [1]; phase fields off at hop(s) [1]"
 
 
+CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
+
+
+@pytest.mark.parametrize(
+    "phases, detail",
+    [
+        (
+            lambda s: (PhasePlan(0, 0, 1, 4, Fraction(1), Fraction(4)), s.phases[1]),
+            "phase sizes [0, 3, 2]: transmitter count must be a positive integer or INFINITY, got 0",
+        ),
+        (
+            lambda s: (s.phases[0], PhasePlan(1, -1, 2, 4, Fraction(1, 4), Fraction(1))),
+            "phase sizes [2, -1, 2]: receiver count must be a positive integer or INFINITY, got -1",
+        ),
+        (lambda s: (), "phase sizes []: need at least 2 layers"),
+    ],
+    ids=["zero-tx", "negative-tx", "no-phases"],
+)
+def test_phases_of_bad_sizes_fail_every_check(phases, detail):
+    s = _schedule()
+    report = verify_schedule(_with_phases(s, *phases(s)))
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [(name, False, detail) for name in CHECKS]
+
+
+@pytest.mark.parametrize(
+    "phase0",
+    [
+        PhasePlan(0, 2, -1, 4, Fraction(1, 4), Fraction(1)),
+        # consistent with itself, but layer 1 holds 3 nodes
+        PhasePlan(0, 2, 5, 4, Fraction(1, 6), Fraction(2, 3)),
+    ],
+    ids=["negative-rx", "other-rx"],
+)
+def test_receiver_count_off_its_next_phase_fails_recurrence(phase0):
+    s = _schedule()
+    report = verify_schedule(_with_phases(s, phase0, s.phases[1]))
+    assert [c.name for c in report.failures()] == ["phase-recurrence"]
+    assert _recurrence(report).detail == "phase fields off at hop(s) [0]"
+
+
 def test_tampered_values_would_reach_the_writer():
     # what the check keeps from being written out as verified
     s = _schedule()

@@ -194,6 +194,29 @@ def test_default_plan_has_no_padding():
     assert sum(m.bits for m in plan.sources) == s.total_bits
 
 
+def _one_object_per_value(values):
+    return len(set(map(id, values))) == len(set(values))
+
+
+def test_uniform_plan_holds_one_object_per_count():
+    # a 1000^3 uniform plan would otherwise hold 10^6 separate Fractions
+    plan = integer_schedule(_chain([3, 4, 5])).split_plan
+    carried = [m.bits for m in plan.sources] + [b for sink in plan.sinks for _, b in sink.received]
+    assert len(carried) == 30 and len(set(map(id, carried))) == 1
+    assert len(set(id(sink.padding_bits) for sink in plan.sinks)) == 1
+
+
+def test_sparse_plan_shares_equal_counts():
+    demand = {(0, 0): Fraction(1, 10), (2, 0): Fraction(1, 10), (1, 1): Fraction(1, 5)}
+    plan = splitting_plan(_chain([3, 2, 3]), DemandMatrix(demand))
+    paddings = [p.bits for p in plan.paddings]
+    # sources 1 and 2 pad alike, from separate row sums
+    assert paddings == [Fraction(2, 5), Fraction(2, 5), Fraction(2)]
+    counts = paddings + [m.bits for m in plan.sources]
+    counts += [b for sink in plan.sinks for _, b in sink.received] + [sink.padding_bits for sink in plan.sinks]
+    assert _one_object_per_value(counts)
+
+
 def test_boundary_single_demand_plan_1_2_4():
     # one message scaled to the boundary: the column share binds at alpha/4
     t = _chain([1, 2, 4])
