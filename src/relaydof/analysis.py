@@ -9,7 +9,7 @@ per layer, unit/size (``_layer_weights``), kept by a topology once computed
 (``_topology_sums``).  Every other value is a closed form in the integers
 of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
 result is one exact ExtRational built from a numerator and a denominator.
-A hop value is formatted as it enters the hop caches; reports read its text.
+A value's text is made by its first report and kept for the next.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _hop_achievable(m: ExtCount, n: ExtCount) -> ExtRational:
         return _hop_achievable(n, m)  # symmetric: (m, n) and (n, m) share one value
     if isinstance(n, Infinity):
         return _count_dof(m)
-    return _formatted(ExtRational(m * n, m + n - 1))
+    return ExtRational(m * n, m + n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -131,16 +131,7 @@ def _hop_cutset(m: ExtCount, n: ExtCount) -> ExtRational:
 @lru_cache(maxsize=None)
 def _count_dof(size: ExtCount) -> ExtRational:
     """One shared value per layer size, for every hop whose value it is."""
-    return _formatted(ExtRational(size))
-
-
-def _formatted(value: ExtRational) -> ExtRational:
-    """``value`` with its text made, unless it is past the int-string limit."""
-    try:
-        str(value)
-    except ValueError:  # left for the report to raise
-        pass
-    return value
+    return ExtRational(size)
 
 
 def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]]:
@@ -321,7 +312,7 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
 
 
 def _texts(values: tuple[ExtRational, ...]) -> list[str]:
-    """``str`` of each value, read from the texts the hop caches made if all have one."""
+    """``str`` of each value: one C-level read of the texts they keep, once all have one."""
     try:
         return list(map(operator.attrgetter("_text"), values))
     except AttributeError:

@@ -10,14 +10,16 @@ symbolic, so identities can be asserted with ``==`` instead of tolerances.
 ``Infinity.__le__`` is its ``__eq__``, since inf is at most itself and
 nothing else; ``ExtRational`` writes ``__lt__`` beside its ``__eq__``; and
 ``functools.total_ordering`` derives the rest of each.
-Ints, Fractions and both extended types compare with each other; anything
-else, a float say, is ``NotImplemented``.
+Ints, Fractions and both extended types mix in every ``ExtRational``
+operator, which reads its operand through the one rule ``_operand``;
+anything else, a float say, is ``NotImplemented``.
 
 All types are immutable after construction and all operations are pure
-functions, safe to share across threads.  The one slot filled after
-construction is a topology's pair of reciprocal sums, stored on first use
-by ``relaydof.analysis``: a value derived from the layers alone, so two
-threads that fill it at once store equal values and either one may stay.
+functions, safe to share across threads.  Two slots are filled after
+construction, each on first use: a topology's pair of reciprocal sums, by
+``relaydof.analysis``, and an ``ExtRational``'s text, by its ``__str__``.
+Each is derived from its object alone, so two threads that fill one at
+once store equal values and either one may stay.
 Parsing shares each node count's ``LayerSpec`` across documents through one
 bounded cache, ``_node_spec``, and runs no Python code per node-count layer.
 """
@@ -28,7 +30,7 @@ import json
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache, total_ordering, wraps
 from itertools import compress, count, repeat
 from operator import attrgetter, not_
 from types import MappingProxyType
@@ -125,6 +127,22 @@ def _read_rational(text: str) -> Fraction | None:
         raise DocumentError(f"bad rational literal {text!r}") from exc
 
 
+def _operand(method):
+    """Every ``ExtRational`` operator's operand rule: a Fraction, None for inf, else NotImplemented."""
+
+    @wraps(method)
+    def operator_(self, other):
+        if isinstance(other, ExtRational):
+            return method(self, other._value)
+        if isinstance(other, (int, Fraction)):
+            return method(self, Fraction(other))
+        if isinstance(other, Infinity):
+            return method(self, None)
+        return NotImplemented
+
+    return operator_
+
+
 @total_ordering
 class ExtRational:
     """An exact rational extended with symbolic positive infinity.
@@ -176,30 +194,16 @@ class ExtRational:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtRational):
-            return other._value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        if isinstance(other, Infinity):
-            return None
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __add__(self, v):
         if self._value is None or v is None:
             return ExtRational(INFINITY)
         return ExtRational(self._value + v)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __sub__(self, v):
         if self._value is None and v is None:
             raise ArithmeticError("inf - inf is undefined")
         if self._value is None:
@@ -208,16 +212,12 @@ class ExtRational:
             raise ArithmeticError("finite minus infinite leaves the domain")
         return ExtRational(self._value - v)
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __rsub__(self, v):
         return ExtRational(v if v is not None else INFINITY) - self
 
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __mul__(self, v):
         if self._value is None or v is None:
             finite = v if self._value is None else self._value
             if finite is not None and finite == 0:
@@ -229,10 +229,8 @@ class ExtRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, v):
         if v is None:
             if self._value is None:
                 raise ArithmeticError("inf / inf is undefined")
@@ -247,27 +245,21 @@ class ExtRational:
             return ExtRational(INFINITY)
         return ExtRational(self._value / v)
 
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __rtruediv__(self, v):
         return ExtRational(v if v is not None else INFINITY) / self
 
     # -- ordering -----------------------------------------------------------
 
-    def __eq__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __eq__(self, v):
         return self._value == v
 
     def __hash__(self):
         return hash(self._value) if self._value is not None else hash(float("inf"))
 
-    def __lt__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
+    @_operand
+    def __lt__(self, v):
         if self._value is None:
             return False
         if v is None:

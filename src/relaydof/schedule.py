@@ -602,19 +602,64 @@ def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
 
 
 _CHECKS = ("phase-recurrence", "bit-conservation", "sum-dof", "demand-shares")
+_INTS, _BITS = frozenset({int}), frozenset({int, Fraction})
+
+
+def _mistyped(s: Schedule) -> str | None:
+    """The first field of ``s`` that the checks cannot read, named with its
+    value, or None: a count, index or block length that is not an int, or a
+    bit count or DoF value that is neither an int nor a Fraction.  A bool is
+    neither, so a share of ``True`` cannot pass for 1."""
+    plan = s.split_plan
+    phases, sources, paddings, sinks = s.phases, plan.sources, plan.paddings, plan.sinks
+    fields = [  # every tx_count was checked as a size before this
+        ("phases[{}].hop", _INTS, [p.hop for p in phases]),
+        ("phases[{}].rx_count", _INTS, [p.rx_count for p in phases]),
+        ("phases[{}].block_length", _INTS, [p.block_length for p in phases]),
+        ("phases[{}].per_pair_dof", _BITS, [p.per_pair_dof for p in phases]),
+        ("phases[{}].per_pair_bits", _BITS, [p.per_pair_bits for p in phases]),
+        ("total_delay", _INTS, [s.total_delay]),
+        ("total_bits", _BITS, [s.total_bits]),
+        ("sum_dof", _BITS, [s.sum_dof]),
+        ("split_plan.sizes[{}]", _INTS, plan.sizes),
+        ("split_plan.per_pair[{}]", _BITS, plan.per_pair),
+        ("split_plan.total_bits", _BITS, [plan.total_bits]),
+        ("split_plan.padding_bits", _BITS, [plan.padding_bits]),
+        ("split_plan.bits_per_dof", _BITS, [plan.bits_per_dof]),
+        ("split_plan.sources[{}].dst", _INTS, [m.dst for m in sources]),
+        ("split_plan.sources[{}].src", _INTS, [m.src for m in sources]),
+        ("split_plan.sources[{}].bits", _BITS, [m.bits for m in sources]),
+        ("split_plan.paddings[{}].src", _INTS, [p.src for p in paddings]),
+        ("split_plan.paddings[{}].bits", _BITS, [p.bits for p in paddings]),
+        ("split_plan.sinks[{}].dst", _INTS, [b.dst for b in sinks]),
+        ("split_plan.sinks[{}].padding_bits", _BITS, [b.padding_bits for b in sinks]),
+    ]
+    for n, sink in enumerate(sinks):
+        fields.append((f"split_plan.sinks[{n}].received[{{}}] source", _INTS, [i for i, _ in sink.received]))
+        fields.append((f"split_plan.sinks[{n}].received[{{}}] bits", _BITS, [b for _, b in sink.received]))
+    for name, allowed, values in fields:
+        if not allowed.issuperset(map(type, values)):
+            k, value = next((k, v) for k, v in enumerate(values) if type(v) not in allowed)
+            what = "an int" if allowed is _INTS else "an int or a Fraction"
+            return f"{name.format(k)} must be {what}, got {value!r}"
+    return None
 
 
 def verify_schedule(s: Schedule) -> VerificationReport:
     """Re-derive the schedule's defining identities and report each one.
 
     Failures are reported, never raised: phases whose sizes no schedule
-    runs on fail every check, before any check reads them.
+    runs on, and a field of the wrong type (``_mistyped``), fail every
+    check, before any check reads them.
     """
     sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
     try:
         _schedule_sizes(sizes)
     except (AnalysisError, TopologyError) as exc:
         detail = f"phase sizes {sizes}: {exc}"
+    else:
+        detail = _mistyped(s)
+    if detail is not None:
         return VerificationReport(tuple(CheckResult(name, False, detail) for name in _CHECKS))
     hops = len(s.phases)
     plan = s.split_plan
