@@ -602,67 +602,44 @@ def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
 
 
 _CHECKS = ("phase-recurrence", "bit-conservation", "sum-dof", "demand-shares")
-_INTS, _BITS = frozenset({int}), frozenset({int, Fraction})
-
-
-def _mistyped(s: Schedule) -> str | None:
-    """The first field of ``s`` that the checks cannot read, named with its
-    value, or None: a count, index or block length that is not an int, or a
-    bit count or DoF value that is neither an int nor a Fraction.  A bool is
-    neither, so a share of ``True`` cannot pass for 1."""
-    plan = s.split_plan
-    phases, sources, paddings, sinks = s.phases, plan.sources, plan.paddings, plan.sinks
-    fields = [  # every tx_count was checked as a size before this
-        ("phases[{}].hop", _INTS, [p.hop for p in phases]),
-        ("phases[{}].rx_count", _INTS, [p.rx_count for p in phases]),
-        ("phases[{}].block_length", _INTS, [p.block_length for p in phases]),
-        ("phases[{}].per_pair_dof", _BITS, [p.per_pair_dof for p in phases]),
-        ("phases[{}].per_pair_bits", _BITS, [p.per_pair_bits for p in phases]),
-        ("total_delay", _INTS, [s.total_delay]),
-        ("total_bits", _BITS, [s.total_bits]),
-        ("sum_dof", _BITS, [s.sum_dof]),
-        ("split_plan.sizes[{}]", _INTS, plan.sizes),
-        ("split_plan.per_pair[{}]", _BITS, plan.per_pair),
-        ("split_plan.total_bits", _BITS, [plan.total_bits]),
-        ("split_plan.padding_bits", _BITS, [plan.padding_bits]),
-        ("split_plan.bits_per_dof", _BITS, [plan.bits_per_dof]),
-        ("split_plan.sources[{}].dst", _INTS, [m.dst for m in sources]),
-        ("split_plan.sources[{}].src", _INTS, [m.src for m in sources]),
-        ("split_plan.sources[{}].bits", _BITS, [m.bits for m in sources]),
-        ("split_plan.paddings[{}].src", _INTS, [p.src for p in paddings]),
-        ("split_plan.paddings[{}].bits", _BITS, [p.bits for p in paddings]),
-        ("split_plan.sinks[{}].dst", _INTS, [b.dst for b in sinks]),
-        ("split_plan.sinks[{}].padding_bits", _BITS, [b.padding_bits for b in sinks]),
-    ]
-    for n, sink in enumerate(sinks):
-        fields.append((f"split_plan.sinks[{n}].received[{{}}] source", _INTS, [i for i, _ in sink.received]))
-        fields.append((f"split_plan.sinks[{n}].received[{{}}] bits", _BITS, [b for _, b in sink.received]))
-    for name, allowed, values in fields:
-        if not allowed.issuperset(map(type, values)):
-            k, value = next((k, v) for k, v in enumerate(values) if type(v) not in allowed)
-            what = "an int" if allowed is _INTS else "an int or a Fraction"
-            return f"{name.format(k)} must be {what}, got {value!r}"
-    return None
 
 
 def verify_schedule(s: Schedule) -> VerificationReport:
     """Re-derive the schedule's defining identities and report each one.
 
     Failures are reported, never raised: phases whose sizes no schedule
-    runs on, and a field of the wrong type (``_mistyped``), fail every
-    check, before any check reads them.
+    runs on fail every check before any check reads them, and so does a
+    field the checks cannot read (a ``None``, a float bit count, a sink
+    entry that is not a pair) or a share that is a bool.
     """
-    sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
     try:
-        _schedule_sizes(sizes)
-    except (AnalysisError, TopologyError) as exc:
-        detail = f"phase sizes {sizes}: {exc}"
-    else:
-        detail = _mistyped(s)
-    if detail is not None:
-        return VerificationReport(tuple(CheckResult(name, False, detail) for name in _CHECKS))
-    hops = len(s.phases)
+        sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
+        try:
+            _schedule_sizes(sizes)
+        except (AnalysisError, TopologyError) as exc:
+            detail = f"phase sizes {sizes}: {exc}"
+        else:
+            results = _run_checks(s, sizes)
+            return VerificationReport(tuple(CheckResult(name, *r) for name, r in zip(_CHECKS, results)))
+    except (TypeError, AttributeError, ValueError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+    return VerificationReport(tuple(CheckResult(name, False, detail) for name in _CHECKS))
+
+
+def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
+    """(passed, detail) of each check in ``_CHECKS`` order, on phases of
+    valid ``sizes``; raises when a field cannot be read."""
     plan = s.split_plan
+    # True == 1, so a share of True would pass every check as a share of 1
+    for name, shares in (
+        ("phases[{}].per_pair_dof", [p.per_pair_dof for p in s.phases]),
+        ("phases[{}].per_pair_bits", [p.per_pair_bits for p in s.phases]),
+        ("split_plan.per_pair[{}]", plan.per_pair),
+    ):
+        if bool in map(type, shares):
+            k = [type(v) for v in shares].index(bool)
+            raise TypeError(f"{name.format(k)} must be an int or a Fraction, got {shares[k]!r}")
+    hops = len(s.phases)
     units = _plan_units(plan)
     results = []  # (passed, detail) of each check, in _CHECKS order
 
@@ -744,7 +721,7 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     if units(plan.padding_bits) * unit != total - sum(cols.values()) * per_dof:
         problems.append("total padding")
     results.append((not problems, "; ".join(problems[:4])))
-    return VerificationReport(tuple(CheckResult(name, *result) for name, result in zip(_CHECKS, results)))
+    return results
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,7 +1,6 @@
 """``verify_schedule`` reports a field of the wrong type instead of raising:
-counts, indices and block lengths must be ints, bit counts and DoF values
-ints or Fractions, and a bool is neither.  Such a schedule fails all four
-checks, in order, with a detail that names the field."""
+a field its checks cannot read, and a share that is a bool (True == 1),
+fail all four checks, in order, with one detail."""
 
 from fractions import Fraction
 
@@ -47,35 +46,53 @@ def _sink0(s, **changes):
 
 BAD = [None, 4.0, "4"]
 CASES = [
-    *((f"block_length={v!r}", lambda s, v=v: _phase0(s, block_length=v), "phases[0].block_length") for v in BAD),
-    *((f"total_delay={v!r}", lambda s, v=v: _replace(s, total_delay=v), "total_delay") for v in (None, "4")),
-    *((f"sum_dof={v!r}", lambda s, v=v: _replace(s, sum_dof=v), "sum_dof") for v in (None, 4.0)),
-    *((f"plan.total_bits={v!r}", lambda s, v=v: _with_plan(s, total_bits=v), "split_plan.total_bits") for v in BAD),
-    *((f"plan.padding_bits={v!r}", lambda s, v=v: _with_plan(s, padding_bits=v), "split_plan.padding_bits") for v in BAD),
-    *((f"per_pair[0]={v!r}", lambda s, v=v: _per_pair0(s, v), "split_plan.per_pair[0]") for v in BAD),
-    *((f"sources[0].bits={v!r}", lambda s, v=v: _source0(s, bits=v), "split_plan.sources[0].bits") for v in BAD),
-    *((f"sinks[0].padding_bits={v!r}", lambda s, v=v: _sink0(s, padding_bits=v), "split_plan.sinks[0].padding_bits") for v in BAD),
-    *((f"sources[0].dst={v!r}", lambda s, v=v: _source0(s, dst=v), "split_plan.sources[0].dst") for v in (None, "4")),
-    # both shares are 1 on this schedule, so a bool would pass every check
+    *((f"block_length={v!r}", lambda s, v=v: _phase0(s, block_length=v)) for v in BAD),
+    *((f"total_delay={v!r}", lambda s, v=v: _replace(s, total_delay=v)) for v in (None, "4")),
+    *((f"sum_dof={v!r}", lambda s, v=v: _replace(s, sum_dof=v)) for v in (None, 4.0)),
+    *((f"plan.total_bits={v!r}", lambda s, v=v: _with_plan(s, total_bits=v)) for v in BAD),
+    *((f"plan.padding_bits={v!r}", lambda s, v=v: _with_plan(s, padding_bits=v)) for v in BAD),
+    *((f"per_pair[0]={v!r}", lambda s, v=v: _per_pair0(s, v)) for v in BAD),
+    *((f"sources[0].bits={v!r}", lambda s, v=v: _source0(s, bits=v)) for v in BAD),
+    *((f"sinks[0].padding_bits={v!r}", lambda s, v=v: _sink0(s, padding_bits=v)) for v in BAD),
+    *((f"sources[0].dst={v!r}", lambda s, v=v: _source0(s, dst=v)) for v in (None, "4")),
+    # records and containers that are not what they should be
+    ("phases=None", lambda s: _replace(s, phases=None)),
+    ("phases[0]=None", lambda s: _replace(s, phases=(None, *s.phases[1:]))),
+    ("split_plan=None", lambda s: _replace(s, split_plan=None)),
+    ("demand=None", lambda s: _with_plan(s, demand=None)),
+    ("sources=None", lambda s: _with_plan(s, sources=None)),
+    ("sinks=None", lambda s: _with_plan(s, sinks=None)),
+    ("received entry not a pair", lambda s: _sink0(s, received=((0,),))),
+]
+# both shares are 1 on this schedule, so a bool would pass every check
+BOOLS = [
     ("per_pair_bits=True", lambda s: _phase0(s, per_pair_bits=True), "phases[0].per_pair_bits"),
     ("per_pair[0]=True", lambda s: _per_pair0(s, True), "split_plan.per_pair[0]"),
 ]
 
 
-@pytest.mark.parametrize("tamper, field", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_a_mistyped_field_fails_every_check(tamper, field):
-    report = verify_schedule(tamper(_schedule()))
+def _fails_every_check(report):
     assert [c.name for c in report.checks] == CHECKS
     assert not any(c.passed for c in report.checks)
     assert {c.detail for c in report.checks} == {report.checks[0].detail}
-    assert report.checks[0].detail.startswith(f"{field} must be an int")
+    return report.checks[0].detail
 
 
-def test_the_detail_names_the_value_and_the_wanted_type():
-    report = verify_schedule(_phase0(_schedule(), block_length=4.0))
-    assert report.checks[0].detail == "phases[0].block_length must be an int, got 4.0"
+@pytest.mark.parametrize("tamper", [case[1] for case in CASES], ids=[case[0] for case in CASES])
+def test_an_unreadable_field_fails_every_check(tamper):
+    detail = _fails_every_check(verify_schedule(tamper(_schedule())))
+    assert detail.startswith(("TypeError: ", "AttributeError: ", "ValueError: "))
+
+
+@pytest.mark.parametrize("tamper, field", [case[1:] for case in BOOLS], ids=[case[0] for case in BOOLS])
+def test_a_bool_share_fails_every_check(tamper, field):
+    detail = _fails_every_check(verify_schedule(tamper(_schedule())))
+    assert detail == f"TypeError: {field} must be an int or a Fraction, got True"
+
+
+def test_the_detail_is_the_read_error():
     report = verify_schedule(_sink0(_schedule(), padding_bits="4"))
-    assert report.checks[0].detail == "split_plan.sinks[0].padding_bits must be an int or a Fraction, got '4'"
+    assert report.checks[0].detail == "AttributeError: 'str' object has no attribute 'denominator'"
 
 
 def test_ints_and_fractions_of_the_right_value_pass():
@@ -88,6 +105,19 @@ def test_ints_and_fractions_of_the_right_value_pass():
         _replace(s, sum_dof=Fraction(s.sum_dof)),
     ):
         assert verify_schedule(tampered).ok
+
+
+class Count(int):
+    pass
+
+
+def test_a_schedule_over_int_subclass_sizes_verifies():
+    # LayerSpec takes any int but bool, and the plan keeps the size as given
+    t = NetworkTopology((LayerSpec(nodes=2), LayerSpec(nodes=Count(3)), LayerSpec(nodes=2)))
+    s = integer_schedule(t)
+    assert type(s.phases[0].rx_count) is Count
+    assert verify_schedule(s).ok
+    assert verify_schedule(_per_pair0(s, Count(1))).ok
 
 
 def test_bad_sizes_are_reported_before_field_types():
