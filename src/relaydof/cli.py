@@ -19,25 +19,12 @@ import os
 import sys
 from importlib import import_module
 
-# The names the subcommands use, by defining module.  main() binds a
-# command's names as globals here just before running it, and __getattr__
-# binds any of them on first access, so a command imports only its own
-# modules.  A bound name is never rebound: cmd_* look names up here at call
-# time, so a name that a caller patched on this module is the one that runs.
-_NAMES = {
-    "model": (
-        "InvariantError",
-        "parse_demand",
-        "parse_topology",
-        "topology_to_obj",
-        "virtual_node_map",
-    ),
-    "analysis": ("AnalysisReport", "analyze", "report_to_obj"),
-    "region": ("check_demand", "verdict_to_obj"),
-    "schedule": ("integer_schedule", "plan_to_dot", "schedule_to_obj", "verify_schedule"),
-    "scaling": ("classify", "parse_family", "sweep_rows"),
-}
-_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+# The modules each subcommand uses.  main() binds every public name
+# (``__all__``) of a command's modules as a global here just before running
+# it, and __getattr__ binds them on first access, so a command imports only
+# its own modules.  A bound name is never rebound: cmd_* look names up here
+# at call time, so a name that a caller patched on this module is the one
+# that runs.
 _COMMAND_MODULES = {
     "analyze": ("model", "analysis"),
     "check": ("model", "analysis", "region"),
@@ -50,20 +37,21 @@ __all__ = ["main", "build_parser"]
 
 
 def _bind(module: str) -> None:
-    """Import one submodule and bind the names used from it as globals here;
-    a name that is already bound keeps its value."""
+    """Import one submodule and bind its public names as globals here; a
+    name that is already bound keeps its value."""
     namespace = globals()
     source = import_module(f"{__package__}.{module}")
-    for name in _NAMES[module]:
+    for name in source.__all__:
         namespace.setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(module)
-    return globals()[name]
+    if not name.startswith("_"):
+        for module in dict.fromkeys(m for ms in _COMMAND_MODULES.values() for m in ms):
+            _bind(module)
+            if name in globals():
+                return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value, decimal: bool) -> str:

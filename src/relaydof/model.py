@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, total_ordering, wraps
@@ -121,6 +122,11 @@ def _read_rational(text: str) -> Fraction | None:
     try:
         # Fraction would also take spaces, '_' and non-ASCII digits
         if not _LITERAL_CHARS.issuperset(text):
+            raise ValueError(text)
+        # Fraction builds 10**|exponent|, so the exponent is held to the
+        # int-string limit that already caps the digits of a literal
+        exponent = text.lower().partition("e")[2]
+        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

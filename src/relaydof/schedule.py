@@ -384,7 +384,8 @@ def phase_ratios(sizes: Sequence[int]) -> list[Fraction]:
     """Block-length ratios T_k/T_0, from the no-new-information recurrence.
 
     Built hop by hop: each relay layer must forward exactly the bits it
-    decoded, so T_k * S_{k+1}/(S_k + S_{k+1} - 1) is constant across k.
+    decoded, T_{k-1} * S_{k-1}/(S_{k-1} + S_k - 1) = T_k * S_{k+1}/(S_k + S_{k+1} - 1),
+    so every hop carries the same bits, T_k * S_k * S_{k+1}/(S_k + S_{k+1} - 1).
     """
     sizes = _schedule_sizes(sizes)
     ratios = [Fraction(1)]
@@ -643,18 +644,15 @@ def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
     units = _plan_units(plan)
     results = []  # (passed, detail) of each check, in _CHECKS order
 
-    # (1) forwarding recurrence between consecutive phases, and each phase's
-    # own fields: its hop index, its receivers (the next layer's size) and
-    # its per-pair share of the X network
-    bad_hops = []
-    for k in range(1, hops):
-        lhs = Fraction(s.phases[k - 1].block_length * sizes[k - 1], sizes[k - 1] + sizes[k] - 1)
-        rhs = Fraction(s.phases[k].block_length * sizes[k + 1], sizes[k] + sizes[k + 1] - 1)
-        if lhs != rhs:
-            bad_hops.append(k)
-    bad_fields = []
+    # (1) forwarding recurrence: a relay sends in phase k the bits it decoded
+    # in phase k-1; and each phase's own fields: its hop index, its receivers
+    # (the next layer's size) and its per-pair share of the X network
+    bad_hops, bad_fields = [], []
     for k, p in enumerate(s.phases):
         pairs = sizes[k] + sizes[k + 1] - 1
+        if k and decoded != Fraction(p.block_length * sizes[k + 1], pairs):
+            bad_hops.append(k)
+        decoded = Fraction(p.block_length * sizes[k], pairs)
         fields = (p.hop, p.rx_count, p.per_pair_dof, p.per_pair_bits)
         if fields != (k, sizes[k + 1], Fraction(1, pairs), Fraction(p.block_length, pairs)):
             bad_fields.append(k)

@@ -5,6 +5,7 @@ digits) is a bad literal, exit 2, in every document that carries one."""
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ ACCEPTED = [
     ("1e3", Fraction(1000)),
     ("1E-2", Fraction(1, 100)),
     ("0", Fraction(0)),
+    ("1e4300", Fraction(10**4300)),
+    ("1e-4300", Fraction(1, 10**4300)),
 ]
 
 REJECTED = [
@@ -47,6 +50,7 @@ REJECTED = [
     "1/0",
     "1/",
     "e3",
+    "1e-20000000",
 ]
 
 
@@ -107,5 +111,24 @@ def test_cli_check_negative_dof_reaches_demand_validation(write, capsys):
 def test_cli_classify_rejects_padded_base(text, write, capsys):
     family = write("f.json", {"kind": "ProportionalFixedK", "base": [text, "1"]})
     assert main(["classify", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad rational literal {text!r}\n"
+
+
+# Fraction builds 10**|e| for an exponent e, 28 s for "1e-20000000", so an
+# exponent past the int-string limit is a bad literal, as a literal written
+# out in that many digits already is
+@pytest.mark.parametrize(
+    "command, text", [("check", "1e-20000000"), ("check", "1e-100000000"), ("classify", "1e20000000")]
+)
+def test_cli_rejects_a_huge_exponent_at_once(command, text, write, capsys):
+    if command == "check":
+        topology = write("t.json", {"layers": [{"nodes": 2}, {"nodes": 3}, {"nodes": 2}]})
+        argv = ["check", topology, write("d.json", {"demands": [{"dst": 1, "src": 1, "dof": text}]})]
+    else:
+        argv = ["classify", write("f.json", {"kind": "ProportionalFixedK", "base": [text, "1"]})]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: bad rational literal {text!r}\n"
