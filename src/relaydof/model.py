@@ -12,7 +12,9 @@ nothing else; ``ExtRational`` writes ``__lt__`` beside its ``__eq__``; and
 ``functools.total_ordering`` derives the rest of each.
 Ints, Fractions and both extended types mix in every ``ExtRational``
 operator, which reads its operand through the one rule ``_operand``;
-anything else, a float say, is ``NotImplemented``.
+anything else, a float say, is ``NotImplemented``.  Every outside value
+that becomes a Fraction is read by the one rule ``_exact``, which also reads
+rational literals as the documents do, and rejects a float or a bool.
 
 All types are immutable after construction and all operations are pure
 functions, safe to share across threads.  Two slots are filled after
@@ -115,22 +117,33 @@ ExtCount = int | Infinity
 _LITERAL_CHARS = frozenset("0123456789+-/.eE")
 
 
-def _read_rational(text: str) -> Fraction | None:
-    """The value of a rational literal, None for "inf"; every document reads its rationals here."""
-    if text == "inf":
+def _exact(value) -> Fraction | None:
+    """The value of an int, Fraction, extended value or rational literal, None
+    for inf; every outside value that becomes a Fraction is read here."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, ExtRational):
+        return value._value
+    if isinstance(value, Infinity):
+        return None
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise TypeError(f"expected an exact number, got {value!r}")
+    if value == "inf":
         return None
     try:
         # Fraction would also take spaces, '_' and non-ASCII digits
-        if not _LITERAL_CHARS.issuperset(text):
-            raise ValueError(text)
+        if not _LITERAL_CHARS.issuperset(value):
+            raise ValueError(value)
         # Fraction builds 10**|exponent|, so the exponent is held to the
         # int-string limit that already caps the digits of a literal
-        exponent = text.lower().partition("e")[2]
+        exponent = value.lower().partition("e")[2]
         if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
-            raise ValueError(text)
-        return Fraction(text)
+            raise ValueError(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational literal {text!r}") from exc
+        raise DocumentError(f"bad rational literal {value!r}") from exc
 
 
 def _operand(method):
@@ -164,16 +177,7 @@ class ExtRational:
     __slots__ = ("_value", "_text")
 
     def __init__(self, numerator=0, denominator=None):
-        if type(numerator) is Fraction and denominator is None:
-            value = numerator  # already in lowest terms
-        elif not isinstance(numerator, (Infinity, ExtRational, str)):
-            value = Fraction(numerator, 1 if denominator is None else denominator)
-        elif denominator is not None:
-            raise TypeError(f"{type(numerator).__name__} construction takes no denominator")
-        elif isinstance(numerator, ExtRational):
-            value = numerator._value
-        else:
-            value = None if isinstance(numerator, Infinity) else _read_rational(numerator)
+        value = _exact(numerator) if denominator is None else Fraction(numerator, denominator)
         object.__setattr__(self, "_value", value)
 
     # -- predicates and accessors ------------------------------------------
@@ -466,8 +470,9 @@ class DemandMatrix(Record):
     """Per-message DoF values keyed by (destination, source), 0-based.
 
     Absent entries mean zero; explicit zeros are dropped at construction.
-    Values are finite Fractions; sign and index bounds are checked against a
-    topology by :func:`validate_demand`, not here.  A matrix is not
+    A value is an int, a Fraction, a finite ``ExtRational`` or a rational
+    literal, stored as a Fraction; sign and index bounds are checked against
+    a topology by :func:`validate_demand`, not here.  A matrix is not
     hashable: its entries are a read-only view of a dict.
     """
 
@@ -480,14 +485,8 @@ class DemandMatrix(Record):
             if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is type(key[1]) is int):
                 raise DemandError(f"demand key {key!r} must be a (destination, source) pair of ints")
             j, i = key
-            if isinstance(value, ExtRational):
-                if not value.is_finite:
-                    raise DemandError(f"demand entry (dst {j + 1}, src {i + 1}) must be finite")
-                value = value.as_fraction()
-            elif isinstance(value, Infinity):
+            if (value := _exact(value)) is None:
                 raise DemandError(f"demand entry (dst {j + 1}, src {i + 1}) must be finite")
-            elif type(value) is not Fraction:
-                value = Fraction(value)
             if value != 0:
                 cleaned[key] = value
         put_entries, = self._put
@@ -520,10 +519,8 @@ class DemandMatrix(Record):
         return unit, rows, cols
 
     def scale(self, factor) -> "DemandMatrix":
-        if isinstance(factor, ExtRational):
-            factor = factor.as_fraction()
-        elif type(factor) is not Fraction:
-            factor = Fraction(factor)
+        if (factor := _exact(factor)) is None:
+            raise ArithmeticError("infinite value has no Fraction form")
         return DemandMatrix({k: v * factor for k, v in self.entries.items()})
 
     @property
@@ -649,13 +646,10 @@ def demand_from_obj(obj) -> DemandMatrix:
         for name, idx in (("dst", j), ("src", i)):
             if isinstance(idx, bool) or not isinstance(idx, int) or idx < 1:
                 raise DemandError(f"demand entry {pos}: '{name}' must be a 1-based integer index")
-        if isinstance(dof, str):
-            if (value := _read_rational(dof)) is None:
-                raise DemandError(f"demand entry {pos}: 'dof' must be finite")
-        elif isinstance(dof, int) and not isinstance(dof, bool):
-            value = Fraction(dof)
-        else:
+        if not isinstance(dof, (str, int)) or isinstance(dof, bool):
             raise DemandError(f"demand entry {pos}: 'dof' must be a rational string")
+        if (value := _exact(dof)) is None:
+            raise DemandError(f"demand entry {pos}: 'dof' must be finite")
         key = (j - 1, i - 1)
         if key in entries:
             raise DemandError(f"demand entry {pos}: duplicate (dst {j}, src {i})")
@@ -725,7 +719,7 @@ def antenna_split(t: NetworkTopology) -> NetworkTopology:
 def _check_antenna_scale(t: NetworkTopology, s: int) -> None:
     """Raise unless every antenna count of ``t`` can be multiplied by ``s``:
     a positive integer factor first, then a finite layer at every index."""
-    if not isinstance(s, int) or s < 1:
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise TopologyError(f"antenna scale factor must be a positive integer, got {s!r}")
     for k, layer in enumerate(t.layers):
         if layer.is_infinite:

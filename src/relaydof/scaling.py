@@ -26,8 +26,8 @@ from .model import (
     LayerSpec,
     Record,
     _check_antenna_scale,
+    _exact,
     _load_json,
-    _read_rational,
     scale_antennas,
     topology_from_obj,
 )
@@ -73,7 +73,9 @@ def _checked_profile(kind: str, base, pinned) -> tuple[tuple[Fraction, ...], tup
     they are checked against the kind (any kind but AntennaScaled)."""
     if base is None or len(base) == 0:
         raise FamilyError(f"{kind} needs a base profile")
-    base = tuple(b if type(b) is Fraction else Fraction(b) for b in base)
+    base = tuple(map(_exact, base))
+    if None in base:
+        raise FamilyError("base profile entries must be finite")
     if any(b <= 0 for b in base):
         raise FamilyError("base profile entries must be positive")
     if kind == "FixedSizesGrowingK":
@@ -86,8 +88,12 @@ def _checked_profile(kind: str, base, pinned) -> tuple[tuple[Fraction, ...], tup
             raise FamilyError("PinnedLayerFixedK needs at least one pinned layer")
         pinned = tuple(sorted(pinned))
         for idx, size in pinned:
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise FamilyError(f"'pinned' key {idx!r} is not a layer index")
             if not 0 <= idx < len(base):
                 raise FamilyError(f"pinned layer {idx} outside base profile")
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise FamilyError(f"pinned size of layer {idx} must be an integer, got {size!r}")
             if size < 1:
                 raise FamilyError(f"pinned layer {idx}: size must be >= 1")
         if len(pinned) >= len(base):
@@ -158,14 +164,11 @@ def parse_family(text: str) -> FamilySpec:
             raise FamilyError("'base' must be a list of positive rationals")
         base = []
         for entry in obj["base"]:
-            if isinstance(entry, str):
-                if (value := _read_rational(entry)) is None:
-                    raise FamilyError("base profile entries must be finite")
-                base.append(value)
-            elif isinstance(entry, int) and not isinstance(entry, bool):
-                base.append(Fraction(entry))
-            else:
+            if not isinstance(entry, (str, int)) or isinstance(entry, bool):
                 raise FamilyError(f"bad base profile entry {entry!r}")
+            if (value := _exact(entry)) is None:
+                raise FamilyError("base profile entries must be finite")
+            base.append(value)
         base = tuple(base)
     pinned = None
     if "pinned" in obj:
@@ -198,6 +201,8 @@ def _round_half_up(numerator: int, denominator: int) -> int:
 
 def _family_sizes(f: FamilySpec, n: int) -> list[int]:
     """Per-layer effective sizes of the family instantiated at parameter n."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise FamilyError(f"family parameter must be an integer, got {n!r}")
     if n < 1:
         raise FamilyError(f"family parameter must be positive, got {n}")
     if f.kind == "AntennaScaled":
