@@ -9,7 +9,8 @@ per layer, unit/size (``_layer_weights``), kept by a topology once computed
 (``_topology_sums``).  Every other value is a closed form in the integers
 of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
 result is one exact ExtRational built from a numerator and a denominator.
-A value's text is made by its first report and kept for the next.
+A hop value's text is made as it enters the hop caches; any other value's
+by its first report, which keeps it for the next.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _hop_achievable(m: ExtCount, n: ExtCount) -> ExtRational:
         return _hop_achievable(n, m)  # symmetric: (m, n) and (n, m) share one value
     if isinstance(n, Infinity):
         return _count_dof(m)
-    return ExtRational(m * n, m + n - 1)
+    return _formatted(ExtRational(m * n, m + n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +132,18 @@ def _hop_cutset(m: ExtCount, n: ExtCount) -> ExtRational:
 @lru_cache(maxsize=None)
 def _count_dof(size: ExtCount) -> ExtRational:
     """One shared value per layer size, for every hop whose value it is."""
-    return ExtRational(size)
+    return _formatted(ExtRational(size))
+
+
+def _formatted(value: ExtRational) -> ExtRational:
+    """``value`` with its text made as it enters a hop cache, so that a report
+    reads every hop's text in one pass; one past the int-string limit is left
+    for the report to raise."""
+    try:
+        str(value)
+    except ValueError:
+        pass
+    return value
 
 
 def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]]:

@@ -9,15 +9,21 @@ results to standard output, and signals outcomes through exit codes:
        result too large to print)
     3  internal failure (a schedule that fails its own checks or breaks a
        construction invariant)
+
+The five commands' arguments are stated once, in ``_ARGUMENTS``.  ``main``
+reads a well-formed argv from that table itself (``_read_argv``), so a
+command runs without importing argparse.  Any argv the reader does not
+fully accept goes to ``build_parser()``, the argparse parser of the same
+table, unchanged: every help, usage and error text is argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 # The modules each subcommand uses.  main() binds every public name
 # (``__all__``) of a command's modules as a global here just before running
@@ -31,6 +37,42 @@ _COMMAND_MODULES = {
     "schedule": ("model", "analysis", "schedule"),
     "classify": ("model", "analysis", "scaling"),
     "sweep": ("model", "analysis", "scaling"),
+}
+
+# The five commands' arguments, stated once: command -> (help, ((name,
+# add_argument keywords), ...)).  build_parser() hands them to argparse, and
+# _read_argv reads well-formed argv from them without importing it.
+_ARGUMENTS = {
+    "analyze": (
+        "bounds, gaps, and optimality for a topology",
+        (
+            ("topology", {"help": "topology document (JSON)"}),
+            ("--format", {"choices": ("table", "json", "csv"), "default": "table"}),
+            ("--decimal", {"action": "store_true", "help": "render rationals as decimals"}),
+        ),
+    ),
+    "check": (
+        "test a demand matrix against the achievable region",
+        (
+            ("topology", {}),
+            ("demand", {"help": "demand document (JSON)"}),
+            ("--format", {"choices": ("json", "table"), "default": "json"}),
+            ("--decimal", {"action": "store_true"}),
+        ),
+    ),
+    "schedule": (
+        "construct the integer phase schedule and split plan",
+        (
+            ("topology", {}),
+            ("--demand", {"help": "optional demand document; default is the uniform boundary demand"}),
+            ("--format", {"choices": ("json", "dot"), "default": "json"}),
+        ),
+    ),
+    "classify": ("classify a topology family's scaling law", (("family", {"help": "family document (JSON)"}),)),
+    "sweep": (
+        "classify a family and write its samples as CSV",
+        (("family", {}), ("--out", {"required": True, "help": "CSV output path"})),
+    ),
 }
 
 __all__ = ["main", "build_parser"]
@@ -208,46 +250,65 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_ARGUMENTS``: it reads any argv that
+    ``_read_argv`` declines, and writes every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="relaydof",
         description="Exact DoF bounds, demand checks, and decode-and-forward "
         "schedules for layered relay networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="bounds, gaps, and optimality for a topology")
-    p.add_argument("topology", help="topology document (JSON)")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--decimal", action="store_true", help="render rationals as decimals")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("check", help="test a demand matrix against the achievable region")
-    p.add_argument("topology")
-    p.add_argument("demand", help="demand document (JSON)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--decimal", action="store_true")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("schedule", help="construct the integer phase schedule and split plan")
-    p.add_argument("topology")
-    p.add_argument("--demand", help="optional demand document; default is the uniform boundary demand")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("classify", help="classify a topology family's scaling law")
-    p.add_argument("family", help="family document (JSON)")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sweep", help="classify a family and write its samples as CSV")
-    p.add_argument("family")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep)
-
+    for command, (text, arguments) in _ARGUMENTS.items():
+        p = sub.add_parser(command, help=text)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` makes, read without
+    argparse, or None for an argv whose reading could differ from argparse's.
+
+    Read: an exact command name, then that command's positionals and full
+    option names in any order, each option with a value that does not start
+    with ``-`` and is one of its choices.  Declined: every other token that
+    starts with ``-`` (``-h``, ``--``, ``--form``, ``--format=json``), a
+    missing or extra positional and a missing required option.
+    """
+    if not argv or set(map(type, argv)) != {str} or argv[0] not in _ARGUMENTS:
+        return None
+    arguments = _ARGUMENTS[argv[0]][1]
+    options = {name: spec for name, spec in arguments if name[0] == "-"}
+    given, words = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+        elif token not in options:
+            return None
+        elif options[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-") or value not in options[token].get("choices", (value,)):
+                return None
+            given[token] = value
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    if len(words) != len(positionals) or any(s.get("required") and n not in given for n, s in options.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], func=globals()[f"cmd_{argv[0]}"], **dict(zip(positionals, words)))
+    for name, spec in options.items():
+        default = False if spec.get("action") == "store_true" else spec.get("default")
+        setattr(args, name[2:], given.get(name, default))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     for module in _COMMAND_MODULES[args.command]:
         _bind(module)
     try:

@@ -308,7 +308,10 @@ class Record:
     ``__slots__`` order, which costs less than ``object.__setattr__``.
     Equality, hashing and the repr cover ``_fields`` only and read as a
     frozen dataclass's would: equal only to the same class, the hash of the
-    field tuple, ``Name(field=value, ...)``.
+    field tuple, ``Name(field=value, ...)``.  Two records are equal when
+    their field tuples are, and a tuple compares its items by identity
+    before ``==``: a record holding a NaN equals itself and one holding the
+    same NaN object, as a frozen dataclass did before Python 3.13.
     """
 
     __slots__ = ()

@@ -2,7 +2,8 @@
 
 Every value type of the package is a slotted record, not a dataclass.
 Each gets a twin here: a frozen dataclass with the same constructor fields
-and defaults, as the types were declared before.  On
+and defaults, as the types were declared before, and the records' equality
+rule stated outright, so the twin does not depend on the Python version.  On
 drawn values a record and its twin must agree on the constructor signature,
 ``repr``, ``==``/``!=`` (also against other types) and ``hash`` (the
 same ``TypeError`` for a demand matrix), and both must refuse to assign or
@@ -44,6 +45,19 @@ def _demand_eq(self, other):
     if not isinstance(other, type(self)):
         return NotImplemented
     return dict(self.entries) == dict(other.entries)
+
+
+def _tuple_eq(self, other):
+    # the records' rule, which a frozen dataclass's own __eq__ followed up to
+    # Python 3.12: the field tuples compare, so a field that is the same
+    # object (a NaN, say) is equal to itself; 3.13's compares field by field
+    if other.__class__ is self.__class__:
+        return _field_tuple(self) == _field_tuple(other)
+    return NotImplemented
+
+
+def _field_tuple(twin):
+    return tuple(getattr(twin, f.name) for f in dataclasses.fields(twin))
 
 
 def _required(*names):
@@ -106,7 +120,7 @@ TWINS = {
     cls: dataclasses.make_dataclass(
         cls.__name__,
         [(name, object) if default is dataclasses.MISSING else (name, object, default) for name, default in fields],
-        namespace=namespace,
+        namespace={"__eq__": _tuple_eq, **namespace},
         frozen=True,
     )
     for cls, (fields, namespace) in DECLARED.items()
@@ -329,6 +343,14 @@ def test_copies_are_equal_records(case, data):
         assert clone == record or math.isnan(record.slope_estimate)
         # rebuilt through the constructor, which leaves the sums to first use
         assert not hasattr(clone, "_sums")
+
+
+def test_a_nan_field_is_equal_only_to_the_same_nan_object():
+    nan = float("nan")
+    record, same, fresh = (ScalingVerdict(None, value, ()) for value in (nan, nan, float("nan")))
+    assert record == same and not record != same
+    assert record != fresh and not record == fresh
+    assert twin_of(record) == twin_of(same) and twin_of(record) != twin_of(fresh)
 
 
 def test_defaults_and_derived_slots():
