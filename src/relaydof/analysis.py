@@ -9,8 +9,9 @@ per layer, unit/size (``_layer_weights``), kept by a topology once computed
 (``_topology_sums``).  Every other value is a closed form in the integers
 of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
 result is one exact ExtRational built from a numerator and a denominator.
-A hop value's text is made as it enters the hop caches; any other value's
-by its first report, which keeps it for the next.
+Both values of a hop come from one bounded cache of size pairs
+(``_hop_values``), each with its text made as it enters; any other value
+gets its text from its first report, which keeps it for the next.
 """
 
 from __future__ import annotations
@@ -105,45 +106,35 @@ def hop_achievable_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     infinite it is unbounded.
     """
     _finite_sizes((m, n))
-    return _hop_achievable(m, n)
+    return _hop_values(m, n)[0]
 
 
 def hop_cutset_dof(m: ExtCount, n: ExtCount) -> ExtRational:
     """Cut-set DoF of one hop: min of the endpoint sizes."""
     _finite_sizes((m, n))
-    return _hop_cutset(m, n)
+    return _hop_values(m, n)[1]
 
 
-# The caches take only validated sizes: a cache key (2.0, 3) equals (2, 3).
-@lru_cache(maxsize=None)
-def _hop_achievable(m: ExtCount, n: ExtCount) -> ExtRational:
+# The hop cache's bound, in ordered size pairs: exact-core's effective sizes
+# are 1..64 and inf, at most 65**2 = 4,225 pairs, so its whole working set
+# fits, and a long-lived process keeps no more pairs than this.
+_HOP_PAIRS = 8192
+
+
+@lru_cache(maxsize=_HOP_PAIRS)
+def _hop_values(m: ExtCount, n: ExtCount) -> tuple[ExtRational, ExtRational]:
+    """(achievable, cut-set) of one hop of validated sizes (a key (2.0, 3)
+    equals (2, 3)), each value with its text made here, so that a report
+    reads every hop's text in one pass."""
     if n < m:
-        return _hop_achievable(n, m)  # symmetric: (m, n) and (n, m) share one value
-    if isinstance(n, Infinity):
-        return _count_dof(m)
-    return _formatted(ExtRational(m * n, m + n - 1))
-
-
-@lru_cache(maxsize=None)
-def _hop_cutset(m: ExtCount, n: ExtCount) -> ExtRational:
-    return _count_dof(min(m, n))
-
-
-@lru_cache(maxsize=None)
-def _count_dof(size: ExtCount) -> ExtRational:
-    """One shared value per layer size, for every hop whose value it is."""
-    return _formatted(ExtRational(size))
-
-
-def _formatted(value: ExtRational) -> ExtRational:
-    """``value`` with its text made as it enters a hop cache, so that a report
-    reads every hop's text in one pass; one past the int-string limit is left
-    for the report to raise."""
+        return _hop_values(n, m)  # symmetric: (m, n) and (n, m) share one pair
+    cutset = ExtRational(m)
+    achievable = cutset if isinstance(n, Infinity) else ExtRational(m * n, m + n - 1)
     try:
-        str(value)
+        str(cutset), str(achievable)
     except ValueError:
-        pass
-    return value
+        pass  # past the int-string limit: left without a text, for the report to raise
+    return achievable, cutset
 
 
 def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]]:
@@ -303,14 +294,14 @@ def analyze(t: NetworkTopology) -> AnalysisReport:
         raise AnalysisError("all layers infinite: bounds are unbounded and the gap is undefined")
     inv_alpha, inv_beta = _topology_sums(t)
     inverse_gap, absolute_gap, fractional_gap_bound = _gaps(inv_alpha, inv_beta)
-    tx, rx = sizes[:-1], sizes[1:]
+    pairs = list(map(_hop_values, sizes[:-1], sizes[1:]))
     ends = sizes[0], sizes[-1]
     endpoints_finite = INFINITY not in ends
     return AnalysisReport(
         achievable=_harmonic(inv_alpha),
-        achievable_per_hop=tuple(map(_hop_achievable, tx, rx)),
+        achievable_per_hop=tuple(map(operator.itemgetter(0), pairs)),
         cutset=_harmonic(inv_beta),
-        cutset_per_hop=tuple(map(_hop_cutset, tx, rx)),
+        cutset_per_hop=tuple(map(operator.itemgetter(1), pairs)),
         inverse_gap=inverse_gap,
         absolute_gap=absolute_gap,
         fractional_gap_bound=fractional_gap_bound,

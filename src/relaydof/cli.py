@@ -5,8 +5,9 @@ results to standard output, and signals outcomes through exit codes:
 
     0  success (and, for ``check``, a feasible demand)
     1  negative verdict (infeasible demand, unclassifiable scaling slope)
-    2  input error (missing file, bad document, failed validation, or a
-       result too large to print)
+    2  input error (missing file, bad document, failed validation, a
+       result too large to print, or an input that needs more memory or
+       deeper recursion than the process has)
     3  internal failure (a schedule that fails its own checks or breaks a
        construction invariant)
 
@@ -318,6 +319,10 @@ def main(argv=None) -> int:
         # limit; ArithmeticError: one too large for a float or to expand per
         # node.  Each writer renders its whole output before printing any.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # str() of a MemoryError is empty, so the line names the error
+        print(f"error: {type(exc).__name__}: input too large to process", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -584,6 +584,8 @@ def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
             if padded[i] != bits:
                 yield _pad_id(i)
         for k in range(hops):
+            if k and not out_bad[k]:
+                continue  # only phase 0's in-flow or a bad out-flow unbalances a node
             for tx in range(sizes[k]):
                 in_bad = k == 0 and row.get(tx, 0) != sizes[1] * pair[0]
                 if in_bad or out_bad[k]:

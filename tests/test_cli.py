@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from relaydof import cli
 from relaydof.cli import main
 from relaydof.model import parse_demand, parse_topology
 
@@ -226,6 +227,18 @@ def test_deeply_nested_document_exits_2(files, capsys):
     path.write_text('{"layers":' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
     assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: topology document cannot be read: maximum recursion depth")
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_out_of_memory_or_recursion_exits_2(files, capsys, monkeypatch, error):
+    def schedule(topology, demand):
+        raise error()
+
+    monkeypatch.setattr(cli, "integer_schedule", schedule)
+    assert main(["schedule", files["t222"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: {error.__name__}: input too large to process\n"
 
 
 # -- results past the int-string limit ------------------------------------------------

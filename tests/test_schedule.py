@@ -274,6 +274,12 @@ def test_verification_passes_by_construction():
         assert report.ok, report.failures()
 
 
+def test_verification_walks_no_node_of_a_balanced_relay_phase():
+    # a per-node walk of the 10**12-node relay layer would never finish
+    report = verify_schedule(integer_schedule(_chain([2, 10**12, 2])))
+    assert report.ok, report.failures()
+
+
 def test_perturbed_block_length_fails_recurrence():
     s = integer_schedule(_chain([1, 2, 4]))
     bad_phase = _replace(s.phases[1], block_length=s.phases[1].block_length + 1)
