@@ -102,13 +102,14 @@ def _checked_profile(kind: str, base, pinned) -> tuple[tuple[Fraction, ...], tup
 
 
 class FamilySpec(Record):
-    """Parameterized topology family.
+    """Parameterized topology family; its constructor is the one check of
+    a family's values.
 
     ``base`` is the per-layer growth profile (proportional and pinned
-    kinds) or the single fixed layer size (growing-depth kind);
-    ``pinned`` maps 0-based layer indices to constant sizes;
-    ``topology`` is the fixed base network of the antenna-scaled kind.
-    A field the kind does not take is rejected, not ignored.
+    kinds) or the single fixed layer size (growing-depth kind), as exact
+    numbers or rational literals; ``pinned`` maps 0-based layer indices to
+    constant sizes; ``topology`` is the fixed base network of the
+    antenna-scaled kind.  A field the kind does not take is rejected.
     """
 
     __slots__ = _fields = ("kind", "base", "pinned", "topology")
@@ -116,7 +117,7 @@ class FamilySpec(Record):
     def __init__(
         self,
         kind: str,
-        base: tuple[Fraction, ...] | None = None,
+        base: tuple[int | str | Fraction, ...] | None = None,
         pinned: tuple[tuple[int, int], ...] | None = None,
         topology: NetworkTopology | None = None,
     ):
@@ -150,26 +151,22 @@ class ScalingVerdict(Record):
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse a family document (UTF-8 JSON)."""
+    """Parse a family document (UTF-8 JSON); this checks its JSON shape and
+    :class:`FamilySpec` the values, which it gets as read."""
     obj = _load_json(text, FamilyError, "family")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FamilyError("family document must be an object with a 'kind'")
     unknown = sorted(obj.keys() - {"kind", *_FIELDS})
     if unknown:
         raise FamilyError(f"unknown family field {unknown[0]!r}")
-    kind = obj["kind"]
     base = None
     if "base" in obj:
         if not isinstance(obj["base"], list):
             raise FamilyError("'base' must be a list of positive rationals")
-        base = []
-        for entry in obj["base"]:
+        base = tuple(obj["base"])
+        for entry in base:
             if not isinstance(entry, (str, int)) or isinstance(entry, bool):
                 raise FamilyError(f"bad base profile entry {entry!r}")
-            if (value := _exact(entry)) is None:
-                raise FamilyError("base profile entries must be finite")
-            base.append(value)
-        base = tuple(base)
     pinned = None
     if "pinned" in obj:
         if not isinstance(obj["pinned"], dict):
@@ -184,14 +181,12 @@ def parse_family(text: str) -> FamilySpec:
                 raise FamilyError(f"'pinned' key {key!r} is not a layer index") from exc
             if layer in layers:
                 raise FamilyError(f"'pinned' names layer {layer} more than once")
-            if type(size) is not int:
-                raise FamilyError(f"pinned size of layer {layer} must be an integer, got {size!r}")
             layers[layer] = size
         pinned = tuple(layers.items())
     topology = None
     if "topology" in obj:
         topology = topology_from_obj(obj["topology"])
-    return FamilySpec(kind=kind, base=base, pinned=pinned, topology=topology)
+    return FamilySpec(kind=obj["kind"], base=base, pinned=pinned, topology=topology)
 
 
 def _round_half_up(numerator: int, denominator: int) -> int:

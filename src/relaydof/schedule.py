@@ -29,7 +29,7 @@ import operator
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 from .analysis import AnalysisError, _finite_sizes, achievable_sum_dof
 from .model import (
@@ -605,6 +605,10 @@ def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
 
 
 _CHECKS = ("phase-recurrence", "bit-conservation", "sum-dof", "demand-shares")
+_phase_fields = operator.attrgetter(*PhasePlan._fields)
+_TOTALS = ("total_delay", "total_bits", "sum_dof", "split_plan.total_bits", "split_plan.padding_bits",
+           "split_plan.bits_per_dof")
+_totals = operator.attrgetter(*_TOTALS)
 
 
 def verify_schedule(s: Schedule) -> VerificationReport:
@@ -612,8 +616,9 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     Failures are reported, never raised: phases whose sizes no schedule
     runs on fail every check before any check reads them, and so does a
-    field the checks cannot read (a ``None``, a float bit count, a sink
-    entry that is not a pair) or a share that is a bool.
+    phase field, plan share or total that is not an int or a Fraction (a
+    bool or float would pass for the value it equals) or a field the checks
+    cannot read (a ``None``, a sink entry that is not a pair).
     """
     try:
         sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
@@ -633,15 +638,14 @@ def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
     """(passed, detail) of each check in ``_CHECKS`` order, on phases of
     valid ``sizes``; raises when a field cannot be read."""
     plan = s.split_plan
-    # True == 1, so a share of True would pass every check as a share of 1
-    for name, shares in (
-        ("phases[{}].per_pair_dof", [p.per_pair_dof for p in s.phases]),
-        ("phases[{}].per_pair_bits", [p.per_pair_bits for p in s.phases]),
-        ("split_plan.per_pair[{}]", plan.per_pair),
-    ):
-        if bool in map(type, shares):
-            k = [type(v) for v in shares].index(bool)
-            raise TypeError(f"{name.format(k)} must be an int or a Fraction, got {shares[k]!r}")
+    # the number rule, on all but the per-node counts: True == 1 and 8.0 == 8
+    numbers = [*chain.from_iterable(map(_phase_fields, s.phases)), *plan.per_pair, *_totals(s)]
+    if not {int, Fraction}.issuperset(map(type, numbers)):  # int subclasses come here too
+        names = [f"phases[{k}].{name}" for k in range(len(s.phases)) for name in PhasePlan._fields]
+        names += [f"split_plan.per_pair[{k}]" for k in range(len(plan.per_pair))] + list(_TOTALS)
+        for name, value in zip(names, numbers):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
     hops = len(s.phases)
     units = _plan_units(plan)
     results = []  # (passed, detail) of each check, in _CHECKS order

@@ -1,6 +1,7 @@
 """``verify_schedule`` reports a field of the wrong type instead of raising:
-a field its checks cannot read, and a share that is a bool (True == 1),
-fail all four checks, in order, with one detail."""
+a field its checks cannot read, and a number that is not an int or a
+Fraction (True == 1, 8.0 == 8), fail all four checks, in order, with one
+detail."""
 
 from fractions import Fraction
 
@@ -71,6 +72,42 @@ BOOLS = [
 ]
 
 
+def _phase(s, k, **changes):
+    return _replace(s, phases=tuple(_replace(p, **changes) if i == k else p for i, p in enumerate(s.phases)))
+
+
+def _put(values, k, value):
+    return (*values[:k], value, *values[k + 1:])
+
+
+def _number_fields():
+    """(name, tamper, value) of each number under the rule on ``_schedule()``;
+    ``tamper(s, v)`` sets the field to v.  A tx_count and the last phase's
+    rx_count are phase sizes, whose own check reports them first."""
+    s = _schedule()
+    for k, p in enumerate(s.phases):
+        for name in ("hop", "rx_count", "block_length", "per_pair_dof", "per_pair_bits"):
+            if (name, k) != ("rx_count", len(s.phases) - 1):
+                yield f"phases[{k}].{name}", lambda s, v, k=k, name=name: _phase(s, k, **{name: v}), getattr(p, name)
+    for k, share in enumerate(s.split_plan.per_pair):
+        yield f"split_plan.per_pair[{k}]", lambda s, v, k=k: _with_plan(s, per_pair=_put(s.split_plan.per_pair, k, v)), share
+    for name in ("total_delay", "total_bits", "sum_dof"):
+        yield name, lambda s, v, name=name: _replace(s, **{name: v}), getattr(s, name)
+    for name in ("total_bits", "padding_bits", "bits_per_dof"):
+        yield f"split_plan.{name}", lambda s, v, name=name: _with_plan(s, **{name: v}), getattr(s.split_plan, name)
+
+
+# The number rule: every number the checks compare with ==, but the per-node
+# counts, is an int or a Fraction.  Each field gets a float and a bool, of
+# its value where one exists (0.25 == 1/4, False == 0), so only the rule can
+# fail them.
+NUMBER_CASES = [
+    (f"{name}={bad!r}", tamper, bad, name)
+    for name, tamper, value in _number_fields()
+    for bad in (float(value), bool(value) if value in (0, 1) else True)
+]
+
+
 def _fails_every_check(report):
     assert [c.name for c in report.checks] == CHECKS
     assert not any(c.passed for c in report.checks)
@@ -88,6 +125,27 @@ def test_an_unreadable_field_fails_every_check(tamper):
 def test_a_bool_share_fails_every_check(tamper, field):
     detail = _fails_every_check(verify_schedule(tamper(_schedule())))
     assert detail == f"TypeError: {field} must be an int or a Fraction, got True"
+
+
+@pytest.mark.parametrize("tamper, value, field", [case[1:] for case in NUMBER_CASES], ids=[case[0] for case in NUMBER_CASES])
+def test_a_number_that_is_not_an_int_or_a_fraction_fails_every_check(tamper, value, field):
+    detail = _fails_every_check(verify_schedule(tamper(_schedule(), value)))
+    assert detail == f"TypeError: {field} must be an int or a Fraction, got {value!r}"
+
+
+@pytest.mark.parametrize("k, value", [(0, 2.0), (1, 3.0), (0, True)])
+def test_a_phase_size_that_is_not_an_int_is_reported_as_a_size(k, value):
+    s = _schedule()
+    sizes = [2, 3, 2]
+    sizes[k] = value
+    detail = _fails_every_check(verify_schedule(_phase(s, k, tx_count=value)))
+    assert detail.startswith(f"phase sizes {sizes}: ") and detail.endswith(f", got {value!r}")
+
+
+def test_the_first_number_that_breaks_the_rule_is_named():
+    s = _replace(_phase(_schedule(), 1, hop=True), total_delay=8.0)
+    detail = _fails_every_check(verify_schedule(s))
+    assert detail == "TypeError: phases[1].hop must be an int or a Fraction, got True"
 
 
 def test_the_detail_is_the_read_error():

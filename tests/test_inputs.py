@@ -154,6 +154,50 @@ def test_family_spec_rejects_a_field_the_kind_does_not_take():
         FamilySpec(kind="AntennaScaled", base=(Fraction(1),), topology=parse_topology('{"layers":[{"nodes":2},{"nodes":2}]}'))
 
 
+# -- family values: FamilySpec is their one checker -----------------------------------
+
+# parse_family checks only the JSON and hands each base entry and pinned size
+# to FamilySpec as read, so a value fault reads the same from either door
+VALUE_FAULTS = [
+    ("ProportionalFixedK", ["inf", 1], None),
+    ("ProportionalFixedK", ["1/2", "0"], None),
+    ("FixedSizesGrowingK", ["3/2"], None),
+    ("PinnedLayerFixedK", [1, 1, 1], {3: 2}),
+    ("PinnedLayerFixedK", [1, 1, 1], {1: 2.0}),
+    ("PinnedLayerFixedK", [1, 1, 1], {1: "2"}),
+    ("PinnedLayerFixedK", [1, 1, 1], {1: 0}),
+]
+
+
+@pytest.mark.parametrize("kind, base, pinned", VALUE_FAULTS)
+def test_a_family_value_fault_reads_the_same_from_the_document_and_the_spec(kind, base, pinned):
+    doc = {"kind": kind, "base": base, **({"pinned": {str(k): v for k, v in pinned.items()}} if pinned else {})}
+    with pytest.raises(FamilyError) as from_doc:
+        parse_family(json.dumps(doc))
+    with pytest.raises(FamilyError) as from_spec:
+        FamilySpec(kind=kind, base=tuple(base), pinned=tuple(pinned.items()) if pinned else None)
+    assert str(from_doc.value) == str(from_spec.value)
+
+
+# a document with two faults names the first one met: the reader checks the
+# JSON types before FamilySpec checks the values, in its own order
+TWO_FAULTS = [
+    ('{"kind":"ProportionalFixedK","base":["inf",1.5]}', "bad base profile entry 1.5"),
+    ('{"kind":"AntennaScaled","base":["inf"]}', "AntennaScaled takes no 'base'"),
+    ('{"kind":"PinnedLayerFixedK","base":[1,1],"pinned":{"5":2.0}}', "pinned layer 5 outside base profile"),
+]
+
+
+@pytest.mark.parametrize("text, message", TWO_FAULTS)
+def test_a_family_with_two_faults_names_the_first(tmp_path, capsys, text, message):
+    with pytest.raises(FamilyError, match=f"^{re.escape(message)}$"):
+        parse_family(text)
+    family = tmp_path / "f.json"
+    family.write_text(text, encoding="utf-8")
+    assert main(["classify", str(family)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # -- demand keys --------------------------------------------------------------------
 
 
