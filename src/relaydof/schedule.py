@@ -14,7 +14,9 @@ relay layer only reorganizes bits by destination.  Demands below capacity
 are topped up with explicitly marked padding so the uniform structure (and
 hence the X-network rate guarantee) is preserved.  Every bit count of a plan
 is a whole number of one unit, so it is built, verified and written with
-integers, each share's text rendered once per fan-out block.
+integers: verification cross-multiplies block lengths and phase fields and
+makes no Fraction per hop or node, each share's text is rendered once per
+fan-out block, and the DOT writer formats one row string per head.
 
 Multi-antenna nodes are handled by antenna splitting: plans are built
 entirely on the virtual single-antenna network, and
@@ -28,10 +30,9 @@ import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, islice
 
-from .analysis import AnalysisError, _finite_sizes, achievable_sum_dof
+from .analysis import AnalysisError, _finite_sizes, _reciprocal_sums
 from .model import (
     DemandError,
     DemandMatrix,
@@ -121,9 +122,14 @@ class DestinationBin(Record):
 
     @property
     def bits(self) -> Fraction:
-        values = [*(b for _, b in self.received), self.padding_bits]
+        return Fraction(*self._bits_ratio())
+
+    def _bits_ratio(self) -> tuple[int, int]:
+        """``bits`` as (numerator, denominator), for :func:`_text`."""
+        values = [b for _, b in self.received]
+        values.append(self.padding_bits)
         unit = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (unit // v.denominator) for v in values), unit)
+        return sum(v.numerator * (unit // v.denominator) for v in values), unit
 
 
 class SplitEdge(Record):
@@ -223,9 +229,12 @@ class _EdgeView(_PlanView):
 
         # phase 0: every source message and padding block splits evenly over
         # the first relay layer
+        bits = None
         for msg in sources:
-            bits = msg.bits
-            yield (_msg_id(msg.dst, msg.src),), fan_out(msg.src), share(bits.numerator, bits.denominator * sizes[1])
+            if msg.bits is not bits:  # a run of one value object (a uniform demand) shares one share
+                bits = msg.bits
+                msg_share = share(bits.numerator, bits.denominator * sizes[1])
+            yield (_msg_id(msg.dst, msg.src),), fan_out(msg.src), msg_share
         for pad in paddings:
             bits = pad.bits
             yield (_pad_id(pad.src),), fan_out(pad.src), share(bits.numerator, bits.denominator * sizes[1])
@@ -351,11 +360,14 @@ def _sink_id(dst: int) -> str:
 
 
 def _phase_ids(sizes: Sequence[int]) -> list[list[list[str]]]:
-    """Every phase node's id, by phase, transmitter and receiver."""
-    return [
-        [[_phase_id(k, tx, rx) for rx in range(sizes[k + 1])] for tx in range(sizes[k])]
-        for k in range(len(sizes) - 1)
-    ]
+    """Every phase node's id, by phase, transmitter and receiver: each
+    :func:`_phase_id` text joined from a transmitter's and a receiver's part."""
+    ids = []
+    for k in range(len(sizes) - 1):
+        tails = [f"{rx}]" for rx in range(1, sizes[k + 1] + 1)]
+        heads = [f"ph{k}[{tx}->" for tx in range(1, sizes[k] + 1)]
+        ids.append([[head + tail for tail in tails] for head in heads])
+    return ids
 
 
 def _text(numerator: int, denominator: int) -> str:
@@ -433,7 +445,7 @@ def _integer_phases(sizes: list[int]) -> tuple[list[PhasePlan], int]:
                 rx_count=sizes[k + 1],
                 block_length=block,
                 per_pair_dof=Fraction(1, pairs),
-                per_pair_bits=Fraction(block, pairs),
+                per_pair_bits=Fraction(total_bits // product),
             )
         )
     return phases, total_bits
@@ -485,8 +497,13 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     unit, rows, cols = demand.unit_sums()
     denominator = unit * sizes[0] * sizes[-1]
     total, per_unit = total_bits * denominator, delay * sizes[0] * sizes[-1]
-    # a count of U as bits; equal counts share one Fraction
-    bits = lru_cache(maxsize=None)(lambda units: Fraction(units, denominator))
+    counts: dict[int, Fraction] = {}
+
+    def bits(units: int) -> Fraction:  # a count of U as bits; equal counts share one Fraction
+        if (b := counts.get(units)) is None:
+            b = counts[units] = Fraction(units, denominator)
+        return b
+
     received: dict[int, list[tuple[int, Fraction]]] = {}
     sources = []
     last = None
@@ -537,69 +554,75 @@ def splitting_plan(t: NetworkTopology, demand: DemandMatrix) -> SplitPlan:
 # -- verification -------------------------------------------------------------
 
 
-def _plan_units(plan: SplitPlan):
-    """The function that writes any of the plan's bit counts as an integer
-    in the plan's unit U, the LCM of all their denominators."""
+def _plan_units(plan: SplitPlan) -> dict[int, int]:
+    """Every bit count of the plan as an integer in the plan's unit U, the
+    LCM of all their denominators, keyed by the count object's ``id``: the
+    build shares one object between equal counts, so most are read once."""
     values = [*plan.per_pair, plan.total_bits, plan.padding_bits, plan.bits_per_dof]
     values += [m.bits for m in plan.sources] + [p.bits for p in plan.paddings]
     for sink in plan.sinks:
         values += [b for _, b in sink.received] + [sink.padding_bits]
-    unit = math.lcm(*(v.denominator for v in values))
-    return lambda v: v.numerator * (unit // v.denominator)
+    distinct = dict(zip(map(id, values), values))
+    unit = math.lcm(*(v.denominator for v in distinct.values()))
+    return {key: v.numerator * (unit // v.denominator) for key, v in distinct.items()}
 
 
-def _structural_conservation(plan: SplitPlan, units) -> tuple[list, list, list]:
+def _structural_conservation(plan: SplitPlan, units: dict[int, int]) -> tuple[list, list, list]:
     """Bit conservation on the per-layer structure: the unbalanced node ids,
     relay (layer, node) pairs and phases, as summing every edge into its
     endpoints would find them.
 
-    Every bit count is an integer in the plan's unit (``units``, from
-    :func:`_plan_units`).  A relay edge into phase k carries
+    Every bit count is an integer in the plan's unit, read from the
+    :func:`_plan_units` table ``units``.  A relay edge into phase k carries
     per_pair[k]/S_{k-1}, so phase-k in-flow is per_pair[k] for k >= 1 and
     phase k's out-flow is S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its
     source row over S_1.  Only the first four unbalanced nodes and relays
     are listed.
     """
     sizes, hops = plan.sizes, len(plan.sizes) - 1
-    pair = [units(b) for b in plan.per_pair]
-    sources = [(m.dst, m.src, units(m.bits)) for m in plan.sources]
-    paddings = [(p.src, units(p.bits)) for p in plan.paddings]
+    pair = [units[id(b)] for b in plan.per_pair]
     sent: dict[tuple[int, int], int] = {}
     padded: dict[int, int] = {}
     row: dict[int, int] = {}
-    for j, i, bits in sources:
-        sent[j, i] = sent.get((j, i), 0) + bits
+    for m in plan.sources:
+        i, bits = m.src, units[id(m.bits)]
+        sent[m.dst, i] = sent.get((m.dst, i), 0) + bits
         row[i] = row.get(i, 0) + bits
-    for i, bits in paddings:
+    for p in plan.paddings:
+        i, bits = p.src, units[id(p.bits)]
         padded[i] = padded.get(i, 0) + bits
         row[i] = row.get(i, 0) + bits
     out_bad = [k < hops - 1 and sizes[k + 2] * pair[k + 1] != sizes[k] * pair[k] for k in range(hops)]
-    sink_in = sizes[-2] * pair[-1]
+    inflow, sink_in = sizes[1] * pair[0], sizes[-2] * pair[-1]
 
     def bad_nodes():
-        for j, i, bits in sources:
-            if sent[j, i] != bits:
-                yield _msg_id(j, i)
-        for i, bits in paddings:
-            if padded[i] != bits:
-                yield _pad_id(i)
+        # a message or padding node sends other bits than its own only when
+        # its key repeats
+        if len(sent) < len(plan.sources):
+            for m in plan.sources:
+                if sent[m.dst, m.src] != units[id(m.bits)]:
+                    yield _msg_id(m.dst, m.src)
+        if len(padded) < len(plan.paddings):
+            for p in plan.paddings:
+                if padded[p.src] != units[id(p.bits)]:
+                    yield _pad_id(p.src)
         for k in range(hops):
             if k and not out_bad[k]:
                 continue  # only phase 0's in-flow or a bad out-flow unbalances a node
             for tx in range(sizes[k]):
-                in_bad = k == 0 and row.get(tx, 0) != sizes[1] * pair[0]
+                in_bad = k == 0 and row.get(tx, 0) != inflow
                 if in_bad or out_bad[k]:
                     for rx in range(sizes[k + 1]):
                         node = _phase_id(k, tx, rx)
                         yield from [node] * (in_bad + out_bad[k])
         for sink in plan.sinks:
             got = sink_in if 0 <= sink.dst < sizes[-1] else 0
-            if got != sum(units(b) for _, b in sink.received) + units(sink.padding_bits):
+            if got != sum(units[id(b)] for _, b in sink.received) + units[id(sink.padding_bits)]:
                 yield _sink_id(sink.dst)
 
     # relay layer k + 1 is unbalanced exactly when phase k's out-flow is
     bad_relays = ((k + 1, n) for k in range(hops) if out_bad[k] for n in range(sizes[k + 1]))
-    total = units(plan.total_bits)
+    total = units[id(plan.total_bits)]
     uneven_phases = [k for k in range(hops) if sizes[k] * sizes[k + 1] * pair[k] != total]
     return list(islice(bad_nodes(), 4)), list(islice(bad_relays, 4)), uneven_phases
 
@@ -625,18 +648,25 @@ def verify_schedule(s: Schedule) -> VerificationReport:
         try:
             _schedule_sizes(sizes)
         except (AnalysisError, TopologyError) as exc:
+            # analysis calls every size past the first a receiver count, but
+            # here only the last one is: the others are transmitter counts
+            for tx in sizes[:-1]:
+                try:
+                    _finite_sizes((tx, 1))
+                except AnalysisError as tx_exc:
+                    exc = tx_exc
+                    break
             detail = f"phase sizes {sizes}: {exc}"
         else:
-            results = _run_checks(s, sizes)
-            return VerificationReport(tuple(CheckResult(name, *r) for name, r in zip(_CHECKS, results)))
+            return VerificationReport(_run_checks(s, sizes))
     except (TypeError, AttributeError, ValueError) as exc:
         detail = f"{type(exc).__name__}: {exc}"
     return VerificationReport(tuple(CheckResult(name, False, detail) for name in _CHECKS))
 
 
-def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
-    """(passed, detail) of each check in ``_CHECKS`` order, on phases of
-    valid ``sizes``; raises when a field cannot be read."""
+def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
+    """The result of each check in ``_CHECKS``, on phases of valid
+    ``sizes``; raises when a field cannot be read."""
     plan = s.split_plan
     # the number rule, on all but the per-node counts: True == 1 and 8.0 == 8
     numbers = [*chain.from_iterable(map(_phase_fields, s.phases)), *plan.per_pair, *_totals(s)]
@@ -650,17 +680,21 @@ def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
     units = _plan_units(plan)
     results = []  # (passed, detail) of each check, in _CHECKS order
 
-    # (1) forwarding recurrence: a relay sends in phase k the bits it decoded
-    # in phase k-1; and each phase's own fields: its hop index, its receivers
-    # (the next layer's size) and its per-pair share of the X network
+    # (1) forwarding recurrence: a relay sends in phase k the T_k*S_{k+1}/P_k
+    # bits it decoded in phase k-1, T_{k-1}*S_{k-1}/P_{k-1}, with P_k =
+    # S_k + S_{k+1} - 1; and each phase's own fields: its hop index, its
+    # receivers, its per-pair DoF 1/P_k and bits T_k/P_k; all cross-multiplied
     bad_hops, bad_fields = [], []
     for k, p in enumerate(s.phases):
-        pairs = sizes[k] + sizes[k + 1] - 1
-        if k and decoded != Fraction(p.block_length * sizes[k + 1], pairs):
+        rx, block = sizes[k + 1], p.block_length
+        pairs = sizes[k] + rx - 1
+        if k and last_block * (sizes[k - 1] * pairs) != block * (rx * last_pairs):
             bad_hops.append(k)
-        decoded = Fraction(p.block_length * sizes[k], pairs)
-        fields = (p.hop, p.rx_count, p.per_pair_dof, p.per_pair_bits)
-        if fields != (k, sizes[k + 1], Fraction(1, pairs), Fraction(p.block_length, pairs)):
+        last_block, last_pairs = block, pairs
+        dof, bits = p.per_pair_dof, p.per_pair_bits
+        if (p.hop, p.rx_count, dof.numerator * pairs, bits.numerator * pairs) != (
+            k, rx, dof.denominator, block * bits.denominator
+        ):
             bad_fields.append(k)
     parts = [f"forwarding mismatch at hop(s) {bad_hops}"] if bad_hops else []
     if bad_fields:
@@ -692,40 +726,49 @@ def _run_checks(s: Schedule, sizes: list[int]) -> list[tuple[bool, str]]:
             )
     results.append((not parts, "; ".join(parts)))
 
-    # (3) the realized rate equals the achievable sum DoF
-    alpha = achievable_sum_dof(sizes)
-    delay_ok = s.total_delay == sum(p.block_length for p in s.phases)
+    # (3) the realized rate equals the achievable sum DoF, 1/(sum of 1/alpha_k)
+    # = d/n, and the schedule's bits over its delay: a/b = sum_dof is both
+    # when a*n == b*d and a*T == b*B
+    n, d = _reciprocal_sums(sizes)[0].as_integer_ratio()
+    a, b = s.sum_dof.numerator, s.sum_dof.denominator
     rate_ok = (
-        ExtRational(s.sum_dof) == alpha
-        and s.sum_dof * s.total_delay == s.total_bits
-        and delay_ok
+        a * n == b * d
+        and a * s.total_delay == b * s.total_bits
+        and s.total_delay == sum(p.block_length for p in s.phases)
     )
-    results.append((rate_ok, "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {alpha}"))
+    results.append((rate_ok, "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {ExtRational(d, n)}"))
 
     # (4) destination bins and source messages match the demand exactly; with
     # d the demand's unit, a bit count b is right when b*U*d equals its DoF
-    # in d times the bits per DoF in U
-    per_dof = units(plan.bits_per_dof)
-    unit, _, cols = plan.demand.unit_sums()
-    wanted = {key: v.numerator * (unit // v.denominator) * per_dof for key, v in plan.demand.entries.items()}
+    # in d times the bits per DoF in U; one pass over the demand gives each
+    # entry's bits and the column sums in d, which ``DemandMatrix.unit_sums``
+    # would give in a pass of its own
+    per_dof = units[id(plan.bits_per_dof)]
+    entries = plan.demand.entries
+    unit = math.lcm(*(v.denominator for v in entries.values()))
+    wanted: dict[tuple[int, int], int] = {}
     expected: dict[int, dict[int, int]] = {}
-    for (j, i), bits in wanted.items():
+    cols: dict[int, int] = {}
+    for (j, i), v in entries.items():
+        count = v.numerator * (unit // v.denominator)
+        cols[j] = cols.get(j, 0) + count
+        wanted[j, i] = bits = count * per_dof
         if 0 <= i < sizes[0]:
             expected.setdefault(j, {})[i] = bits
-    total = units(plan.total_bits) * unit
+    total = units[id(plan.total_bits)] * unit
     problems = []
     for sink in plan.sinks:
-        if {i: units(b) * unit for i, b in sink.received} != expected.get(sink.dst, {}):
+        if {i: units[id(b)] * unit for i, b in sink.received} != expected.get(sink.dst, {}):
             problems.append(f"dst {sink.dst + 1} reassembly")
-        if units(sink.padding_bits) * unit * sizes[-1] != total - sizes[-1] * cols.get(sink.dst, 0) * per_dof:
+        if units[id(sink.padding_bits)] * unit * sizes[-1] != total - sizes[-1] * cols.get(sink.dst, 0) * per_dof:
             problems.append(f"dst {sink.dst + 1} padding")
     for msg in plan.sources:
-        if units(msg.bits) * unit != wanted.get((msg.dst, msg.src), 0):
+        if units[id(msg.bits)] * unit != wanted.get((msg.dst, msg.src), 0):
             problems.append(f"message {_msg_id(msg.dst, msg.src)}")
-    if units(plan.padding_bits) * unit != total - sum(cols.values()) * per_dof:
+    if units[id(plan.padding_bits)] * unit != total - sum(cols.values()) * per_dof:
         problems.append("total padding")
     results.append((not problems, "; ".join(problems[:4])))
-    return results
+    return tuple(CheckResult(name, *r) for name, r in zip(_CHECKS, results))
 
 
 # -- serialization ------------------------------------------------------------
@@ -746,7 +789,7 @@ def _plan_to_obj(plan: SplitPlan) -> dict:
             {
                 "id": _sink_id(sink.dst),
                 "kind": "destination",
-                "bits": str(sink.bits),
+                "bits": _text(*sink._bits_ratio()),
                 "received": [
                     {"src": i + 1, "bits": str(b)} for i, b in sink.received
                 ],
@@ -805,9 +848,12 @@ def plan_to_dot(plan: SplitPlan) -> str:
         lines += [f'  "{node}" [label="{node}{suffix}' for row in phase for node in row]
     for sink in plan.sinks:
         node = _sink_id(sink.dst)
-        lines.append(f'  "{node}" [shape=doublecircle, label="{node}\\n{sink.bits} bits"];')
+        lines.append(f'  "{node}" [shape=doublecircle, label="{node}\\n{_text(*sink._bits_ratio())} bits"];')
+    # one string per head: its edges' rows differ only in the tail
     for heads, tails, share in edges._blocks(ids, text=True):
-        suffix = f'" [label="{share}"];'
-        lines += [f'  "{h}" -> "{t}{suffix}' for h in heads for t in tails]
+        end = f'" [label="{share}"];'
+        for h in heads:
+            start = '  "' + h + '" -> "'
+            lines.append(start + (end + "\n" + start).join(tails) + end)
     lines.append("}")
     return "\n".join(lines)

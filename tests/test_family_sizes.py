@@ -180,8 +180,11 @@ def test_fitted_class_is_never_another_than_the_limit_class(f):
     [
         FamilySpec(kind="ProportionalFixedK", base=tuple(map(Fraction, ("1/4", "1/4", "4", "4")))),
         FamilySpec(kind="PinnedLayerFixedK", base=tuple(map(Fraction, (1, 3, 3, 1))), pinned=((0, 4),)),
+        # the second layer is 1 node at every sampled n, so the fit names
+        # Constant with confidence where the limit is Linear
+        FamilySpec(kind="ProportionalFixedK", base=(Fraction(10**300), Fraction(1))),
     ],
-    ids=["proportional-quarter-quarter-4-4", "pinned-1-3-3-1-first-at-4"],
+    ids=["proportional-quarter-quarter-4-4", "pinned-1-3-3-1-first-at-4", "proportional-1e300-1"],
 )
 @pytest.mark.xfail(strict=True, reason="the sample grid ends before these families near their limit")
 def test_fitted_class_is_the_limit_class(f):

@@ -69,11 +69,21 @@ CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
         ),
         (
             lambda s: (s.phases[0], PhasePlan(1, -1, 2, 4, Fraction(1, 4), Fraction(1))),
-            "phase sizes [2, -1, 2]: receiver count must be a positive integer or INFINITY, got -1",
+            "phase sizes [2, -1, 2]: transmitter count must be a positive integer or INFINITY, got -1",
+        ),
+        # only the last phase's rx_count is a receiver count, and the first
+        # bad size is the one named
+        (
+            lambda s: (s.phases[0], PhasePlan(1, 3, 0, 4, Fraction(1, 2), Fraction(2))),
+            "phase sizes [2, 3, 0]: receiver count must be a positive integer or INFINITY, got 0",
+        ),
+        (
+            lambda s: (s.phases[0], PhasePlan(1, True, 0, 4, Fraction(1, 4), Fraction(1))),
+            "phase sizes [2, True, 0]: transmitter count must be a positive integer or INFINITY, got True",
         ),
         (lambda s: (), "phase sizes []: need at least 2 layers"),
     ],
-    ids=["zero-tx", "negative-tx", "no-phases"],
+    ids=["zero-tx", "negative-tx", "zero-last-rx", "bool-tx-before-zero-rx", "no-phases"],
 )
 def test_phases_of_bad_sizes_fail_every_check(phases, detail):
     s = _schedule()

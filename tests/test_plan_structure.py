@@ -8,7 +8,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from relaydof import schedule
-from relaydof.model import DemandMatrix, LayerSpec, NetworkTopology, demand_to_obj
+from relaydof.analysis import achievable_sum_dof
+from relaydof.model import DemandMatrix, ExtRational, LayerSpec, NetworkTopology, demand_to_obj
 from relaydof.region import max_uniform_scale
 from relaydof.schedule import (
     CheckResult,
@@ -524,3 +525,138 @@ def test_integer_unit_reports_as_the_fraction_route():
     assert details == ["message msg[1,1]", "dst 1 padding", "dst 1 reassembly"]
     for p in (halved, padded, misrouted):
         assert verify_schedule(_with_plan(s, p)).checks[3] == _oracle_demand_shares(_with_plan(s, p))
+
+
+# -- checks (1) and (3) in integers against the Fraction route ----------------------
+#
+# verify_schedule cross-multiplies block lengths and phase fields, and compares
+# sum_dof with the integers of the reciprocal sum; these are the Fraction forms
+# it replaced.
+
+
+def _oracle_phase_recurrence(s):
+    """Check (1) of verify_schedule, by the Fraction route."""
+    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
+    bad_hops, bad_fields = [], []
+    for k, p in enumerate(s.phases):
+        pairs = sizes[k] + sizes[k + 1] - 1
+        if k and decoded != Fraction(p.block_length * sizes[k + 1], pairs):
+            bad_hops.append(k)
+        decoded = Fraction(p.block_length * sizes[k], pairs)
+        fields = (p.hop, p.rx_count, p.per_pair_dof, p.per_pair_bits)
+        if fields != (k, sizes[k + 1], Fraction(1, pairs), Fraction(p.block_length, pairs)):
+            bad_fields.append(k)
+    parts = [f"forwarding mismatch at hop(s) {bad_hops}"] if bad_hops else []
+    if bad_fields:
+        parts.append(f"phase fields off at hop(s) {bad_fields}")
+    return CheckResult("phase-recurrence", not parts, "; ".join(parts))
+
+
+def _oracle_sum_dof(s):
+    """Check (3) of verify_schedule, by the Fraction route."""
+    sizes = [p.tx_count for p in s.phases] + [s.phases[-1].rx_count]
+    alpha = achievable_sum_dof(sizes)
+    delay_ok = s.total_delay == sum(p.block_length for p in s.phases)
+    rate_ok = ExtRational(s.sum_dof) == alpha and s.sum_dof * s.total_delay == s.total_bits and delay_ok
+    return CheckResult("sum-dof", rate_ok, "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {alpha}")
+
+
+def _assert_checks_1_and_3_match(s):
+    report = verify_schedule(s)
+    assert report.checks[0] == _oracle_phase_recurrence(s)
+    assert report.checks[2] == _oracle_sum_dof(s)
+
+
+def _tamper_numbers(s, how, data):
+    """A schedule with one phase field, sum_dof or total_delay changed."""
+    if how in ("sum_dof", "total_delay"):
+        value = getattr(s, how)
+        if data.draw(st.booleans()):
+            value += data.draw(st.sampled_from([-1, 1]))
+        elif how == "sum_dof":
+            value = data.draw(st.sampled_from([value.numerator, value.numerator // value.denominator]))
+        return _replace(s, **{how: value})
+    k = data.draw(st.integers(0, len(s.phases) - 1))
+    phase = s.phases[k]
+    value = getattr(phase, how)
+    if how != "block_length" and data.draw(st.booleans()):
+        # an int where a Fraction was: the value itself when it is whole
+        value = data.draw(st.sampled_from([value.numerator, value.numerator // value.denominator]))
+    else:
+        value += data.draw(_deltas)
+    phases = s.phases[:k] + (_replace(phase, **{how: value}),) + s.phases[k + 1 :]
+    return _replace(s, phases=phases)
+
+
+@_oracle_settings
+@given(oracle_schedules())
+def test_checks_1_and_3_match_the_fraction_route(s):
+    _assert_checks_1_and_3_match(s)
+    assert verify_schedule(s).ok
+
+
+@_oracle_settings
+@given(
+    oracle_schedules(),
+    st.sampled_from(["block_length", "per_pair_dof", "per_pair_bits", "sum_dof", "total_delay"]),
+    st.data(),
+)
+def test_checks_1_and_3_match_the_fraction_route_on_tampered_numbers(s, how, data):
+    _assert_checks_1_and_3_match(_tamper_numbers(s, how, data))
+
+
+def test_checks_1_and_3_report_as_the_fraction_route():
+    s = integer_schedule(_chain([2, 3, 2]))
+    longer = _replace(s.phases[1], block_length=s.phases[1].block_length + Fraction(1, 2))
+    cases = {
+        "phases": _replace(s, phases=(s.phases[0], longer)),
+        "sum_dof": _replace(s, sum_dof=s.sum_dof + 1),
+        "whole sum_dof": _replace(s, sum_dof=1),
+    }
+    details = {name: (verify_schedule(t).checks[0].detail, verify_schedule(t).checks[2].detail) for name, t in cases.items()}
+    assert details == {
+        "phases": ("forwarding mismatch at hop(s) [1]; phase fields off at hop(s) [1]", "sum_dof 3/4 vs achievable 3/4"),
+        "sum_dof": ("", "sum_dof 7/4 vs achievable 3/4"),
+        "whole sum_dof": ("", "sum_dof 1 vs achievable 3/4"),
+    }
+    for t in cases.values():
+        _assert_checks_1_and_3_match(t)
+
+
+def _counting_fractions(monkeypatch) -> list[int]:
+    """Count the Fractions built from here on, in a one-item list: through
+    the constructor, and through the arithmetic's shortcut where it has one."""
+    built = [0]
+    original = Fraction.__new__
+
+    def counting_new(klass, *args, **kwargs):
+        built[0] += 1
+        return original(klass, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(klass, numerator, denominator, /):
+            built[0] += 1
+            return coprime(klass, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
+def test_verification_builds_no_fraction_per_hop(monkeypatch):
+    short = integer_schedule(_chain([2, 3, 4, 3, 2]))
+    long = integer_schedule(_chain([2, *([3, 4, 5, 6] * 15)[:58], 2]))
+    assert len(long.phases) == 59
+    built = _counting_fractions(monkeypatch)
+    counts = []
+    for s in (short, long):
+        built[0] = 0
+        assert verify_schedule(s).ok
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+    # the counter does see a per-hop Fraction
+    built[0] = 0
+    _oracle_phase_recurrence(long)
+    assert built[0] >= 3 * len(long.phases)
