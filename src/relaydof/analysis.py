@@ -5,10 +5,10 @@ achievable sum DoF is M*N/(M+N-1); the chain combines like series
 capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
 matching harmonic combination.  Both sums come from one integer weight
-per layer, unit/size (``_layer_weights``), kept by a topology once computed
-(``_topology_sums``).  Every other value is a closed form in the integers
-of those sums, an/ad and bn/bd, or of the endpoint sizes, and each public
-result is one exact ExtRational built from a numerator and a denominator.
+per layer, unit/size (``_layer_weights``), as two reduced integer pairs an/ad
+and bn/bd kept by a topology once computed (``_topology_sums``).  Every other
+value is a closed form in those integers or the endpoint sizes, and each
+reported value is one ExtRational built at the end from two integers.
 Both values of a hop come from one bounded cache of size pairs
 (``_hop_values``), each with its text made as it enters; any other value
 gets its text from its first report, which keeps it for the next.
@@ -20,7 +20,6 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 
@@ -79,10 +78,11 @@ class AnalysisReport(Record):
     relay_loss_factor: ExtRational | None
 
 
-def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:
+def _finite_sizes(sizes: Sequence[ExtCount], receivers: int = 1) -> set[int]:
     """The chain's distinct finite sizes, after validating the whole chain:
     the one check of raw sizes, made once by every public function that takes
-    them.  A bad size at index 0 is a transmitter count, later a receiver count.
+    them.  A bad size before index ``receivers`` is a transmitter count, later
+    a receiver count: chains pass 1, phase lists their last index.
     """
     if len(sizes) < 2:
         raise AnalysisError("need at least 2 layers")
@@ -93,7 +93,7 @@ def _finite_sizes(sizes: Sequence[ExtCount]) -> set[int]:
             return finite
     for k, value in enumerate(sizes):
         if isinstance(value, bool) or not isinstance(value, (int, Infinity)) or value < 1:
-            what = "transmitter count" if k == 0 else "receiver count"
+            what = "transmitter count" if k < receivers else "receiver count"
             raise AnalysisError(f"{what} must be a positive integer or INFINITY, got {value!r}")
     return {s for s in sizes if not isinstance(s, Infinity)}
 
@@ -146,14 +146,14 @@ def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]
     return unit, list(map(weight.get, sizes, repeat(0))), list(map(plain.get, sizes, repeat(0)))
 
 
-def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[Fraction, Fraction]:
-    """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, exactly:
-    ``_weight_sums`` of its ``_layer_weights``."""
+def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, as reduced
+    (numerator, denominator) pairs: ``_weight_sums`` of its ``_layer_weights``."""
     return _weight_sums(*_layer_weights(sizes))
 
 
-def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[Fraction, Fraction]:
-    """The two reciprocal sums in a chain's ``_layer_weights``.
+def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two reciprocal sums in a chain's ``_layer_weights``, each reduced by one gcd.
 
     A hop (m, n) adds 1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit)
     and 1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
@@ -171,13 +171,15 @@ def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[Fraction, F
     tied = Counter(filter(None, map(operator.mul, plain, plain[1:])))
     square = unit * unit
     cross = sum(map(operator.mul, map(square.__floordiv__, tied), tied.values()))
-    return Fraction(unit * ends - cross, square), Fraction(ends + spreads, 2 * unit)
+    an, bn, bd = unit * ends - cross, ends + spreads, 2 * unit
+    g, h = math.gcd(an, square), math.gcd(bn, bd)
+    return (an // g, square // g), (bn // h, bd // h)
 
 
 _store_sums = NetworkTopology._sums.__set__
 
 
-def _topology_sums(t: NetworkTopology) -> tuple[Fraction, Fraction]:
+def _topology_sums(t: NetworkTopology) -> tuple[tuple[int, int], tuple[int, int]]:
     """``_reciprocal_sums`` of the topology's effective sizes, computed on
     first use and kept in its ``_sums`` slot: ``analyze``, the region
     checks and ``antenna_scale_check`` of one topology share one pass.
@@ -190,16 +192,15 @@ def _topology_sums(t: NetworkTopology) -> tuple[Fraction, Fraction]:
         return sums
 
 
-def _harmonic(inverse_sum: Fraction) -> ExtRational:
-    n, d = inverse_sum.as_integer_ratio()
+def _harmonic(inverse_sum: tuple[int, int]) -> ExtRational:
+    n, d = inverse_sum
     return ExtRational(d, n) if n else ExtRational(INFINITY)
 
 
-def _gaps(inv_alpha: Fraction, inv_beta: Fraction) -> tuple[ExtRational, ExtRational, ExtRational]:
+def _gaps(inv_alpha: tuple[int, int], inv_beta: tuple[int, int]) -> tuple[ExtRational, ExtRational, ExtRational]:
     """(inverse gap g/(ad*bd), absolute gap g/(an*bn), fractional bound g/(ad*bn)) with
     g = an*bd - bn*ad, from sum 1/alpha = an/ad > 0 and sum 1/beta = bn/bd."""
-    an, ad = inv_alpha.as_integer_ratio()
-    bn, bd = inv_beta.as_integer_ratio()
+    (an, ad), (bn, bd) = inv_alpha, inv_beta
     g = an * bd - bn * ad
     return ExtRational(g, ad * bd), ExtRational(g, an * bn), ExtRational(g, ad * bn)
 
@@ -239,9 +240,9 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     # 1/max(m, n) of a hop is min(w_m, w_n)/unit, 0 with an infinite end
     bound1 = ExtRational(sum(min(w[k], w[k + 1]) for k in members), unit)
     smallest_tx = min(map(sizes.__getitem__, members), default=INFINITY)
-    bound2 = ExtRational(len(members)) * ExtRational(smallest_tx).reciprocal()
+    bound2 = ExtRational(0) if isinstance(smallest_tx, Infinity) else ExtRational(len(members), smallest_tx)
     # an all-infinite chain has both sums 0, and no gap
-    return _gaps(inv_alpha, inv_beta)[0] if inv_alpha else ExtRational(0), bound1, bound2
+    return _gaps(inv_alpha, inv_beta)[0] if inv_alpha[0] else ExtRational(0), bound1, bound2
 
 
 def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational]:
@@ -252,7 +253,7 @@ def absolute_and_fractional_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational,
     (gap / capacity).  Undefined when the chain is unbounded on both routes.
     """
     inv_alpha, inv_beta = _reciprocal_sums(sizes)
-    if inv_alpha == 0:
+    if not inv_alpha[0]:
         raise AnalysisError("gap is undefined when both bounds are infinite")
     return _gaps(inv_alpha, inv_beta)[1:]
 

@@ -432,7 +432,8 @@ class NetworkTopology(Record):
 
     Layers may be shared: parsed topologies hold one ``LayerSpec`` per
     distinct ``{"nodes": ...}`` value.  ``_sums`` stays empty until the
-    chain's (sum of 1/alpha_k, sum of 1/beta_k) is first needed; see
+    chain's (sum of 1/alpha_k, sum of 1/beta_k) is first needed, then holds
+    them as two reduced (numerator, denominator) int pairs; see
     ``analysis._topology_sums``.
     """
 

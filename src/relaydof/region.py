@@ -62,7 +62,7 @@ def _constraints(t: NetworkTopology, d: DemandMatrix) -> list[tuple[str, int, in
     if errors:
         raise DemandError("; ".join(errors))
     # finite endpoints give a positive sum, so alpha is finite
-    an, ad = _topology_sums(t)[0].as_integer_ratio()
+    an, ad = _topology_sums(t)[0]
     unit, rows, cols = d.unit_sums()
     constraints = [("total", sum(rows.values()), unit, ad, an)]
     for prefix, layer, sums in (("src", t.source_layer, rows), ("dst", t.destination_layer, cols)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .analysis import _harmonic, _topology_sums, achievable_sum_dof
+from .analysis import _topology_sums, achievable_sum_dof
 from .model import (
     DocumentError,
     ExtRational,
@@ -265,10 +265,11 @@ def antenna_scale_check(
     below as the network grows; it is reported, never asserted to equal s.
     """
     _check_antenna_scale(t, s)
-    # scaling every antenna count by s scales every layer's size by s
-    alpha_base = _harmonic(_topology_sums(t)[0])
-    alpha_scaled = achievable_sum_dof([s * e for e in t.effective_sizes()])
-    return alpha_base, alpha_scaled, alpha_scaled / alpha_base
+    # scaling every antenna count by s scales every layer's size by s; with sum
+    # 1/alpha = an/ad and the scaled value sd/sn, the ratio is sd*an/(sn*ad)
+    an, ad = _topology_sums(t)[0]
+    scaled = achievable_sum_dof([s * e for e in t.effective_sizes()])
+    return ExtRational(ad, an), scaled, ExtRational(scaled.numerator * an, scaled.denominator * ad)
 
 
 def sweep_rows(verdict: ScalingVerdict) -> list[tuple[int, int, int, float, float]]:

@@ -379,12 +379,12 @@ def _text(numerator: int, denominator: int) -> str:
 # -- schedule construction ---------------------------------------------------
 
 
-def _schedule_sizes(sizes: Sequence[int]) -> list[int]:
+def _schedule_sizes(sizes: Sequence[int], receivers: int = 1) -> list[int]:
     """The sizes of a chain that a schedule can run on: valid sizes
-    (``AnalysisError`` otherwise), every layer finite and at least one relay
-    layer (``TopologyError`` otherwise)."""
+    (``AnalysisError`` otherwise, ``receivers`` as in ``_finite_sizes``), every
+    layer finite and at least one relay layer (``TopologyError`` otherwise)."""
     sizes = list(sizes)
-    _finite_sizes(sizes)
+    _finite_sizes(sizes, receivers)
     if INFINITY in sizes:
         raise TopologyError(f"layer {sizes.index(INFINITY)}: schedules are finite-network objects")
     if len(sizes) < 3:
@@ -646,16 +646,9 @@ def verify_schedule(s: Schedule) -> VerificationReport:
     try:
         sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
         try:
-            _schedule_sizes(sizes)
+            # only the last size is a receiver count: the others are the phases' transmitters
+            _schedule_sizes(sizes, len(sizes) - 1)
         except (AnalysisError, TopologyError) as exc:
-            # analysis calls every size past the first a receiver count, but
-            # here only the last one is: the others are transmitter counts
-            for tx in sizes[:-1]:
-                try:
-                    _finite_sizes((tx, 1))
-                except AnalysisError as tx_exc:
-                    exc = tx_exc
-                    break
             detail = f"phase sizes {sizes}: {exc}"
         else:
             return VerificationReport(_run_checks(s, sizes))
@@ -729,7 +722,7 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
     # (3) the realized rate equals the achievable sum DoF, 1/(sum of 1/alpha_k)
     # = d/n, and the schedule's bits over its delay: a/b = sum_dof is both
     # when a*n == b*d and a*T == b*B
-    n, d = _reciprocal_sums(sizes)[0].as_integer_ratio()
+    n, d = _reciprocal_sums(sizes)[0]
     a, b = s.sum_dof.numerator, s.sum_dof.denominator
     rate_ok = (
         a * n == b * d

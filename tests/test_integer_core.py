@@ -2,7 +2,8 @@
 from integers, and the per-hop loops it replaced stay here as oracles.
 
 ``reference_bound1`` is the loop ``inverse_gap`` used to add its first
-bound with, one ExtRational per bounding hop.  The counting tests pin how
+bound with, one ExtRational per bounding hop; ``reference_bound2`` reads
+the second bound off the hops by their definition.  The counting tests pin how
 many ``Fraction`` and ``ExtRational`` values the region check and the scale
 build, so a return to per-constraint rationals shows as a failure.
 """
@@ -24,6 +25,14 @@ def reference_bound1(sizes) -> ExtRational:
     for k in bounding_set(sizes):
         bound1 = bound1 + ExtRational(max(sizes[k], sizes[k + 1])).reciprocal()
     return bound1
+
+
+def reference_bound2(sizes) -> Fraction:
+    """The number of bounding hops, those whose smaller end exceeds 1, over the
+    smallest finite transmitter size among them; 0 when there is none."""
+    hops = [k for k in range(len(sizes) - 1) if min(sizes[k], sizes[k + 1]) > 1]
+    finite = [sizes[k] for k in hops if sizes[k] is not INFINITY]
+    return Fraction(len(hops), min(finite)) if finite else Fraction(0)
 
 
 def _counting(monkeypatch, cls) -> list[int]:
@@ -85,6 +94,12 @@ def test_bound1_matches_the_per_hop_loop(sizes):
     exact, bound1, bound2 = inverse_gap(sizes)
     assert bound1 == reference_bound1(sizes)
     assert exact <= bound1 <= bound2
+
+
+@settings(deadline=None)
+@given(st.lists(_size, min_size=2, max_size=60))
+def test_bound2_matches_its_oracle(sizes):
+    assert inverse_gap(sizes)[2].as_fraction() == reference_bound2(sizes)
 
 
 def test_bound1_builds_few_extrationals(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from relaydof.model import LayerSpec, NetworkTopology
+from relaydof.model import INFINITY, LayerSpec, NetworkTopology
 from relaydof.schedule import PhasePlan, integer_schedule, schedule_to_obj, verify_schedule
 
 
@@ -82,8 +82,21 @@ CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
             "phase sizes [2, True, 0]: transmitter count must be a positive integer or INFINITY, got True",
         ),
         (lambda s: (), "phase sizes []: need at least 2 layers"),
+        # valid sizes that no schedule runs on
+        (lambda s: s.phases[:1], "phase sizes [2, 3]: schedule synthesis needs at least one relay layer"),
+        (
+            lambda s: (s.phases[0], PhasePlan(1, INFINITY, 2, 4, Fraction(1, 2), Fraction(2))),
+            "phase sizes [2, inf, 2]: layer 1: schedules are finite-network objects",
+        ),
+        (
+            lambda s: (s.phases[0], PhasePlan(1, 3, INFINITY, 4, Fraction(1, 2), Fraction(2))),
+            "phase sizes [2, 3, inf]: layer 2: schedules are finite-network objects",
+        ),
     ],
-    ids=["zero-tx", "negative-tx", "zero-last-rx", "bool-tx-before-zero-rx", "no-phases"],
+    ids=[
+        "zero-tx", "negative-tx", "zero-last-rx", "bool-tx-before-zero-rx", "no-phases", "no-relay", "infinite-tx",
+        "infinite-last-rx",
+    ],
 )
 def test_phases_of_bad_sizes_fail_every_check(phases, detail):
     s = _schedule()
