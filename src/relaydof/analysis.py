@@ -6,7 +6,10 @@ capacitors, by summing reciprocals.  The cut-set route turns each relay
 layer into one multi-antenna super node, giving min(M, N) per hop and the
 matching harmonic combination.  Both sums come from one integer weight
 per layer, unit/size (``_layer_weights``), as two reduced integer pairs an/ad
-and bn/bd kept by a topology once computed (``_topology_sums``).  Every other
+and bn/bd kept by a topology once computed (``_topology_sums``).  Their
+1/(mn) terms take one product of two weights per hop while unit is short,
+else one division of unit**2 per distinct hop product, a route that costs
+O(L**2) on a chain of L distinct primes (``_weight_sums``).  Every other
 value is a closed form in those integers or the endpoint sizes, and each
 reported value is one ExtRational built at the end from two integers.
 Both values of a hop come from one bounded cache of size pairs
@@ -137,43 +140,69 @@ def _hop_values(m: ExtCount, n: ExtCount) -> tuple[ExtRational, ExtRational]:
     return achievable, cutset
 
 
-def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int], list[int]]:
-    """(unit = lcm of the finite sizes, then per layer unit/size and the size, 0 if infinite)."""
+def _layer_weights(sizes: Sequence[ExtCount]) -> tuple[int, list[int]]:
+    """(unit = lcm of the finite sizes, then per layer unit/size, 0 if infinite)."""
     finite = _finite_sizes(sizes)
     unit = math.lcm(*finite)
     weight = {s: unit // s for s in finite}
-    plain = dict(zip(finite, finite))
-    return unit, list(map(weight.get, sizes, repeat(0))), list(map(plain.get, sizes, repeat(0)))
+    return unit, list(map(weight.get, sizes, repeat(0)))
 
 
 def _reciprocal_sums(sizes: Sequence[ExtCount]) -> tuple[tuple[int, int], tuple[int, int]]:
     """(sum of 1/alpha_k, sum of 1/beta_k) over the chain's hops, as reduced
     (numerator, denominator) pairs: ``_weight_sums`` of its ``_layer_weights``."""
-    return _weight_sums(*_layer_weights(sizes))
+    return _weight_sums(sizes, *_layer_weights(sizes))
 
 
-def _weight_sums(unit: int, w: list[int], plain: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two reciprocal sums in a chain's ``_layer_weights``, each reduced by one gcd.
+def _weight_sums(sizes: Sequence[ExtCount], unit: int, w: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two reciprocal sums of a chain from its ``_layer_weights``, each reduced by one gcd.
 
     A hop (m, n) adds 1/beta = max(1/m, 1/n) = (w_m + w_n + |w_m - w_n|) / (2 * unit)
     and 1/alpha = 1/m + 1/n - 1/(mn) = (w_m + w_n) / unit - 1/(mn), where the
-    1/(mn) term, unit**2 // (mn) over unit**2, is there only when both ends
-    are finite; this covers hops with one or two infinite ends as well.
-    Every sum is a C-level pass, over the layers or over the distinct mn,
-    and no two weights are multiplied, so each term costs time linear in
-    unit's digits.  The whole is not linear: on a chain of distinct primes
-    every mn is distinct and unit has O(L) digits, so the sums cost O(L**2).
+    1/(mn) term, unit**2 // (mn) = w_m * w_n over unit**2, is there only when
+    both ends are finite; this covers hops with one or two infinite ends as
+    well.  Every sum is a C-level pass, and unit's bit length picks the
+    route of the 1/(mn) terms.
     """
     # sum over hops of (w_m + w_n): every layer twice except the two ends
     ends = 2 * sum(w) - w[0] - w[-1]
     spreads = sum(map(abs, map(operator.sub, w, w[1:])))
-    # how many hops have each product m*n, over hops with two finite ends
-    tied = Counter(filter(None, map(operator.mul, plain, plain[1:])))
     square = unit * unit
-    cross = sum(map(operator.mul, map(square.__floordiv__, tied), tied.values()))
+    cross = _cross_by_multiply(w) if unit.bit_length() <= _MULTIPLY_BITS else _cross_by_count(sizes, square)
     an, bn, bd = unit * ends - cross, ends + spreads, 2 * unit
     g, h = math.gcd(an, square), math.gcd(bn, bd)
     return (an // g, square // g), (bn // h, bd // h)
+
+
+# Up to this bit length of unit, ``_weight_sums`` multiplies weights.  On
+# 1,000-hop chains the multiply route wins below about 240 bits whatever the
+# hop products, and up to about 1,000 bits when few products repeat; past
+# that its products of two unit-sized weights lose to the count route's
+# divisions of unit**2 by short products (2x to 10x at 3,600 bits).  A
+# chain of sizes 1..64 has a unit of at most 90 bits, lcm(1..64).
+_MULTIPLY_BITS = 240
+
+
+def _cross_by_multiply(w: list[int]) -> int:
+    """Sum over the hops of unit**2 // (mn) as w_m * w_n, which is 0 at an
+    infinite end: one product per hop, whose cost grows with the square of
+    unit's digits."""
+    return sum(map(operator.mul, w, w[1:]))
+
+
+def _cross_by_count(sizes: Sequence[ExtCount], square: int) -> int:
+    """Sum over the hops with two finite ends of square // (mn), square = unit**2:
+    one division per distinct product mn, each costing time linear in unit's
+    digits.  The whole is not linear: on a chain of distinct primes every mn
+    is distinct and unit has O(L) digits, so this route costs O(L**2)."""
+    # each size as a plain int, 0 for an infinite layer; reading it back
+    # from its weight, unit // w, would cost one long division per layer
+    finite = dict(zip(sizes, sizes))
+    finite.pop(INFINITY, None)
+    plain = list(map(finite.get, sizes, repeat(0)))
+    # how many hops have each product m*n, over hops with two finite ends
+    tied = Counter(filter(None, map(operator.mul, plain, plain[1:])))
+    return sum(map(operator.mul, map(square.__floordiv__, tied), tied.values()))
 
 
 _store_sums = NetworkTopology._sums.__set__
@@ -234,8 +263,8 @@ def inverse_gap(sizes: Sequence[ExtCount]) -> tuple[ExtRational, ExtRational, Ex
     with an infinite endpoint contribute nothing; when no hop can contribute
     the bounds are 0 as well.
     """
-    unit, w, plain = _layer_weights(sizes)
-    inv_alpha, inv_beta = _weight_sums(unit, w, plain)
+    unit, w = _layer_weights(sizes)
+    inv_alpha, inv_beta = _weight_sums(sizes, unit, w)
     members = _bounding_set(sizes)
     # 1/max(m, n) of a hop is min(w_m, w_n)/unit, 0 with an infinite end
     bound1 = ExtRational(sum(min(w[k], w[k + 1]) for k in members), unit)

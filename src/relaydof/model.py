@@ -5,8 +5,9 @@ chain of layers where layer 0 holds the sources, the last layer holds the
 destinations, and every layer in between holds relays.  A layer is either a
 node count (possibly the symbolic value ``inf``) or an explicit list of
 per-node antenna counts.  Everything downstream works on exact numbers:
-finite values are ``fractions.Fraction`` and the single infinite value is
-symbolic, so identities can be asserted with ``==`` instead of tolerances.
+finite values are ``fractions.Fraction`` or, in a reported ``ExtRational``,
+a reduced int pair, and the single infinite value is symbolic, so
+identities can be asserted with ``==`` instead of tolerances.
 ``Infinity.__le__`` is its ``__eq__``, since inf is at most itself and
 nothing else; ``ExtRational`` writes ``__lt__`` beside its ``__eq__``; and
 ``functools.total_ordering`` derives the rest of each.
@@ -17,9 +18,9 @@ that becomes a Fraction is read by the one rule ``_exact``, which also reads
 rational literals as the documents do, and rejects a float or a bool.
 
 All types are immutable after construction and all operations are pure
-functions, safe to share across threads.  Two slots are filled after
+functions, safe to share across threads.  Three slots are filled after
 construction, each on first use: a topology's pair of reciprocal sums, by
-``relaydof.analysis``, and an ``ExtRational``'s text, by its ``__str__``.
+``relaydof.analysis``, and an ``ExtRational``'s Fraction and text.
 Each is derived from its object alone, so two threads that fill one at
 once store equal values and either one may stay.
 Parsing shares each node count's ``LayerSpec`` across documents through one
@@ -136,6 +137,12 @@ def _exact(value) -> Fraction | None:
         # Fraction would also take spaces, '_' and non-ASCII digits
         if not _LITERAL_CHARS.issuperset(value):
             raise ValueError(value)
+        # a plain p or p/q, the documents' usual literal, is read as two ints
+        # (int() keeps the int-string limit); a sign, a decimal point or an
+        # exponent takes Fraction's reader
+        numerator, slash, denominator = value.partition("/")
+        if numerator.isdigit() and (denominator.isdigit() or not slash):
+            return Fraction(int(numerator), int(denominator) if slash else 1)
         # Fraction builds 10**|exponent|, so the exponent is held to the
         # int-string limit that already caps the digits of a literal
         exponent = value.lower().partition("e")[2]
@@ -166,38 +173,77 @@ def _operand(method):
 class ExtRational:
     """An exact rational extended with symbolic positive infinity.
 
-    Finite values are stored as ``Fraction`` (always in lowest terms), the
-    infinite value as a marker.  Arithmetic follows the extended rules used
-    throughout the analysis: ``x + inf == inf``, ``1/inf == 0``, and the
-    reciprocal of 0 is ``inf``.  Indeterminate combinations (``inf - inf``,
-    ``inf * 0``, ``inf / inf``) raise ``ArithmeticError`` rather than
-    guessing.
+    A finite value is stored as a reduced ``(numerator, denominator)`` int
+    pair with a positive denominator, the infinite value as the marker pair
+    (1, 0).  Its ``Fraction`` is built only when an operator, ``hash`` or
+    ``as_fraction()`` first needs it, and its text, written from the two ints
+    as ``str(Fraction)`` writes it, when ``str`` first needs it; a Fraction
+    given to the constructor is kept as is.  Arithmetic follows the extended
+    rules used throughout the analysis: ``x + inf == inf``, ``1/inf == 0``,
+    and the reciprocal of 0 is ``inf``.  Indeterminate combinations
+    (``inf - inf``, ``inf * 0``, ``inf / inf``) raise ``ArithmeticError``
+    rather than guessing.
     """
 
-    __slots__ = ("_value", "_text")
+    __slots__ = ("_numerator", "_denominator", "_fraction", "_text")
 
     def __init__(self, numerator=0, denominator=None):
-        value = _exact(numerator) if denominator is None else Fraction(numerator, denominator)
-        object.__setattr__(self, "_value", value)
+        if denominator is None:
+            if type(numerator) is int:
+                self._numerator, self._denominator, self._fraction = numerator, 1, None
+                return
+            value = _exact(numerator)
+        elif type(numerator) is int and type(denominator) is int:
+            if not denominator:
+                raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+            # one gcd reduces the pair; its sign follows the denominator's
+            g = math.gcd(numerator, denominator)
+            if denominator < 0:
+                g = -g
+            self._numerator, self._denominator, self._fraction = numerator // g, denominator // g, None
+            return
+        else:
+            value = Fraction(numerator, denominator)  # a Fraction operand, or the TypeError
+        self._fraction = value
+        if value is None:
+            self._numerator, self._denominator = 1, 0
+        else:
+            self._numerator, self._denominator = value.numerator, value.denominator
+
+    @property
+    def _value(self) -> Fraction | None:
+        """The value as a Fraction, None for inf, built on first use and kept."""
+        value = self._fraction
+        if value is None and self._denominator:
+            value = self._fraction = Fraction(self._numerator, self._denominator)
+        return value
+
+    def __reduce__(self):
+        # the pair rebuilds the value; "inf" the marker
+        return ExtRational, (self._numerator, self._denominator) if self._denominator else ("inf",)
 
     # -- predicates and accessors ------------------------------------------
 
     @property
     def is_finite(self) -> bool:
-        return self._value is not None
+        return self._denominator != 0
 
     def as_fraction(self) -> Fraction:
-        if self._value is None:
+        if not self._denominator:
             raise ArithmeticError("infinite value has no Fraction form")
         return self._value
 
     @property
     def numerator(self) -> int:
-        return self.as_fraction().numerator
+        if not self._denominator:
+            raise ArithmeticError("infinite value has no Fraction form")
+        return self._numerator
 
     @property
     def denominator(self) -> int:
-        return self.as_fraction().denominator
+        if not self._denominator:
+            raise ArithmeticError("infinite value has no Fraction form")
+        return self._denominator
 
     def reciprocal(self) -> "ExtRational":
         return ExtRational(1) / self
@@ -266,7 +312,7 @@ class ExtRational:
         return self._value == v
 
     def __hash__(self):
-        return hash(self._value) if self._value is not None else hash(float("inf"))
+        return hash(self._value) if self._denominator else hash(float("inf"))
 
     @_operand
     def __lt__(self, v):
@@ -277,10 +323,11 @@ class ExtRational:
         return self._value < v
 
     def __bool__(self):
-        return self._value is None or self._value != 0
+        return self._numerator != 0
 
     def __float__(self):
-        return float("inf") if self._value is None else float(self._value)
+        # int true division rounds correctly, as Fraction's float does
+        return self._numerator / self._denominator if self._denominator else float("inf")
 
     def __str__(self):
         # formatted once per object: cached hop values are rendered once
@@ -288,9 +335,15 @@ class ExtRational:
         try:
             return self._text
         except AttributeError:
-            text = "inf" if self._value is None else str(self._value)
-            object.__setattr__(self, "_text", text)
+            self._text = text = self._render()
             return text
+
+    def _render(self) -> str:
+        """The text, made from the pair as ``str(Fraction)`` makes it, or "inf"."""
+        n, d = self._numerator, self._denominator
+        if d == 1:
+            return str(n)
+        return f"{n}/{d}" if d else "inf"
 
     def __repr__(self):
         return f"ExtRational({str(self)!r})"

@@ -199,14 +199,15 @@ def test_warm_report_formats_each_hop_value_once(monkeypatch):
     t = parse_topology(json.dumps(CHAIN))
     report_to_obj(analyze(t))  # fills the hop caches and their texts
     calls = 0
-    original = Fraction.__str__
+    original = ExtRational._render
 
     def counting(self):
         nonlocal calls
         calls += 1
         return original(self)
 
-    monkeypatch.setattr(Fraction, "__str__", counting)
+    # every report text is made at this one site, from the value's int pair
+    monkeypatch.setattr(ExtRational, "_render", counting)
     obj = report_to_obj(analyze(t))
     assert calls < 50
     assert obj["achievable_per_hop"][:2] == [str(hop_achievable_dof(38, 11)), str(hop_achievable_dof(11, 48))]

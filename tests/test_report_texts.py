@@ -3,10 +3,9 @@ distinct hop value and the report's other values one time each, however
 many hops share them, and the values keep their texts."""
 
 import random
-from fractions import Fraction
 
 from relaydof.analysis import analyze, report_to_obj
-from relaydof.model import INFINITY, LayerSpec, NetworkTopology
+from relaydof.model import INFINITY, ExtRational, LayerSpec, NetworkTopology
 
 # distinct 7-digit sizes, so no earlier call has cached their hop values
 SIZES = random.Random(1707).sample(range(10**6, 10**7), 6)
@@ -20,14 +19,15 @@ def _chain():
 def test_a_cold_report_formats_each_value_once(monkeypatch):
     t = _chain()
     calls = 0
-    original = Fraction.__str__
+    original = ExtRational._render
 
     def counting(self):
         nonlocal calls
         calls += 1
         return original(self)
 
-    monkeypatch.setattr(Fraction, "__str__", counting)
+    # every text is made at this one site, from the value's int pair
+    monkeypatch.setattr(ExtRational, "_render", counting)
     report = analyze(t)
     obj = report_to_obj(report)
     hop_values = {id(v): v for v in (*report.achievable_per_hop, *report.cutset_per_hop)}
