@@ -24,7 +24,7 @@ construction, each on first use: a topology's pair of reciprocal sums, by
 Each is derived from its object alone, so two threads that fill one at
 once store equal values and either one may stay.
 Parsing shares each node count's ``LayerSpec`` across documents through one
-bounded cache, ``_node_spec``, and runs no Python code per node-count layer.
+bounded cache, ``_node_spec``, so it builds one spec per distinct count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, total_ordering, wraps
-from itertools import compress, count, repeat
-from operator import attrgetter, not_
+from operator import attrgetter
 from types import MappingProxyType
 
 __all__ = [
@@ -137,12 +136,6 @@ def _exact(value) -> Fraction | None:
         # Fraction would also take spaces, '_' and non-ASCII digits
         if not _LITERAL_CHARS.issuperset(value):
             raise ValueError(value)
-        # a plain p or p/q, the documents' usual literal, is read as two ints
-        # (int() keeps the int-string limit); a sign, a decimal point or an
-        # exponent takes Fraction's reader
-        numerator, slash, denominator = value.partition("/")
-        if numerator.isdigit() and (denominator.isdigit() or not slash):
-            return Fraction(int(numerator), int(denominator) if slash else 1)
         # Fraction builds 10**|exponent|, so the exponent is held to the
         # int-string limit that already caps the digits of a literal
         exponent = value.lower().partition("e")[2]
@@ -359,6 +352,8 @@ class Record:
     the defaults in ``_defaults``; one that validates writes its own and
     fills its slots through ``_put``: the C-level setter of each slot, in
     ``__slots__`` order, which costs less than ``object.__setattr__``.
+    A record is not a dataclass because ``import dataclasses`` costs about
+    7 ms (CPython 3.11, mostly ``inspect``), which every command would pay.
     Equality, hashing and the repr cover ``_fields`` only and read as a
     frozen dataclass's would: equal only to the same class, the hash of the
     field tuple, ``Name(field=value, ...)``.  Two records are equal when
@@ -631,14 +626,11 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
     raise TopologyError(f"layer {index}: expected exactly one of 'nodes' or 'antennas'")
 
 
-_DICT, _ONE, _COUNT_TYPES = frozenset({dict}), frozenset({1}), frozenset({int, str, type(None)})
-
-
 @lru_cache(maxsize=1024)
-def _node_spec(raw: int | str | None) -> LayerSpec | None:
+def _node_spec(raw: int | str) -> LayerSpec | None:
     """The spec every ``{"nodes": raw}`` layer shares, None for a bad count.
-    Only an int, a str or None may come here: no two of those are equal
-    unless their types are, so the key is typed without storing the type."""
+    Only an int or a str may come here: no two of those are equal unless
+    their types are, so the key is typed without storing the type."""
     try:
         return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
     except TopologyError:
@@ -646,9 +638,9 @@ def _node_spec(raw: int | str | None) -> LayerSpec | None:
 
 
 def topology_from_obj(obj) -> NetworkTopology:
-    """Validate a topology object in C-level passes over its layers: each
-    ``{"nodes": v}`` layer gets the spec ``_node_spec`` keeps for ``v``, and
-    only antenna layers and bad layers are read one at a time."""
+    """Validate a topology object: each ``{"nodes": v}`` layer with an int or
+    str ``v`` gets the spec ``_node_spec`` keeps for ``v``, and every other
+    layer is read by ``_layer_from_obj``."""
     if not isinstance(obj, dict) or "layers" not in obj:
         raise TopologyError("topology document must be an object with a 'layers' list")
     layers = obj["layers"]
@@ -656,17 +648,12 @@ def topology_from_obj(obj) -> NetworkTopology:
         raise TopologyError("'layers' must be a list")
     if len(layers) < 2:
         raise TopologyError("topology needs at least 2 layers")
-    # each one-key layer's "nodes" value, None for other layers; a bool or
-    # float equals some int, so with one every layer is read alone (and fails)
-    counts = [None] * len(layers)
-    if _DICT.issuperset(map(type, layers)) and _ONE.issuperset(map(len, layers)):
-        values = list(map(dict.get, layers, repeat("nodes")))
-        if _COUNT_TYPES.issuperset(map(type, values)):
-            counts = values
-    specs = list(map(_node_spec, counts))
-    if not all(specs):  # antenna layers or bad layers, read in order
-        for k in compress(count(), map(not_, specs)):
-            specs[k] = _layer_from_obj(layers[k], k)
+    specs = []
+    for k, layer in enumerate(layers):
+        raw = layer.get("nodes") if isinstance(layer, dict) and len(layer) == 1 else None
+        # a bool or float equals some int, so only an int or str is looked up
+        spec = _node_spec(raw) if type(raw) in (int, str) else None
+        specs.append(spec or _layer_from_obj(layer, k))
     return NetworkTopology(tuple(specs))
 
 

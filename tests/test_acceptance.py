@@ -31,9 +31,7 @@ from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import FamilySpec, classify
 from relaydof.schedule import integer_schedule, recurrence_sum_dof, verify_schedule
 
-
-def _chain(sizes):
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+from support import chain
 
 
 def _passed(number, message, started):
@@ -123,11 +121,11 @@ def test_criterion_06_schedule_soundness():
     count = 0
     for length in range(3, 6):  # 1 to 3 relay layers
         for sizes in itertools.product(range(1, 5), repeat=length):
-            schedule = integer_schedule(_chain(sizes))
+            schedule = integer_schedule(chain(sizes))
             report = verify_schedule(schedule)
             assert report.ok, (sizes, report.failures())
             count += 1
-    worked = integer_schedule(_chain([1, 2, 4]))
+    worked = integer_schedule(chain([1, 2, 4]))
     assert [p.block_length for p in worked.phases] == [8, 5]
     assert worked.total_bits == 8
     assert worked.total_delay == 13
@@ -176,7 +174,7 @@ def test_criterion_08_scaling_law_classification():
 
 def test_criterion_09_region_membership_tables():
     started = time.perf_counter()
-    t3333 = _chain([3, 3, 3, 3])
+    t3333 = chain([3, 3, 3, 3])
     one = Fraction(1)
     half = Fraction(1, 2)
     table_patterns = [
@@ -227,11 +225,11 @@ def test_criterion_10_degradation_on_insertion():
     for _ in range(1000):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(3, 6))]
         base_alpha = achievable_sum_dof(sizes)
-        base_schedule = integer_schedule(_chain(sizes))
+        base_schedule = integer_schedule(chain(sizes))
         position = rng.randint(1, len(sizes) - 1)
         longer = sizes[:position] + [rng.randint(1, 5)] + sizes[position:]
         assert achievable_sum_dof(longer) < base_alpha
-        longer_schedule = integer_schedule(_chain(longer))
+        longer_schedule = integer_schedule(chain(longer))
         assert Fraction(longer_schedule.total_delay, longer_schedule.total_bits) > Fraction(
             base_schedule.total_delay, base_schedule.total_bits
         )

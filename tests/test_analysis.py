@@ -20,11 +20,9 @@ from relaydof.analysis import (
     relay_loss_factor,
     ultimate_capacity,
 )
-from relaydof.model import INFINITY, ExtRational, LayerSpec, NetworkTopology, parse_topology
+from relaydof.model import INFINITY, ExtRational, parse_topology
 
-
-def _topo(sizes):
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+from support import chain
 
 
 # -- per-hop values -----------------------------------------------------------
@@ -140,7 +138,7 @@ def test_relay_loss_factor_values():
 
 
 def test_analyze_plain_chain():
-    r = analyze(_topo([2, 2, 2]))
+    r = analyze(chain([2, 2, 2]))
     assert r.achievable == ExtRational(2, 3)
     assert r.cutset == 1
     assert not r.optimal
@@ -165,7 +163,7 @@ def test_analyze_mixed_antennas():
 
 
 def test_analyze_infinite_relay_is_optimal():
-    r = analyze(_topo([1, INFINITY, 1]))
+    r = analyze(chain([1, INFINITY, 1]))
     assert r.achievable == r.cutset == ExtRational(1, 2)
     assert r.optimal
     assert r.absolute_gap == 0
@@ -173,7 +171,7 @@ def test_analyze_infinite_relay_is_optimal():
 
 def test_analyze_rejects_all_infinite_topology():
     with pytest.raises(AnalysisError):
-        analyze(_topo([INFINITY, INFINITY, INFINITY]))
+        analyze(chain([INFINITY, INFINITY, INFINITY]))
 
 
 # -- identities and enumerations ----------------------------------------------

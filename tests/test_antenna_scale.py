@@ -1,5 +1,5 @@
 """``antenna_scale_check`` scales layer sizes, not antenna lists: the
-route that built the scaled topology is kept here as its oracle."""
+route that built the scaled topology is the reference model's oracle of it."""
 
 import time
 import tracemalloc
@@ -9,23 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relaydof.analysis import achievable_sum_dof
-from relaydof.model import INFINITY, LayerSpec, NetworkTopology, TopologyError, parse_topology, scale_antennas
+from relaydof.model import INFINITY, LayerSpec, NetworkTopology, TopologyError, parse_topology
 from relaydof.scaling import antenna_scale_check
 
-
-def reference_antenna_scale_check(t, s):
-    """The route antenna_scale_check took before it scaled sizes: build the
-    scaled topology with one antenna entry per node."""
-    alpha_base = achievable_sum_dof(t.effective_sizes())
-    alpha_scaled = achievable_sum_dof(scale_antennas(t, s).effective_sizes())
-    return alpha_base, alpha_scaled, alpha_scaled / alpha_base
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the type and message are what is compared
-        return type(exc).__name__, str(exc)
+import reference
+from support import outcome
 
 
 _scale_layers = st.one_of(
@@ -42,7 +30,7 @@ _scale_layers = st.one_of(
 )
 def test_antenna_scale_check_matches_the_expanding_route(layers, s):
     t = NetworkTopology(tuple(layers))
-    assert _outcome(antenna_scale_check, t, s) == _outcome(reference_antenna_scale_check, t, s)
+    assert outcome(antenna_scale_check, t, s) == outcome(reference.antenna_scale, t, s)
 
 
 def test_antenna_scale_check_reports_a_bad_factor_before_an_infinite_layer():

@@ -9,6 +9,8 @@ from relaydof import cli
 from relaydof.cli import main
 from relaydof.model import parse_demand, parse_topology
 
+from support import primes_from
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -244,19 +246,11 @@ def test_out_of_memory_or_recursion_exits_2(files, capsys, monkeypatch, error):
 # -- results past the int-string limit ------------------------------------------------
 
 
-def _primes_from(low: int, count: int) -> list[int]:
-    sieve = bytearray([1]) * (low + 20 * count)
-    for p in range(2, int(len(sieve) ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
-    return [n for n in range(low, len(sieve)) if sieve[n]][:count]
-
-
 @pytest.fixture(scope="module")
 def prime_chain(tmp_path_factory):
     """1,000 distinct 7-digit primes: every bound has about 6,000 digits."""
     path = tmp_path_factory.mktemp("primes") / "primes.json"
-    path.write_text(json.dumps({"layers": [{"nodes": p} for p in _primes_from(10**6, 1000)]}), encoding="utf-8")
+    path.write_text(json.dumps({"layers": [{"nodes": p} for p in primes_from(10**6, 1000)]}), encoding="utf-8")
     return str(path)
 
 

@@ -3,8 +3,6 @@ table``, the ``-`` cell of a value an analysis leaves undefined, a schedule
 that fails its own verification (exit 3), and every family and demand
 document error (exit 2)."""
 
-import contextlib
-import io
 import json
 from fractions import Fraction
 
@@ -14,25 +12,9 @@ from relaydof import cli
 from relaydof.model import LayerSpec, NetworkTopology, demand_from_obj
 from relaydof.schedule import integer_schedule
 
+from support import replace, run_cli as run, write  # noqa: F401
+
 T222 = {"layers": [{"nodes": 2}] * 3}
-
-
-@pytest.fixture
-def write(tmp_path):
-    def write(name, obj):
-        path = tmp_path / name
-        path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
-        return str(path)
-
-    return write
-
-
-def run(*argv):
-    """(exit code, stdout, stderr) of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return code, out.getvalue(), err.getvalue()
 
 
 def _demand(*entries):
@@ -104,16 +86,12 @@ def test_analyze_csv_marks_undefined_values(write):
 # -- a schedule that fails its own checks ---------------------------------------------
 
 
-def _replace(record, **changes):
-    return type(record)(**{name: changes.pop(name, getattr(record, name)) for name in record._fields})
-
-
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_schedule_verification_failure_exits_3(fmt, write, monkeypatch):
     s = integer_schedule(NetworkTopology(tuple(LayerSpec(nodes=2) for _ in range(3))))
     plan = s.split_plan
-    short = _replace(plan, per_pair=(plan.per_pair[0] - 1, *plan.per_pair[1:]))
-    tampered = _replace(s, split_plan=short, sum_dof=s.sum_dof + 1)
+    short = replace(plan, per_pair=(plan.per_pair[0] - 1, *plan.per_pair[1:]))
+    tampered = replace(s, split_plan=short, sum_dof=s.sum_dof + 1)
     monkeypatch.setattr(cli, "integer_schedule", lambda topology, demand: tampered)
     assert run("schedule", write("t.json", T222), "--format", fmt) == (
         3,

@@ -1,47 +1,23 @@
-"""Python code per distinct value, not per layer, from document to report.
+"""Work per distinct value, not per layer, from document to report.
 
 A node-count layer is never read alone: its spec comes from the bounded
 ``model._node_spec`` cache, shared across documents.  A report reads each
 hop's text from the value the hop cache formatted, ``inverse_gap`` takes
 the layer weights once, and the 1/(mn) terms are summed per distinct
-product.  ``reference_topology`` (the per-layer parse) and
-``reference_sum`` (the per-hop ``ExtRational`` sum) stay the oracles.
+product.  The reference model's per-layer parse stays the oracle.
 """
 
 import json
 import sys
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from relaydof import analysis, model
-from relaydof.analysis import (
-    AnalysisReport,
-    achievable_sum_dof,
-    analyze,
-    cutset_sum_dof,
-    hop_achievable_dof,
-    hop_cutset_dof,
-    inverse_gap,
-    report_to_obj,
-)
+from relaydof.analysis import AnalysisReport, analyze, hop_achievable_dof, hop_cutset_dof, inverse_gap, report_to_obj
 from relaydof.model import INFINITY, ExtRational, LayerSpec, NetworkTopology, TopologyError, parse_topology
 
-from test_exact_core import reference_sum
-from test_layer_weights import CHAIN, layer_values, outcome, reference_topology
-
-
-def _counting(monkeypatch, owner, name) -> list:
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
+import reference
+from support import CHAIN, calls, layer_values, parsed
 
 
 # -- parsing -------------------------------------------------------------------------
@@ -51,17 +27,17 @@ def _counting(monkeypatch, owner, name) -> list:
 def test_parse_reads_no_node_count_layer_alone(monkeypatch, cold):
     if cold:
         model._node_spec.cache_clear()
-    calls = _counting(monkeypatch, model, "_layer_from_obj")
+    read = calls(monkeypatch, model, "_layer_from_obj")
     t = parse_topology(json.dumps(CHAIN))
-    assert len(t.layers) == 4000 and calls == []
-    assert layer_values(t) == layer_values(reference_topology(CHAIN))
+    assert len(t.layers) == 4000 and read == []
+    assert layer_values(t) == layer_values(reference.reference_topology(CHAIN))
 
 
 def test_antenna_layers_alone_are_read_one_at_a_time(monkeypatch):
     layers = [{"nodes": 3}, {"antennas": [1, 2]}, {"nodes": "inf"}, {"antennas": [4]}, {"nodes": 3}]
-    calls = _counting(monkeypatch, model, "_layer_from_obj")
+    read = calls(monkeypatch, model, "_layer_from_obj")
     t = parse_topology(json.dumps({"layers": layers}))
-    assert [index for _, index in calls] == [1, 3]
+    assert [index for _, index in read] == [1, 3]
     assert t.effective_sizes() == (3, 3, INFINITY, 4, 3)
 
 
@@ -86,21 +62,21 @@ def test_a_cached_count_never_admits_an_equal_value_of_another_type(bad, message
         with pytest.raises(TopologyError) as info:
             parse_topology(json.dumps(obj))
         assert str(info.value) == message
-        assert outcome(model.topology_from_obj, obj) == outcome(reference_topology, obj)
+        assert parsed(model.topology_from_obj, obj) == parsed(reference.reference_topology, obj)
 
 
 def test_more_distinct_counts_than_the_cache_holds():
     maxsize = model._node_spec.cache_info().maxsize
     obj = {"layers": [{"nodes": 1 + (k * 7919) % (3 * maxsize)} for k in range(4 * maxsize)]}
     for _ in range(2):
-        assert layer_values(parse_topology(json.dumps(obj))) == layer_values(reference_topology(obj))
+        assert layer_values(parse_topology(json.dumps(obj))) == layer_values(reference.reference_topology(obj))
     assert model._node_spec.cache_info().currsize == maxsize
 
 
 def test_a_400_digit_count_parses():
     obj = {"layers": [{"nodes": 10**400}, {"nodes": 3}, {"nodes": 10**400}, {"nodes": 10**400 + 1}]}
     t = parse_topology(json.dumps(obj))
-    assert layer_values(t) == layer_values(reference_topology(obj))
+    assert layer_values(t) == layer_values(reference.reference_topology(obj))
     assert t.layers[0] is t.layers[2] and t.effective_sizes()[3] == 10**400 + 1
 
 
@@ -128,9 +104,9 @@ def test_antenna_entries_follow_the_per_entry_rule(antennas):
 def test_warm_report_calls_str_a_few_times(monkeypatch):
     t = parse_topology(json.dumps(CHAIN))
     expected = report_to_obj(analyze(t))
-    calls = _counting(monkeypatch, ExtRational, "__str__")
+    texts = calls(monkeypatch, ExtRational, "__str__")
     assert report_to_obj(analyze(t)) == expected
-    assert len(calls) <= 10
+    assert len(texts) <= 10
 
 
 def _values(report: AnalysisReport) -> dict:
@@ -202,19 +178,9 @@ def test_a_hop_past_the_int_string_limit_fails_only_in_the_report():
 def test_inverse_gap_takes_the_layer_weights_once(monkeypatch):
     sizes = [1 + k * k % 64 for k in range(1, 400)] + [INFINITY, 7]
     expected = inverse_gap(sizes)
-    weights = _counting(monkeypatch, analysis, "_layer_weights")
+    weights = calls(monkeypatch, analysis, "_layer_weights")
     assert inverse_gap(sizes) == expected
     assert len(weights) == 1
-
-
-@settings(deadline=None)
-@given(st.lists(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 12]), st.just(INFINITY)), min_size=2, max_size=80))
-def test_repeated_products_sum_like_the_per_hop_route(sizes):
-    """Few distinct sizes, so many hops share a product m*n (2*6 = 3*4)."""
-    if all(s is INFINITY for s in sizes):
-        return
-    assert achievable_sum_dof(sizes) == reference_sum(sizes, hop_achievable_dof)
-    assert cutset_sum_dof(sizes) == reference_sum(sizes, hop_cutset_dof)
 
 
 def test_analyze_on_an_all_infinite_chain_stores_nothing():

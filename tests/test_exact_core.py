@@ -1,9 +1,6 @@
-"""The one-pass exact core against the ExtRational summation it replaced.
-
-``reference_sum`` is the former per-hop loop of ``achievable_sum_dof`` and
-``cutset_sum_dof``; ``reference_report`` and ``reference_verdict`` rebuild
-``analyze`` and the region check from it, the way ``recurrence_sum_dof``
-is kept as an oracle for the closed form.
+"""The one-pass exact core against the reference model's per-hop sums,
+report and region constraints, the way ``recurrence_sum_dof`` is kept as an
+oracle for the closed form.
 """
 
 import math
@@ -23,88 +20,19 @@ from relaydof.analysis import (
     absolute_and_fractional_gap,
     achievable_sum_dof,
     analyze,
-    bounding_set,
     cutset_sum_dof,
     hop_achievable_dof,
-    hop_cutset_dof,
     inverse_gap,
-    is_optimal,
-    relay_loss_factor,
-    ultimate_capacity,
 )
 from relaydof.model import INFINITY, DemandMatrix, ExtRational, Infinity, LayerSpec, NetworkTopology
-from relaydof.region import RegionVerdict, Violation, check_demand, max_uniform_scale
+from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import FamilySpec, classify
 
-
-def reference_sum(sizes, hop) -> ExtRational:
-    """Harmonic combination of per-hop values, one ExtRational at a time."""
-    inv = ExtRational(0)
-    for m, n in zip(sizes[:-1], sizes[1:]):
-        inv = inv + hop(m, n).reciprocal()
-    return inv.reciprocal()
-
-
-def reference_report(sizes) -> AnalysisReport:
-    lower = reference_sum(sizes, hop_achievable_dof)
-    upper = reference_sum(sizes, hop_cutset_dof)
-    gap = Fraction(0)
-    for m, n in zip(sizes[:-1], sizes[1:]):
-        if not (isinstance(m, Infinity) or isinstance(n, Infinity)):
-            gap += Fraction(min(m, n) - 1, m * n)
-    finite_ends = not (isinstance(sizes[0], Infinity) or isinstance(sizes[-1], Infinity))
-    return AnalysisReport(
-        achievable=lower,
-        achievable_per_hop=tuple(hop_achievable_dof(m, n) for m, n in zip(sizes[:-1], sizes[1:])),
-        cutset=upper,
-        cutset_per_hop=tuple(hop_cutset_dof(m, n) for m, n in zip(sizes[:-1], sizes[1:])),
-        inverse_gap=ExtRational(gap),
-        absolute_gap=upper - lower,
-        fractional_gap_bound=upper * (lower.reciprocal() - upper.reciprocal()),
-        bounding_set=bounding_set(sizes),
-        optimal=is_optimal(sizes),
-        ultimate_capacity=ultimate_capacity(sizes[0], sizes[-1]) if finite_ends else None,
-        relay_loss_factor=relay_loss_factor(sizes[0], sizes[-1]) if finite_ends else None,
-    )
-
-
-def reference_verdict(t: NetworkTopology, d: DemandMatrix) -> RegionVerdict:
-    """Region check from per-row and per-column sums, one scan each."""
-    alpha = reference_sum(t.effective_sizes(), hop_achievable_dof).as_fraction()
-    src = t.source_layer.antenna_profile()
-    dst = t.destination_layer.antenna_profile()
-    constraints = [("total", d.total, alpha)]
-    constraints += [(f"src:{i + 1}", d.row_sum(i), alpha * Fraction(a, sum(src))) for i, a in enumerate(src)]
-    constraints += [(f"dst:{j + 1}", d.col_sum(j), alpha * Fraction(a, sum(dst))) for j, a in enumerate(dst)]
-    violations = tuple(
-        Violation(name, ExtRational(lhs), ExtRational(rhs)) for name, lhs, rhs in constraints if lhs > rhs
-    )
-    binding = tuple(name for name, lhs, rhs in constraints if lhs == rhs)
-    return RegionVerdict(feasible=not violations, violations=violations, binding=binding)
-
-
-def reference_t_star(t: NetworkTopology, d: DemandMatrix) -> Fraction:
-    alpha = reference_sum(t.effective_sizes(), hop_achievable_dof).as_fraction()
-    src = t.source_layer.antenna_profile()
-    dst = t.destination_layer.antenna_profile()
-    candidates = [alpha / d.total]
-    candidates += [alpha * Fraction(a, sum(src)) / d.row_sum(i) for i, a in enumerate(src) if d.row_sum(i)]
-    candidates += [alpha * Fraction(a, sum(dst)) / d.col_sum(j) for j, a in enumerate(dst) if d.col_sum(j)]
-    return min(candidates)
+import reference
+from support import calls, layers
 
 
 # -- analysis -----------------------------------------------------------------
-
-
-@st.composite
-def layers(draw):
-    """About 5% infinite layers and 10% antenna layers; sizes 1-64."""
-    roll = draw(st.integers(0, 99))
-    if roll < 5:
-        return LayerSpec(nodes=INFINITY)
-    if roll < 15:
-        return LayerSpec(antennas=tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))))
-    return LayerSpec(nodes=draw(st.integers(1, 64)))
 
 
 @settings(deadline=None)
@@ -116,9 +44,8 @@ def test_analyze_matches_the_extrational_route(chain):
         with pytest.raises(AnalysisError):
             analyze(t)
         return
-    assert analyze(t) == reference_report(sizes)
-    assert achievable_sum_dof(sizes) == reference_sum(sizes, hop_achievable_dof)
-    assert cutset_sum_dof(sizes) == reference_sum(sizes, hop_cutset_dof)
+    assert analyze(t) == AnalysisReport(**reference.report(sizes))
+    assert (achievable_sum_dof(sizes), cutset_sum_dof(sizes)) == reference.sum_dofs(sizes)
 
 
 @pytest.mark.parametrize(
@@ -132,24 +59,16 @@ def test_analyze_matches_the_extrational_route(chain):
 )
 def test_repeated_hops_count_every_time(sizes):
     t = NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
-    assert analyze(t) == reference_report(sizes)
+    assert analyze(t) == AnalysisReport(**reference.report(sizes))
 
 
 def test_analyze_builds_few_extrationals(monkeypatch):
     sizes = [INFINITY if k % 97 == 0 else 1 + (k * k) % 64 for k in range(1, 4001)]
     t = NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
     analyze(t)  # fills the hop_*_dof caches
-    built = 0
-    original = ExtRational.__init__
-
-    def counting(self, *args):
-        nonlocal built
-        built += 1
-        original(self, *args)
-
-    monkeypatch.setattr(ExtRational, "__init__", counting)
+    built = calls(monkeypatch, ExtRational, "__init__")
     analyze(t)
-    assert built < 50
+    assert len(built) < 50
 
 
 @pytest.mark.parametrize(
@@ -204,14 +123,14 @@ def demands(draw):
 @given(demands(), st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(11, 10)]))
 def test_region_matches_per_row_and_column_sums(case, factor):
     t, pattern = case
-    assert check_demand(t, pattern) == reference_verdict(t, pattern)
+    assert check_demand(t, pattern) == reference.verdict(t, pattern.entries)
     result = max_uniform_scale(t, pattern)
-    t_star = reference_t_star(t, pattern)
+    t_star = reference.t_star(t, pattern.entries)
     assert result.t_star == t_star
     assert result.scaled == pattern.scale(t_star)
-    assert result.verdict == reference_verdict(t, result.scaled)
+    assert result.verdict == reference.verdict(t, result.scaled.entries)
     near = pattern.scale(t_star * factor)
-    assert check_demand(t, near) == reference_verdict(t, near)
+    assert check_demand(t, near) == reference.verdict(t, near.entries)
 
 
 # -- scaling without numpy ----------------------------------------------------

@@ -31,6 +31,8 @@ from hypothesis import strategies as st
 
 import relaydof
 
+from support import invocations
+
 SRC = str(Path(relaydof.__file__).resolve().parents[1])
 MEMORY_BYTES = 1 << 30  # address space of one child
 TIMEOUT_S = 30  # wall clock of one child
@@ -78,11 +80,11 @@ def assert_contract(command, code, out, err):
 
 # -- the grammar ---------------------------------------------------------------------
 
-# Each document is valid, valid but for one fault, or text that is not JSON.
+# Each document is valid (drawn from the grammar in ``support``), valid but for
+# one fault, or text that is not JSON.
 # PAST_LIMIT marks a literal one digit past the int-string limit, which
 # json.dumps cannot write, so _text splices it into the document text.
 PAST_LIMIT = "@past-the-int-string-limit@"
-HUGE = [10**299 + 7, 2**1000 + 1, 10**600 + 3]  # literals of hundreds of digits
 BAD_NUMBERS = [0, -1, -(10**6), 2.0, 2.5, True, False, None, "2", "-inf", "nan", [], {}, PAST_LIMIT]
 
 
@@ -95,22 +97,6 @@ MALFORMED = st.one_of(
     st.sampled_from(["", "{", '{"layers": [', "nul", "[1,]", "\ufeff{}", "{'layers': []}"]),
     st.integers(1_000, 200_000).map(lambda depth: "[" * depth + "]" * depth),
 )
-
-
-def _documents(valid, broken):
-    """Document texts: half valid objects, a quarter the same with one fault,
-    a quarter not JSON."""
-    return st.one_of(valid.map(_text), st.one_of(valid.flatmap(broken).map(_text), MALFORMED))
-
-
-def _topologies(layers, size):
-    """Valid topology objects: ``layers`` (min, max) of node counts drawn from
-    ``size`` or antenna lists."""
-    layer = st.one_of(
-        size.map(lambda n: {"nodes": n}),
-        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda a: {"antennas": a}),
-    )
-    return st.lists(layer, min_size=layers[0], max_size=layers[1]).map(lambda ls: {"layers": ls})
 
 
 @st.composite
@@ -133,30 +119,6 @@ def _broken_topology(draw, topology):
     return {"layers": layers}
 
 
-# 2-64 layers of sizes 1..10^6, a few huge or infinite
-TOPOLOGIES = _topologies((2, 64), st.one_of(st.integers(1, 10**6), st.sampled_from([*HUGE, "inf"])))
-# within the plan ladder: a few layers of small sizes
-SCHEDULE_TOPOLOGIES = _topologies((3, 6), st.integers(1, 12))
-
-
-def _endpoint(layer) -> int:
-    """How many indices a demand may name on this layer, at most 8."""
-    size = sum(layer["antennas"]) if "antennas" in layer else layer["nodes"]
-    return 8 if size == "inf" else min(size, 8)
-
-
-def _demands(topology):
-    """Valid demand objects on the topology's endpoints: some inside the
-    region, some outside it."""
-    sources, sinks = _endpoint(topology["layers"][0]), _endpoint(topology["layers"][-1])
-    dof = st.one_of(
-        st.sampled_from(["1/7", "0", "1", "2/3", "1e-3", "0.125", 1, 0, "1e6", 10**7]),
-        st.fractions(0, 2, max_denominator=50).map(str),
-    )
-    entry = st.fixed_dictionaries({"dst": st.integers(1, sinks), "src": st.integers(1, sources), "dof": dof})
-    return st.lists(entry, max_size=6, unique_by=lambda e: (e["dst"], e["src"])).map(lambda es: {"demands": es})
-
-
 @st.composite
 def _broken_demand(draw, demand):
     entries = list(demand["demands"])
@@ -174,26 +136,6 @@ def _broken_demand(draw, demand):
         name = draw(st.sampled_from(["dst", "src"]))
         entries[k] = {**entries[k], name: draw(st.sampled_from([0, -1, True, 1.0, "1", 9, 10**300]))}
     return {"demands": entries}
-
-
-def _families(kind):
-    """Valid family objects of one kind."""
-    if kind == "AntennaScaled":
-        return _topologies((2, 8), st.integers(1, 8)).map(lambda t: {"kind": kind, "topology": t})
-    if kind == "FixedSizesGrowingK":
-        return st.integers(1, 100).map(lambda size: {"kind": kind, "base": [size]})
-    entry = st.one_of(st.integers(1, 100), st.sampled_from(["1/2", "3/4", "1.5", "1e2", "7", "1" + "0" * 300]))
-    family = st.lists(entry, min_size=2, max_size=6).map(lambda base: {"kind": kind, "base": base})
-    if kind == "PinnedLayerFixedK":
-        family = family.flatmap(_pin_some_layers)
-    return family
-
-
-def _pin_some_layers(family):
-    """The family with a proper subset of its layers pinned."""
-    layers = len(family["base"])
-    pinned = st.dictionaries(st.integers(0, layers - 1).map(str), st.integers(1, 100), min_size=1, max_size=layers - 1)
-    return pinned.map(lambda pinned: {**family, "pinned": pinned})
 
 
 @st.composite
@@ -218,31 +160,13 @@ def _broken_family(draw, family):
     return draw(st.sampled_from([{**family, name: value}, kindless, [family]]))
 
 
-FAMILY_KINDS = ["ProportionalFixedK", "PinnedLayerFixedK", "FixedSizesGrowingK", "AntennaScaled"]
-FAMILIES = _documents(st.sampled_from(FAMILY_KINDS).flatmap(_families), _broken_family)
+BROKEN = {"topology": _broken_topology, "demand": _broken_demand, "family": _broken_family}
 
 
-@st.composite
-def _invocation(draw, command):
-    """(files by name, argv) of one ``command`` run."""
-    if command in ("classify", "sweep"):
-        files = {"f.json": draw(FAMILIES)}
-        return files, [command, "f.json", *(["--out", "out.csv"] if command == "sweep" else [])]
-    topology = draw(SCHEDULE_TOPOLOGIES if command == "schedule" else TOPOLOGIES)
-    files = {"t.json": draw(_documents(st.just(topology), _broken_topology))}
-    demand = _documents(_demands(topology), _broken_demand)
-    if command == "analyze":
-        options = draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--decimal"]]))
-        return files, ["analyze", "t.json", *options]
-    if command == "check":
-        files["d.json"] = draw(demand)
-        options = draw(st.sampled_from([[], ["--format", "table"], ["--format", "table", "--decimal"]]))
-        return files, ["check", "t.json", "d.json", *options]
-    options = draw(st.sampled_from([[], ["--format", "dot"]]))
-    if draw(st.booleans()):
-        files["d.json"] = draw(demand)
-        options += ["--demand", "d.json"]
-    return files, ["schedule", "t.json", *options]
+def _document(valid, kind):
+    """Document texts of one kind: half valid objects, a quarter the same
+    with one fault, a quarter not JSON."""
+    return st.one_of(valid.map(_text), st.one_of(valid.flatmap(BROKEN[kind]).map(_text), MALFORMED))
 
 
 COMMANDS = ["analyze", "check", "schedule", "classify", "sweep"]
@@ -252,7 +176,7 @@ COMMANDS = ["analyze", "check", "schedule", "classify", "sweep"]
 @settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_document_ends_in_an_exit_of_the_contract(command, data):
-    files, argv = data.draw(_invocation(command))
+    files, argv = data.draw(invocations(command, _document))
     with tempfile.TemporaryDirectory() as cwd:
         for name, text in files.items():
             Path(cwd, name).write_text(text, encoding="utf-8")

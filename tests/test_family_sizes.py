@@ -1,6 +1,6 @@
-"""Family samples as size sequences: the topology-building route as the
-oracle of ``_family_sizes``, and the exact limit of alpha(n) as the oracle
-of the fitted class."""
+"""Family samples as size sequences: the reference model's topology-building
+route as the oracle of ``_family_sizes``, and its exact limit of alpha(n) as
+the oracle of the fitted class."""
 
 import time
 from fractions import Fraction
@@ -10,43 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from relaydof import scaling
 from relaydof.analysis import achievable_sum_dof
-from relaydof.model import LayerSpec, NetworkTopology, scale_antennas
+from relaydof.model import LayerSpec, NetworkTopology
 from relaydof.scaling import FamilyError, FamilySpec, _family_sizes, classify, evaluate_family
 
-
-def _round_half_up(q: Fraction) -> int:
-    """The rounding ``_family_sizes`` did in Fractions, before its integer route."""
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-def reference_family(f, n):
-    """Instantiate the family as a topology, layer by layer (the route
-    ``classify`` took before it sampled size sequences)."""
-    if n < 1:
-        raise FamilyError(f"family parameter must be positive, got {n}")
-    if f.kind == "AntennaScaled":
-        topology = scale_antennas(f.topology, n)
-    elif f.kind == "FixedSizesGrowingK":
-        size = int(f.base[0])
-        layer_count = _round_half_up(Fraction(n, size))
-        if layer_count < 2:
-            raise FamilyError(f"degenerate instantiation at n={n}: fewer than 2 layers")
-        topology = NetworkTopology((LayerSpec(nodes=size),) * layer_count)
-    else:
-        pinned = dict(f.pinned) if f.pinned else {}
-        budget = n - sum(pinned.values())
-        if budget < 0:
-            budget = 0
-        growth_total = sum(b for k, b in enumerate(f.base) if k not in pinned)
-        sizes = []
-        for k, b in enumerate(f.base):
-            if k in pinned:
-                sizes.append(pinned[k])
-            else:
-                sizes.append(max(1, _round_half_up(b * budget / growth_total)))
-        specs = {s: LayerSpec(nodes=s) for s in set(sizes)}
-        topology = NetworkTopology(tuple(map(specs.__getitem__, sizes)))
-    return topology, achievable_sum_dof(topology.effective_sizes())
+import reference
+from support import outcome
 
 
 # the ranges relaybench/docs.family draws, plus antenna-scaled bases
@@ -75,13 +43,6 @@ def families(draw):
     return FamilySpec(kind=kind, topology=NetworkTopology(tuple(draw(st.lists(layer, min_size=2, max_size=5)))))
 
 
-def _outcome(route, f, n):
-    try:
-        return route(f, n)
-    except FamilyError as exc:
-        return repr(exc)
-
-
 # -- the topology-building route as the oracle ------------------------------------------
 
 
@@ -89,12 +50,12 @@ def _outcome(route, f, n):
 @given(families(), st.lists(st.integers(0, 5000), min_size=1, max_size=8))
 def test_family_sizes_match_the_topology_route(f, ns):
     for n in [*range(0, 9), *ns]:
-        expected = _outcome(reference_family, f, n)
-        if isinstance(expected, str):
-            assert _outcome(_family_sizes, f, n) == expected
-            assert _outcome(evaluate_family, f, n) == expected
+        expected = outcome(reference.reference_family, f, n, errors=FamilyError)
+        if expected[0] != "ok":
+            assert outcome(_family_sizes, f, n, errors=FamilyError) == expected
+            assert outcome(evaluate_family, f, n, errors=FamilyError) == expected
             continue
-        topology, alpha = expected
+        topology, alpha = expected[1]
         assert _family_sizes(f, n) == list(topology.effective_sizes())
         assert evaluate_family(f, n) == (topology, alpha)
 
@@ -119,46 +80,13 @@ def test_antenna_scaled_classify_expands_no_layer(monkeypatch):
 # -- the exact limit of alpha(n) as the oracle of the fitted class -----------------------
 
 
-def _hop_inverse(m, n):
-    """1/alpha of one hop; None stands for an unbounded layer."""
-    if m is None and n is None:
-        return Fraction(0)
-    if m is None or n is None:
-        return Fraction(1, n if m is None else m)
-    return Fraction(m + n - 1, m * n)
-
-
-def exact_limit(f):
-    """(p, c): alpha(n) / n**p tends to c, exactly, with 0 < c < inf.
-
-    With a fixed hop count and every layer growing like b_k * n / G, the hops
-    add reciprocals (b_k + b_k+1) / (b_k * b_k+1) * G / n, so p = 1.  A pinned
-    layer keeps its hops bounded while the others grow without bound, so
-    p = 0 and c is the harmonic combination with the unpinned layers
-    unbounded.  A fixed size s over about n/s layers gives p = -1 and
-    c = s**3 / (2s - 1).
-    """
-    if f.kind == "FixedSizesGrowingK":
-        s = f.base[0]
-        return -1, s**3 / (2 * s - 1)
-    if f.kind == "PinnedLayerFixedK":
-        pinned = dict(f.pinned)
-        sizes = [pinned.get(k) for k in range(len(f.base))]
-        return 0, 1 / sum(map(_hop_inverse, sizes, sizes[1:]))
-    if f.kind == "AntennaScaled":
-        profile, total = [Fraction(s) for s in f.topology.effective_sizes()], 1
-    else:
-        profile, total = f.base, sum(f.base)
-    return 1, 1 / (total * sum((a + b) / (a * b) for a, b in zip(profile, profile[1:])))
-
-
 CLASS_OF_EXPONENT = {1: "Linear", 0: "Constant", -1: "Inverse"}
 
 
 @settings(max_examples=150, deadline=None)
 @given(families())
 def test_alpha_tends_to_the_exact_limit(f):
-    p, c = exact_limit(f)
+    p, c = reference.exact_limit(f)
     # far enough out that alpha sits well inside the 1e-3 tolerance of its
     # limit; a growing-depth family is a list of about n/s layers
     n = 10**5 if f.kind == "FixedSizesGrowingK" else 10**12
@@ -172,7 +100,7 @@ def test_fitted_class_is_never_another_than_the_limit_class(f):
     # Unclassified is allowed here: some families are still far from their
     # limit over the sample grid (the strict xfail cases below)
     verdict = classify(f)
-    assert verdict.classification in (None, CLASS_OF_EXPONENT[exact_limit(f)[0]])
+    assert verdict.classification in (None, CLASS_OF_EXPONENT[reference.exact_limit(f)[0]])
 
 
 @pytest.mark.parametrize(
@@ -188,5 +116,5 @@ def test_fitted_class_is_never_another_than_the_limit_class(f):
 )
 @pytest.mark.xfail(strict=True, reason="the sample grid ends before these families near their limit")
 def test_fitted_class_is_the_limit_class(f):
-    assert classify(f).classification == CLASS_OF_EXPONENT[exact_limit(f)[0]]
+    assert classify(f).classification == CLASS_OF_EXPONENT[reference.exact_limit(f)[0]]
 

@@ -10,59 +10,51 @@ import pytest
 from relaydof.model import LayerSpec, NetworkTopology
 from relaydof.schedule import integer_schedule, verify_schedule
 
+from support import chain, replace, with_plan
+
 CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
 
 
 def _schedule():
-    return integer_schedule(NetworkTopology(tuple(LayerSpec(nodes=n) for n in (2, 3, 2))))
-
-
-def _replace(record, **changes):
-    """``record`` rebuilt through its constructor with ``changes``."""
-    fields = {name: getattr(record, name) for name in record._fields}
-    return type(record)(**{**fields, **changes})
-
-
-def _with_plan(s, **changes):
-    return _replace(s, split_plan=_replace(s.split_plan, **changes))
+    return integer_schedule(chain([2, 3, 2]))
 
 
 def _phase0(s, **changes):
-    return _replace(s, phases=(_replace(s.phases[0], **changes), *s.phases[1:]))
+    return replace(s, phases=(replace(s.phases[0], **changes), *s.phases[1:]))
 
 
 def _per_pair0(s, value):
-    return _with_plan(s, per_pair=(value, *s.split_plan.per_pair[1:]))
+    return with_plan(s, per_pair=(value, *s.split_plan.per_pair[1:]))
 
 
 def _source0(s, **changes):
     sources = s.split_plan.sources
-    return _with_plan(s, sources=(_replace(sources[0], **changes), *sources[1:]))
+    return with_plan(s, sources=(replace(sources[0], **changes), *sources[1:]))
 
 
 def _sink0(s, **changes):
     sinks = s.split_plan.sinks
-    return _with_plan(s, sinks=(_replace(sinks[0], **changes), *sinks[1:]))
+    return with_plan(s, sinks=(replace(sinks[0], **changes), *sinks[1:]))
 
 
 BAD = [None, 4.0, "4"]
 CASES = [
     *((f"block_length={v!r}", lambda s, v=v: _phase0(s, block_length=v)) for v in BAD),
-    *((f"total_delay={v!r}", lambda s, v=v: _replace(s, total_delay=v)) for v in (None, "4")),
-    *((f"sum_dof={v!r}", lambda s, v=v: _replace(s, sum_dof=v)) for v in (None, 4.0)),
-    *((f"plan.total_bits={v!r}", lambda s, v=v: _with_plan(s, total_bits=v)) for v in BAD),
-    *((f"plan.padding_bits={v!r}", lambda s, v=v: _with_plan(s, padding_bits=v)) for v in BAD),
+    *((f"total_delay={v!r}", lambda s, v=v: replace(s, total_delay=v)) for v in (None, "4")),
+    *((f"sum_dof={v!r}", lambda s, v=v: replace(s, sum_dof=v)) for v in (None, 4.0)),
+    *((f"plan.total_bits={v!r}", lambda s, v=v: with_plan(s, total_bits=v)) for v in BAD),
+    *((f"plan.padding_bits={v!r}", lambda s, v=v: with_plan(s, padding_bits=v)) for v in BAD),
     *((f"per_pair[0]={v!r}", lambda s, v=v: _per_pair0(s, v)) for v in BAD),
     *((f"sources[0].bits={v!r}", lambda s, v=v: _source0(s, bits=v)) for v in BAD),
     *((f"sinks[0].padding_bits={v!r}", lambda s, v=v: _sink0(s, padding_bits=v)) for v in BAD),
     *((f"sources[0].dst={v!r}", lambda s, v=v: _source0(s, dst=v)) for v in (None, "4")),
     # records and containers that are not what they should be
-    ("phases=None", lambda s: _replace(s, phases=None)),
-    ("phases[0]=None", lambda s: _replace(s, phases=(None, *s.phases[1:]))),
-    ("split_plan=None", lambda s: _replace(s, split_plan=None)),
-    ("demand=None", lambda s: _with_plan(s, demand=None)),
-    ("sources=None", lambda s: _with_plan(s, sources=None)),
-    ("sinks=None", lambda s: _with_plan(s, sinks=None)),
+    ("phases=None", lambda s: replace(s, phases=None)),
+    ("phases[0]=None", lambda s: replace(s, phases=(None, *s.phases[1:]))),
+    ("split_plan=None", lambda s: replace(s, split_plan=None)),
+    ("demand=None", lambda s: with_plan(s, demand=None)),
+    ("sources=None", lambda s: with_plan(s, sources=None)),
+    ("sinks=None", lambda s: with_plan(s, sinks=None)),
     ("received entry not a pair", lambda s: _sink0(s, received=((0,),))),
 ]
 # both shares are 1 on this schedule, so a bool would pass every check
@@ -73,7 +65,7 @@ BOOLS = [
 
 
 def _phase(s, k, **changes):
-    return _replace(s, phases=tuple(_replace(p, **changes) if i == k else p for i, p in enumerate(s.phases)))
+    return replace(s, phases=tuple(replace(p, **changes) if i == k else p for i, p in enumerate(s.phases)))
 
 
 def _put(values, k, value):
@@ -90,11 +82,11 @@ def _number_fields():
             if (name, k) != ("rx_count", len(s.phases) - 1):
                 yield f"phases[{k}].{name}", lambda s, v, k=k, name=name: _phase(s, k, **{name: v}), getattr(p, name)
     for k, share in enumerate(s.split_plan.per_pair):
-        yield f"split_plan.per_pair[{k}]", lambda s, v, k=k: _with_plan(s, per_pair=_put(s.split_plan.per_pair, k, v)), share
+        yield f"split_plan.per_pair[{k}]", lambda s, v, k=k: with_plan(s, per_pair=_put(s.split_plan.per_pair, k, v)), share
     for name in ("total_delay", "total_bits", "sum_dof"):
-        yield name, lambda s, v, name=name: _replace(s, **{name: v}), getattr(s, name)
+        yield name, lambda s, v, name=name: replace(s, **{name: v}), getattr(s, name)
     for name in ("total_bits", "padding_bits", "bits_per_dof"):
-        yield f"split_plan.{name}", lambda s, v, name=name: _with_plan(s, **{name: v}), getattr(s.split_plan, name)
+        yield f"split_plan.{name}", lambda s, v, name=name: with_plan(s, **{name: v}), getattr(s.split_plan, name)
 
 
 # The number rule: every number the checks compare with ==, but the per-node
@@ -143,7 +135,7 @@ def test_a_phase_size_that_is_not_an_int_is_reported_as_a_size(k, value):
 
 
 def test_the_first_number_that_breaks_the_rule_is_named():
-    s = _replace(_phase(_schedule(), 1, hop=True), total_delay=8.0)
+    s = replace(_phase(_schedule(), 1, hop=True), total_delay=8.0)
     detail = _fails_every_check(verify_schedule(s))
     assert detail == "TypeError: phases[1].hop must be an int or a Fraction, got True"
 
@@ -159,8 +151,8 @@ def test_ints_and_fractions_of_the_right_value_pass():
     for tampered in (
         _per_pair0(s, 1),
         _phase0(s, per_pair_bits=1),
-        _with_plan(s, total_bits=Fraction(s.split_plan.total_bits)),
-        _replace(s, sum_dof=Fraction(s.sum_dof)),
+        with_plan(s, total_bits=Fraction(s.split_plan.total_bits)),
+        replace(s, sum_dof=Fraction(s.sum_dof)),
     ):
         assert verify_schedule(tampered).ok
 

@@ -22,10 +22,12 @@ from relaydof.analysis import (
     inverse_gap,
     report_to_obj,
 )
-from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, NetworkTopology
+from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec
 from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import FAMILY_KINDS, FamilySpec, antenna_scale_check, classify, sweep_rows
 from relaydof.schedule import integer_schedule, plan_to_dot, schedule_to_obj, verify_schedule
+
+from support import calls, chain
 
 _OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
@@ -50,11 +52,7 @@ def no_arithmetic(monkeypatch):
     return ran
 
 
-def _chain(*layers) -> NetworkTopology:
-    return NetworkTopology(tuple(n if isinstance(n, LayerSpec) else LayerSpec(nodes=n) for n in layers))
-
-
-_ANTENNAS = _chain(LayerSpec(antennas=(1, 2)), 4, 3, LayerSpec(antennas=(2, 1, 1)))
+_ANTENNAS = chain([LayerSpec(antennas=(1, 2)), 4, 3, LayerSpec(antennas=(2, 1, 1))])
 _FAMILIES = {
     "ProportionalFixedK": FamilySpec("ProportionalFixedK", base=(1, "1/2", 1)),
     "PinnedLayerFixedK": FamilySpec("PinnedLayerFixedK", base=(1, 1, 1), pinned=((1, 2),)),
@@ -68,7 +66,7 @@ _FAMILIES = {
     [[3, 4, 3, 2], [2, INFINITY, 5, 1, 6], [INFINITY, 3, INFINITY], [1, 7, 1], [10**40 + 1, 6, 10**40, 4]],
 )
 def test_analysis_runs_no_extrational_operator(no_arithmetic, sizes):
-    report = analyze(_chain(*sizes))
+    report = analyze(chain(sizes))
     assert report_to_obj(report)["achievable"] == str(report.achievable)
     inverse_gap(sizes)
     absolute_and_fractional_gap(sizes)
@@ -93,7 +91,7 @@ def test_classification_runs_no_extrational_operator(no_arithmetic, kind):
 
 @pytest.mark.parametrize("demand", [None, DemandMatrix({(0, 0): Fraction(1, 30), (1, 2): Fraction(1, 50)})])
 def test_schedules_run_no_extrational_operator(no_arithmetic, demand):
-    s = integer_schedule(_chain(3, 4, 2, 3), demand)
+    s = integer_schedule(chain([3, 4, 2, 3]), demand)
     assert verify_schedule(s).ok
     schedule_to_obj(s)
     plan_to_dot(s.split_plan)
@@ -101,16 +99,9 @@ def test_schedules_run_no_extrational_operator(no_arithmetic, demand):
 
 
 def test_sums_build_no_fraction(monkeypatch):
-    built = []
-    original = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
     sizes = [3, 4, INFINITY, 3, 10**40 + 3, 2]
-    t = _chain(*sizes)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    t = chain(sizes)
+    built = calls(monkeypatch, Fraction, "__new__")
     pairs = _reciprocal_sums(sizes)
     assert _topology_sums(t) == pairs
     assert built == []

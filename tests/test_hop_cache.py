@@ -4,25 +4,23 @@ report it was before."""
 
 from relaydof import analysis
 from relaydof.analysis import analyze, report_to_obj
-from relaydof.model import INFINITY, LayerSpec, NetworkTopology
+from relaydof.model import INFINITY
 
-
-def _chain(sizes):
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+from support import chain
 
 
 def test_the_hop_cache_is_bounded_and_evicts_without_changing_a_report():
     maxsize = analysis._hop_values.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
     # ascending runs of consecutive sizes: every hop is a pair no other hop has
-    chains = [_chain(range(k * 50 + 1, k * 50 + 51)) for k in range(maxsize // 49 + 20)]
+    chains = [chain(range(k * 50 + 1, k * 50 + 51)) for k in range(maxsize // 49 + 20)]
     first = report_to_obj(analyze(chains[0]))
     for t in chains[1:]:
         analyze(t)
     info = analysis._hop_values.cache_info()
     assert 49 * len(chains) > maxsize and info.currsize <= maxsize
     # a fresh topology, so no kept sums hide the hop values made anew
-    again = _chain(range(1, 51))
+    again = chain(range(1, 51))
     misses = info.misses
     assert report_to_obj(analyze(again)) == first
     assert analysis._hop_values.cache_info().misses - misses == 49

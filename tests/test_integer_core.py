@@ -1,11 +1,10 @@
 """The integer route of the exact core: each reported value is built once,
-from integers, and the per-hop loops it replaced stay here as oracles.
+from integers, and the per-hop loops it replaced are the reference model's.
 
-``reference_bound1`` is the loop ``inverse_gap`` used to add its first
-bound with, one ExtRational per bounding hop; ``reference_bound2`` reads
-the second bound off the hops by their definition.  The counting tests pin how
-many ``Fraction`` and ``ExtRational`` values the region check and the scale
-build, so a return to per-constraint rationals shows as a failure.
+``reference.gap_bounds`` reads both bounds of ``inverse_gap`` off the hops
+by their definition.  The counting tests pin how many ``Fraction`` and
+``ExtRational`` values the region check and the scale build, so a return to
+per-constraint rationals shows as a failure.
 """
 
 from fractions import Fraction
@@ -13,52 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaydof.analysis import analyze, bounding_set, inverse_gap
-from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, NetworkTopology, parse_demand
+from relaydof.analysis import analyze, inverse_gap
+from relaydof.model import INFINITY, DemandMatrix, ExtRational, parse_demand
 from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import parse_family
 
-
-def reference_bound1(sizes) -> ExtRational:
-    """Sum of 1/max(m, n) over the bounding hops, one hop at a time."""
-    bound1 = ExtRational(0)
-    for k in bounding_set(sizes):
-        bound1 = bound1 + ExtRational(max(sizes[k], sizes[k + 1])).reciprocal()
-    return bound1
-
-
-def reference_bound2(sizes) -> Fraction:
-    """The number of bounding hops, those whose smaller end exceeds 1, over the
-    smallest finite transmitter size among them; 0 when there is none."""
-    hops = [k for k in range(len(sizes) - 1) if min(sizes[k], sizes[k + 1]) > 1]
-    finite = [sizes[k] for k in hops if sizes[k] is not INFINITY]
-    return Fraction(len(hops), min(finite)) if finite else Fraction(0)
-
-
-def _counting(monkeypatch, cls) -> list[int]:
-    """Count the values of ``cls`` built from here on, in a one-item list."""
-    built = [0]
-    if cls is Fraction:
-        original = Fraction.__new__
-
-        def counting_new(klass, *args, **kwargs):
-            built[0] += 1
-            return original(klass, *args, **kwargs)
-
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    else:
-        original_init = cls.__init__
-
-        def counting_init(self, *args):
-            built[0] += 1
-            original_init(self, *args)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
-    return built
-
-
-def _chain(sizes) -> NetworkTopology:
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+import reference
+from support import calls, chain
 
 
 # -- model ----------------------------------------------------------------------
@@ -74,10 +34,10 @@ def test_extrational_keeps_an_exact_fraction():
 
 
 def test_documents_read_rationals_without_extrationals(monkeypatch):
-    built = _counting(monkeypatch, ExtRational)
+    built = calls(monkeypatch, ExtRational, "__init__")
     demand = parse_demand('{"demands":[{"dst":1,"src":1,"dof":"1/2"},{"dst":2,"src":1,"dof":"0.25"}]}')
     family = parse_family('{"kind":"ProportionalFixedK","base":["1/2","3e0",2]}')
-    assert built[0] == 0
+    assert len(built) == 0
     assert demand.entries == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4)}
     assert family.base == (Fraction(1, 2), Fraction(3), Fraction(2))
 
@@ -92,53 +52,53 @@ _size = st.one_of(st.integers(1, 64), st.just(INFINITY), st.integers(0, 9).map(l
 @given(st.lists(_size, min_size=2, max_size=60))
 def test_bound1_matches_the_per_hop_loop(sizes):
     exact, bound1, bound2 = inverse_gap(sizes)
-    assert bound1 == reference_bound1(sizes)
+    assert bound1 == reference.gap_bounds(sizes)[0]
     assert exact <= bound1 <= bound2
 
 
 @settings(deadline=None)
 @given(st.lists(_size, min_size=2, max_size=60))
 def test_bound2_matches_its_oracle(sizes):
-    assert inverse_gap(sizes)[2].as_fraction() == reference_bound2(sizes)
+    assert inverse_gap(sizes)[2].as_fraction() == reference.gap_bounds(sizes)[1]
 
 
 def test_bound1_builds_few_extrationals(monkeypatch):
     sizes = [INFINITY if k % 97 == 0 else 1 + (k * k) % 64 for k in range(1, 4001)]
-    expected = reference_bound1(sizes)
-    built = _counting(monkeypatch, ExtRational)
+    expected = reference.gap_bounds(sizes)[0]
+    built = calls(monkeypatch, ExtRational, "__init__")
     assert inverse_gap(sizes)[1] == expected
-    assert built[0] < 10
+    assert len(built) < 10
 
 
 # -- region -----------------------------------------------------------------------
 
 
 def test_feasible_dense_check_builds_no_fraction(monkeypatch):
-    t = _chain([16, 7, 16])
+    t = chain([16, 7, 16])
     analyze(t)  # fills the topology's sums
     # alpha = 28/11 of [16, 7, 16]; every row and column sums to 2/15 < 7/44
     d = DemandMatrix({(j, i): Fraction(1, 120) for j in range(16) for i in range(16)})
-    built = _counting(monkeypatch, Fraction)
+    built = calls(monkeypatch, Fraction, "__new__")
     verdict = check_demand(t, d)
-    assert built[0] == 0
+    assert len(built) == 0
     assert verdict.feasible and not verdict.binding
 
 
 def test_infeasible_check_builds_two_fractions_per_violation(monkeypatch):
-    t = _chain([16, 7, 16])
+    t = chain([16, 7, 16])
     analyze(t)
     d = DemandMatrix({(j, i): Fraction(1, 2 + (i + j) % 5) for j in range(16) for i in range(16)})
-    built = _counting(monkeypatch, Fraction)
+    built = calls(monkeypatch, Fraction, "__new__")
     verdict = check_demand(t, d)
     assert len(verdict.violations) == 33  # the total, and every row and column
-    assert built[0] <= 2 * len(verdict.violations)
+    assert len(built) <= 2 * len(verdict.violations)
 
 
 def test_scale_builds_t_star_once_plus_one_value_per_entry(monkeypatch):
-    t = _chain([16, 7, 16])
+    t = chain([16, 7, 16])
     analyze(t)
     d = DemandMatrix({(j, i): Fraction(1, 1 + (3 * i + j) % 7) for j in range(16) for i in range(16)})
-    built = _counting(monkeypatch, Fraction)
+    built = calls(monkeypatch, Fraction, "__new__")
     result = max_uniform_scale(t, d)
-    assert built[0] <= 1 + len(d.entries)
+    assert len(built) <= 1 + len(d.entries)
     assert result.verdict.feasible and result.verdict.binding

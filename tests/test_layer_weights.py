@@ -1,14 +1,11 @@
 """Per-layer work done once: shared layer specs, stored effective sizes,
 reciprocal sums from per-layer weights and hop values formatted once.
 
-``reference_topology`` is the per-layer parse that ``topology_from_obj``
-replaced (one ``LayerSpec`` per layer, shape checked through key sets),
-kept as an oracle the way the ``ExtRational`` summation is kept in
-``test_exact_core``.
+``reference.reference_topology`` is the per-layer parse that
+``topology_from_obj`` replaced (one ``LayerSpec`` per layer, shape checked
+through key sets), kept as an oracle beside the per-hop sums.
 """
 
-import contextlib
-import io
 import json
 import os
 import tempfile
@@ -23,57 +20,20 @@ from relaydof.analysis import (
     bounding_set,
     cutset_sum_dof,
     hop_achievable_dof,
-    hop_cutset_dof,
     report_to_obj,
 )
-from relaydof.cli import main
 from relaydof.model import (
     INFINITY,
     ExtRational,
     LayerSpec,
-    NetworkTopology,
     TopologyError,
     parse_topology,
     topology_from_obj,
 )
 from relaydof.scaling import FamilySpec, evaluate_family
 
-from test_exact_core import reference_sum
-
-
-def reference_layer(obj, index: int) -> LayerSpec:
-    if not isinstance(obj, dict):
-        raise TopologyError(f"layer {index}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
-    try:
-        if keys == {"nodes"}:
-            raw = obj["nodes"]
-            return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
-        if keys == {"antennas"}:
-            raw = obj["antennas"]
-            if not isinstance(raw, list):
-                raise TopologyError("'antennas' must be a nonempty list")
-            if "inf" in raw:
-                raise TopologyError("infinite layer cannot carry an antenna list")
-            return LayerSpec(antennas=tuple(raw))
-    except TopologyError as exc:
-        raise TopologyError(f"layer {index}: {exc}") from None
-    raise TopologyError(f"layer {index}: expected exactly one of 'nodes' or 'antennas'")
-
-
-def reference_topology(obj) -> NetworkTopology:
-    if not isinstance(obj, dict) or "layers" not in obj:
-        raise TopologyError("topology document must be an object with a 'layers' list")
-    layers = obj["layers"]
-    if not isinstance(layers, list):
-        raise TopologyError("'layers' must be a list")
-    if len(layers) < 2:
-        raise TopologyError("topology needs at least 2 layers")
-    return NetworkTopology(tuple(reference_layer(layer, k) for k, layer in enumerate(layers)))
-
-
-def layer_values(t: NetworkTopology):
-    return [(type(layer.nodes), layer.nodes, layer.antennas, layer.effective_size) for layer in t.layers]
+import reference
+from support import CHAIN, calls, parsed, run_cli
 
 
 # -- parsing: the shared-spec parse against the per-layer one ------------------------
@@ -104,17 +64,10 @@ def topology_documents(draw):
     return {"layers": [layer() for _ in range(draw(st.integers(0, 12)))]}
 
 
-def outcome(parse, obj):
-    try:
-        return "ok", layer_values(parse(obj))
-    except TopologyError as exc:
-        return "error", str(exc)
-
-
 @settings(max_examples=400, deadline=None)
 @given(topology_documents())
 def test_parse_matches_the_per_layer_parse(obj):
-    assert outcome(topology_from_obj, obj) == outcome(reference_topology, obj)
+    assert parsed(topology_from_obj, obj) == parsed(reference.reference_topology, obj)
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,11 +77,9 @@ def test_analyze_on_any_document_exits_0_or_2(obj):
         path = os.path.join(tmp, "t.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(obj, handle)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", path])
+        code, _, err = run_cli("analyze", path)
     assert code in (0, 2)
-    assert (code == 2) == err.getvalue().startswith("error: ")
+    assert (code == 2) == err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -166,22 +117,11 @@ def test_repeated_values_share_one_spec():
     assert t.effective_sizes() is t.effective_sizes() == (3, 3, 3, 3, 3)
 
 
-CHAIN = {"layers": [{"nodes": "inf" if k % 97 == 0 else 1 + (k * 37) % 64} for k in range(1, 4001)]}
-
-
 def test_parse_builds_one_spec_per_distinct_value(monkeypatch):
-    built = 0
-    original = LayerSpec.__init__
-
-    def counting(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(LayerSpec, "__init__", counting)
+    built = calls(monkeypatch, LayerSpec, "__init__")
     t = parse_topology(json.dumps(CHAIN))
     assert len(t.layers) == 4000
-    assert built <= 65
+    assert len(built) <= 65
 
 
 ANTENNA_LISTS = [[1], [2], [1, 2], [2, 1], [1, 1], [3, 1, 2], [1, 2, 3], [4, 4], [1, 1, 1, 1], [7], [2, 2, 2]]
@@ -198,18 +138,10 @@ def test_parse_keeps_every_antenna_list():
 def test_warm_report_formats_each_hop_value_once(monkeypatch):
     t = parse_topology(json.dumps(CHAIN))
     report_to_obj(analyze(t))  # fills the hop caches and their texts
-    calls = 0
-    original = ExtRational._render
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
-
     # every report text is made at this one site, from the value's int pair
-    monkeypatch.setattr(ExtRational, "_render", counting)
+    rendered = calls(monkeypatch, ExtRational, "_render")
     obj = report_to_obj(analyze(t))
-    assert calls < 50
+    assert len(rendered) < 50
     assert obj["achievable_per_hop"][:2] == [str(hop_achievable_dof(38, 11)), str(hop_achievable_dof(11, 48))]
 
 
@@ -235,39 +167,17 @@ def test_cached_text_is_the_value_text():
     ],
 )
 def test_weight_sums_match_the_extrational_route(sizes):
-    assert achievable_sum_dof(sizes) == reference_sum(sizes, hop_achievable_dof)
-    assert cutset_sum_dof(sizes) == reference_sum(sizes, hop_cutset_dof)
-
-
-@settings(deadline=None)
-@given(st.lists(st.one_of(st.integers(1, 10**6), st.integers(10**20, 10**40), st.just(INFINITY)), min_size=2, max_size=40))
-def test_weight_sums_match_on_large_distinct_sizes(sizes):
-    if all(s is INFINITY for s in sizes):
-        return
-    assert achievable_sum_dof(sizes) == reference_sum(sizes, hop_achievable_dof)
-    assert cutset_sum_dof(sizes) == reference_sum(sizes, hop_cutset_dof)
-
-
-def _hops(sizes):
-    return list(zip(sizes, sizes[1:]))
+    assert (achievable_sum_dof(sizes), cutset_sum_dof(sizes)) == reference.sum_dofs(sizes)
 
 
 @settings(deadline=None)
 @given(st.lists(st.one_of(st.integers(1, 70), st.just(INFINITY)), min_size=2, max_size=60))
 def test_bounding_set_matches_the_per_hop_rule(sizes):
-    assert bounding_set(sizes) == frozenset(k for k, (m, n) in enumerate(_hops(sizes)) if min(m, n) > 1)
+    assert bounding_set(sizes) == frozenset(reference.bounding_hops(sizes))
 
 
 def test_growing_family_reuses_one_spec(monkeypatch):
-    built = 0
-    original = LayerSpec.__init__
-
-    def counting(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(LayerSpec, "__init__", counting)
+    built = calls(monkeypatch, LayerSpec, "__init__")
     topology, alpha = evaluate_family(FamilySpec(kind="FixedSizesGrowingK", base=(Fraction(2),)), 4096)
-    assert len(topology.layers) == 2048 and built == 1
-    assert alpha == reference_sum(topology.effective_sizes(), hop_achievable_dof)
+    assert len(topology.layers) == 2048 and len(built) == 1
+    assert alpha == reference.sum_dofs(topology.effective_sizes())[0]

@@ -17,6 +17,8 @@ import pytest
 import relaydof
 from relaydof import cli
 
+from support import calls
+
 SRC = str(Path(relaydof.__file__).resolve().parents[1])
 
 # the public names of relaydof, by the submodule that defines them
@@ -226,17 +228,9 @@ def test_cli_call_names_resolve_before_any_command(files):
 )
 def test_a_patched_cli_name_is_the_one_that_runs(files, monkeypatch, capsys, name, argv):
     monkeypatch.chdir(files)
-    calls = 0
-    original = getattr(cli, name)
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, name, counting)
+    made = calls(monkeypatch, cli, name)
     assert cli.main(argv) == 0
-    assert calls == 1
+    assert len(made) == 1
 
 
 # -- standard-library modules a command leaves out ----------------------------------

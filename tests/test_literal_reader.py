@@ -1,9 +1,8 @@
-"""``model._exact`` reads a plain ``p`` or ``p/q`` literal as two ints, and
-every other literal with ``Fraction``'s own reader.  The reader it shortcuts
-stays here as the oracle: on any string of literal characters the two give
-the same ``Fraction`` or the same ``DocumentError`` text."""
+"""``model._exact`` reads a literal with ``Fraction``'s own reader, within
+the document rules: literal characters only, and an exponent within the
+int-string limit.  On any string of literal characters it gives the
+reference model's ``Fraction`` or the same ``DocumentError`` text."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -11,32 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from relaydof.model import _LITERAL_CHARS, DocumentError, _exact
 
-
-def reference_exact(value: str) -> Fraction:
-    """The literal reader before the int-pair shortcut: Fraction reads every literal."""
-    try:
-        if not _LITERAL_CHARS.issuperset(value):
-            raise ValueError(value)
-        exponent = value.lower().partition("e")[2]
-        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
-            raise ValueError(value)
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"bad rational literal {value!r}") from exc
-
-
-def outcome(read, value: str):
-    """("value", Fraction) or ("error", its text), from one reader."""
-    try:
-        result = read(value)
-    except DocumentError as exc:
-        return "error", str(exc)
-    assert type(result) is Fraction
-    return "value", result
+import reference
+from support import outcome
 
 
 def _agree(value: str):
-    assert outcome(_exact, value) == outcome(reference_exact, value)
+    read = outcome(_exact, value, errors=DocumentError)
+    assert read == outcome(reference.reference_exact, value, errors=DocumentError)
+    assert read[0] != "ok" or type(read[1]) is Fraction
 
 
 CASES = [

@@ -14,6 +14,8 @@ from relaydof.cli import main
 from relaydof.model import INFINITY, DocumentError, ExtRational, parse_demand
 from relaydof.scaling import parse_family
 
+from support import write  # noqa: F401
+
 ACCEPTED = [
     ("1/2", Fraction(1, 2)),
     ("2/4", Fraction(1, 2)),
@@ -79,16 +81,6 @@ def test_demand_dof_literal_is_strict(text):
 def test_family_base_literal_is_strict(text):
     with pytest.raises(DocumentError, match="bad rational literal"):
         parse_family(json.dumps({"kind": "ProportionalFixedK", "base": [text, "1"]}))
-
-
-@pytest.fixture
-def write(tmp_path):
-    def write(name, obj):
-        path = tmp_path / name
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        return str(path)
-
-    return write
 
 
 @pytest.mark.parametrize("text", [" 1/5 ", "1_0", "١/5", "1 / 5"])

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 from relaydof import model
 from relaydof.model import INFINITY, ExtRational, Infinity, LayerSpec, topology_from_obj
 
+from support import calls
+
 ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
 
 
@@ -83,16 +85,9 @@ def test_orderings_agree_with_key_oracle(a, b):
 
 
 def test_infinity_le_is_one_call(monkeypatch):
-    calls = []
-    original = Infinity.__le__
-
-    def counting(self, other):
-        calls.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Infinity, "__le__", counting)
+    compared = calls(monkeypatch, Infinity, "__le__")
     assert not operator.le(INFINITY, 1)
-    assert calls == [1]
+    assert compared == [(INFINITY, 1)]
 
 
 @pytest.mark.parametrize("value", [1.5, "1", None, object()])

@@ -7,17 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from relaydof.model import INFINITY, LayerSpec, NetworkTopology
+from relaydof.model import INFINITY
 from relaydof.schedule import PhasePlan, integer_schedule, schedule_to_obj, verify_schedule
+
+from support import chain, replace
 
 
 def _schedule():
-    return integer_schedule(NetworkTopology(tuple(LayerSpec(nodes=n) for n in (2, 3, 2))))
-
-
-def _with_phases(s, *phases):
-    fields = {name: getattr(s, name) for name in s._fields}
-    return type(s)(**{**fields, "phases": phases})
+    return integer_schedule(chain([2, 3, 2]))
 
 
 def _recurrence(report):
@@ -42,7 +39,7 @@ def test_untampered_phase0_is_the_x_network_share():
 )
 def test_tampered_phase_fields_fail_recurrence(phase0):
     s = _schedule()
-    tampered = _with_phases(s, phase0, s.phases[1])
+    tampered = replace(s, phases=(phase0, s.phases[1]))
     report = verify_schedule(tampered)
     assert [c.name for c in report.failures()] == ["phase-recurrence"]
     assert _recurrence(report).detail == "phase fields off at hop(s) [0]"
@@ -53,7 +50,7 @@ def test_tampered_phase_fields_fail_recurrence(phase0):
 def test_both_details_are_joined():
     s = _schedule()
     bad = PhasePlan(1, 3, 2, s.phases[1].block_length + 1, Fraction(1, 4), Fraction(1))
-    detail = _recurrence(verify_schedule(_with_phases(s, s.phases[0], bad))).detail
+    detail = _recurrence(verify_schedule(replace(s, phases=(s.phases[0], bad)))).detail
     assert detail == "forwarding mismatch at hop(s) [1]; phase fields off at hop(s) [1]"
 
 
@@ -100,7 +97,7 @@ CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
 )
 def test_phases_of_bad_sizes_fail_every_check(phases, detail):
     s = _schedule()
-    report = verify_schedule(_with_phases(s, *phases(s)))
+    report = verify_schedule(replace(s, phases=phases(s)))
     assert [(c.name, c.passed, c.detail) for c in report.checks] == [(name, False, detail) for name in CHECKS]
 
 
@@ -115,7 +112,7 @@ def test_phases_of_bad_sizes_fail_every_check(phases, detail):
 )
 def test_receiver_count_off_its_next_phase_fails_recurrence(phase0):
     s = _schedule()
-    report = verify_schedule(_with_phases(s, phase0, s.phases[1]))
+    report = verify_schedule(replace(s, phases=(phase0, s.phases[1])))
     assert [c.name for c in report.failures()] == ["phase-recurrence"]
     assert _recurrence(report).detail == "phase fields off at hop(s) [0]"
 
@@ -123,7 +120,7 @@ def test_receiver_count_off_its_next_phase_fails_recurrence(phase0):
 def test_tampered_values_would_reach_the_writer():
     # what the check keeps from being written out as verified
     s = _schedule()
-    tampered = _with_phases(s, PhasePlan(0, 2, 3, 4, Fraction(1, 2), Fraction(5)), s.phases[1])
+    tampered = replace(s, phases=(PhasePlan(0, 2, 3, 4, Fraction(1, 2), Fraction(5)), s.phases[1]))
     phase = schedule_to_obj(tampered)["phases"][0]
     assert (phase["per_pair_dof"], phase["per_pair_bits"]) == ("1/2", "5")
     assert not verify_schedule(tampered).ok

@@ -39,6 +39,8 @@ from relaydof.schedule import (
     integer_schedule,
 )
 
+from support import outcome
+
 
 def _demand_eq(self, other):
     # DemandMatrix's own equality, kept by its dataclass declaration
@@ -130,13 +132,6 @@ TWINS = {
 def twin_of(record):
     """The twin holding the record's field values, nested records included."""
     return TWINS[type(record)](*(getattr(record, f.name) for f in dataclasses.fields(TWINS[type(record)])))
-
-
-def outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # the type and message are what is compared
-        return type(exc).__name__, str(exc)
 
 
 # -- drawn records -------------------------------------------------------------

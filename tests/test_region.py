@@ -10,12 +10,10 @@ from relaydof.analysis import achievable_sum_dof
 from relaydof.model import DemandError, DemandMatrix, LayerSpec, NetworkTopology, parse_topology
 from relaydof.region import check_demand, max_uniform_scale, verdict_to_obj
 
-
-def _chain(sizes):
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
+from support import chain
 
 
-T3333 = _chain([3, 3, 3, 3])
+T3333 = chain([3, 3, 3, 3])
 MIXED = parse_topology('{"layers":[{"antennas":[2,1]},{"antennas":[2,2]},{"antennas":[1,1,1]}]}')
 
 
@@ -69,7 +67,7 @@ def test_scale_identity_pattern():
 
 
 def test_scale_full_pattern_on_2_chain():
-    t = _chain([2, 2, 2])
+    t = chain([2, 2, 2])
     pattern = DemandMatrix({(j, i): Fraction(1) for j in range(2) for i in range(2)})
     result = max_uniform_scale(t, pattern)
     assert result.t_star == Fraction(1, 6)
@@ -104,7 +102,7 @@ def _random_pattern(rng, n_src, n_dst):
 def test_scale_feasibility_is_monotone(s, seed):
     rng = random.Random(seed)
     sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
-    t = _chain(sizes)
+    t = chain(sizes)
     pattern = _random_pattern(rng, sizes[0], sizes[-1])
     result = max_uniform_scale(t, pattern)
     below = pattern.scale(result.t_star.as_fraction() * s)
@@ -115,7 +113,7 @@ def test_boundary_scale_always_feasible_and_binding():
     rng = random.Random(13)
     for _ in range(200):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 6))]
-        t = _chain(sizes)
+        t = chain(sizes)
         pattern = _random_pattern(rng, sizes[0], sizes[-1])
         result = max_uniform_scale(t, pattern)
         verdict = check_demand(t, result.scaled)
@@ -130,7 +128,7 @@ def test_single_antenna_shares_match_even_split():
     rng = random.Random(14)
     for _ in range(50):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
-        as_nodes = _chain(sizes)
+        as_nodes = chain(sizes)
         as_antennas = NetworkTopology(
             tuple(LayerSpec(antennas=(1,) * s) for s in sizes)
         )
@@ -150,7 +148,7 @@ def test_all_rows_binding_forces_total_binding():
     rng = random.Random(15)
     for _ in range(100):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
-        t = _chain(sizes)
+        t = chain(sizes)
         alpha = achievable_sum_dof(sizes).as_fraction()
         share = alpha / (sizes[0] * sizes[-1])
         d = DemandMatrix(

@@ -5,37 +5,27 @@ many hops share them, and the values keep their texts."""
 import random
 
 from relaydof.analysis import analyze, report_to_obj
-from relaydof.model import INFINITY, ExtRational, LayerSpec, NetworkTopology
+from relaydof.model import INFINITY, ExtRational
+
+from support import calls, chain
 
 # distinct 7-digit sizes, so no earlier call has cached their hop values
 SIZES = random.Random(1707).sample(range(10**6, 10**7), 6)
 
 
-def _chain():
-    cycle = [*SIZES, INFINITY, SIZES[0], SIZES[3]]
-    return NetworkTopology(tuple(LayerSpec(nodes=n) for n in (cycle * 25)[:200] + [SIZES[1]]))
-
-
 def test_a_cold_report_formats_each_value_once(monkeypatch):
-    t = _chain()
-    calls = 0
-    original = ExtRational._render
-
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
-
+    cycle = [*SIZES, INFINITY, SIZES[0], SIZES[3]]
+    t = chain((cycle * 25)[:200] + [SIZES[1]])
     # every text is made at this one site, from the value's int pair
-    monkeypatch.setattr(ExtRational, "_render", counting)
+    rendered = calls(monkeypatch, ExtRational, "_render")
     report = analyze(t)
     obj = report_to_obj(report)
     hop_values = {id(v): v for v in (*report.achievable_per_hop, *report.cutset_per_hop)}
     others = 7  # the two sums, three gaps, ultimate capacity, relay loss factor
     assert len(obj["achievable_per_hop"]) == 200
     assert len(hop_values) < 40
-    assert 0 < calls <= len(hop_values) + others
+    assert 0 < len(rendered) <= len(hop_values) + others
     # the texts are kept: a second report formats only the values made anew
-    calls = 0
+    rendered.clear()
     assert report_to_obj(analyze(t)) == obj
-    assert calls <= others
+    assert len(rendered) <= others

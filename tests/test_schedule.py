@@ -21,7 +21,6 @@ from relaydof.model import (
 from relaydof.region import check_demand, max_uniform_scale
 from relaydof.schedule import (
     InvariantError,
-    PhaseMessage,
     integer_schedule,
     phase_ratios,
     plan_to_dot,
@@ -31,14 +30,8 @@ from relaydof.schedule import (
     verify_schedule,
 )
 
-
-def _chain(sizes):
-    return NetworkTopology(tuple(LayerSpec(nodes=s) for s in sizes))
-
-
-def _replace(record, **changes):
-    """A copy of the record with some fields changed, through its constructor."""
-    return type(record)(**{name: changes.pop(name, getattr(record, name)) for name in record._fields}, **changes)
+import reference
+from support import chain, replace
 
 
 # -- phase ratios --------------------------------------------------------------
@@ -100,7 +93,7 @@ def test_recurrence_sum_dof_values(sizes, expected):
 
 
 def test_integer_schedule_1_2_4():
-    s = integer_schedule(_chain([1, 2, 4]))
+    s = integer_schedule(chain([1, 2, 4]))
     assert [p.block_length for p in s.phases] == [8, 5]
     assert [p.per_pair_bits for p in s.phases] == [4, 1]
     assert s.total_bits == 8
@@ -110,7 +103,7 @@ def test_integer_schedule_1_2_4():
 
 
 def test_integer_schedule_2_2_2():
-    s = integer_schedule(_chain([2, 2, 2]))
+    s = integer_schedule(chain([2, 2, 2]))
     assert [p.block_length for p in s.phases] == [3, 3]
     assert all(p.per_pair_bits == 1 for p in s.phases)
     assert s.total_bits == 4
@@ -119,7 +112,7 @@ def test_integer_schedule_2_2_2():
 
 
 def test_integer_schedule_single_node_chain():
-    s = integer_schedule(_chain([1, 1, 1]))
+    s = integer_schedule(chain([1, 1, 1]))
     assert [p.block_length for p in s.phases] == [1, 1]
     assert s.total_bits == 1
     assert s.total_delay == 2
@@ -128,48 +121,22 @@ def test_integer_schedule_single_node_chain():
 
 def test_integer_schedule_rejects_infinite_and_relayless():
     with pytest.raises(TopologyError):
-        integer_schedule(_chain([2, INFINITY, 2]))
+        integer_schedule(chain([2, INFINITY, 2]))
     with pytest.raises(TopologyError):
-        integer_schedule(_chain([3, 3]))
+        integer_schedule(chain([3, 3]))
 
 
 def test_integerization_is_minimal():
     rng = random.Random(22)
     for _ in range(150):
         sizes = [rng.randint(1, 6) for _ in range(rng.randint(3, 6))]
-        s = integer_schedule(_chain(sizes))
-        t0 = s.phases[0].block_length
-        ratios = phase_ratios(sizes)
-        pair_counts = [sizes[k] + sizes[k + 1] - 1 for k in range(len(sizes) - 1)]
-        for p in {f for f in range(2, t0 + 1) if t0 % f == 0 and _is_prime(f)}:
-            smaller = Fraction(t0, p)
-            broken = any(
-                (r * smaller).denominator != 1 or (r * smaller / c).denominator != 1
-                for r, c in zip(ratios, pair_counts)
-            )
-            assert broken, f"T0={t0} not minimal for sizes {sizes}"
-
-
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+        assert integer_schedule(chain(sizes)).phases == reference.phases(sizes)[0]
 
 
 def _check_closed_form_phases(sizes):
-    phases = integer_schedule(_chain(sizes)).phases
-    t0 = phases[0].block_length
-    ratios = phase_ratios(sizes)
-    assert [Fraction(p.block_length, t0) for p in phases] == ratios
-    # every prime factor of T0 divides a size or S0 + S1 - 1, so it is below 2 * max size
-    pair_counts = [sizes[k] + sizes[k + 1] - 1 for k in range(len(sizes) - 1)]
-    for p in filter(_is_prime, range(2, 2 * max(sizes))):
-        if t0 % p:
-            continue
-        smaller = Fraction(t0, p)
-        broken = any(
-            (r * smaller).denominator != 1 or (r * smaller / c).denominator != 1
-            for r, c in zip(ratios, pair_counts)
-        )
-        assert broken, f"T0={t0} not minimal for sizes {sizes}"
+    # the reference's T0 is the smallest that the recurrence allows
+    s = integer_schedule(chain(sizes))
+    assert (s.phases, s.total_bits) == reference.phases(sizes)
 
 
 @settings(deadline=None)
@@ -187,7 +154,7 @@ def test_closed_form_phases_match_the_recurrence_on_4000_layers():
 
 
 def test_default_plan_has_no_padding():
-    s = integer_schedule(_chain([2, 3, 2]))
+    s = integer_schedule(chain([2, 3, 2]))
     plan = s.split_plan
     assert plan.padding_bits == 0
     assert not plan.paddings
@@ -200,7 +167,7 @@ def _one_object_per_value(values):
 
 def test_uniform_plan_holds_one_object_per_count():
     # a 1000^3 uniform plan would otherwise hold 10^6 separate Fractions
-    plan = integer_schedule(_chain([3, 4, 5])).split_plan
+    plan = integer_schedule(chain([3, 4, 5])).split_plan
     carried = [m.bits for m in plan.sources] + [b for sink in plan.sinks for _, b in sink.received]
     assert len(carried) == 30 and len(set(map(id, carried))) == 1
     assert len(set(id(sink.padding_bits) for sink in plan.sinks)) == 1
@@ -208,7 +175,7 @@ def test_uniform_plan_holds_one_object_per_count():
 
 def test_sparse_plan_shares_equal_counts():
     demand = {(0, 0): Fraction(1, 10), (2, 0): Fraction(1, 10), (1, 1): Fraction(1, 5)}
-    plan = splitting_plan(_chain([3, 2, 3]), DemandMatrix(demand))
+    plan = splitting_plan(chain([3, 2, 3]), DemandMatrix(demand))
     paddings = [p.bits for p in plan.paddings]
     # sources 1 and 2 pad alike, from separate row sums
     assert paddings == [Fraction(2, 5), Fraction(2, 5), Fraction(2)]
@@ -219,7 +186,7 @@ def test_sparse_plan_shares_equal_counts():
 
 def test_boundary_single_demand_plan_1_2_4():
     # one message scaled to the boundary: the column share binds at alpha/4
-    t = _chain([1, 2, 4])
+    t = chain([1, 2, 4])
     demand = DemandMatrix({(0, 0): Fraction(2, 13)})
     plan = splitting_plan(t, demand)
     assert plan.bits_per_dof == 13
@@ -238,7 +205,7 @@ def test_boundary_single_demand_plan_1_2_4():
 
 
 def test_diagonal_plan_3333():
-    t = _chain([3, 3, 3, 3])
+    t = chain([3, 3, 3, 3])
     demand = DemandMatrix({(k, k): Fraction(1, 5) for k in range(3)})
     plan = splitting_plan(t, demand)
     assert plan.padding_bits == 0
@@ -255,12 +222,12 @@ def test_diagonal_plan_3333():
 
 def test_zero_demand_rejected():
     with pytest.raises(DemandError):
-        splitting_plan(_chain([2, 2, 2]), DemandMatrix({}))
+        splitting_plan(chain([2, 2, 2]), DemandMatrix({}))
 
 
 def test_infeasible_demand_rejected():
     with pytest.raises(DemandError, match="outside the achievable region"):
-        splitting_plan(_chain([3, 3, 3, 3]), DemandMatrix({(0, 0): Fraction(1, 4)}))
+        splitting_plan(chain([3, 3, 3, 3]), DemandMatrix({(0, 0): Fraction(1, 4)}))
 
 
 # -- verification -----------------------------------------------------------------
@@ -270,20 +237,20 @@ def test_verification_passes_by_construction():
     rng = random.Random(23)
     for _ in range(60):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(3, 6))]
-        report = verify_schedule(integer_schedule(_chain(sizes)))
+        report = verify_schedule(integer_schedule(chain(sizes)))
         assert report.ok, report.failures()
 
 
 def test_verification_walks_no_node_of_a_balanced_relay_phase():
     # a per-node walk of the 10**12-node relay layer would never finish
-    report = verify_schedule(integer_schedule(_chain([2, 10**12, 2])))
+    report = verify_schedule(integer_schedule(chain([2, 10**12, 2])))
     assert report.ok, report.failures()
 
 
 def test_perturbed_block_length_fails_recurrence():
-    s = integer_schedule(_chain([1, 2, 4]))
-    bad_phase = _replace(s.phases[1], block_length=s.phases[1].block_length + 1)
-    report = verify_schedule(_replace(s, phases=(s.phases[0], bad_phase)))
+    s = integer_schedule(chain([1, 2, 4]))
+    bad_phase = replace(s.phases[1], block_length=s.phases[1].block_length + 1)
+    report = verify_schedule(replace(s, phases=(s.phases[0], bad_phase)))
     failed = {c.name for c in report.failures()}
     assert "phase-recurrence" in failed
     [rec] = [c for c in report.checks if c.name == "phase-recurrence"]
@@ -291,11 +258,11 @@ def test_perturbed_block_length_fails_recurrence():
 
 
 def test_reduced_relay_share_fails_conservation():
-    s = integer_schedule(_chain([2, 2, 2]))
+    s = integer_schedule(chain([2, 2, 2]))
     plan = s.split_plan
     # every phase-0 message one bit short: its relay receives more than it sends
-    reduced = _replace(plan, per_pair=(plan.per_pair[0] - 1,) + plan.per_pair[1:])
-    report = verify_schedule(_replace(s, split_plan=reduced))
+    reduced = replace(plan, per_pair=(plan.per_pair[0] - 1,) + plan.per_pair[1:])
+    report = verify_schedule(replace(s, split_plan=reduced))
     failed = {c.name for c in report.failures()}
     assert "bit-conservation" in failed
     [cons] = [c for c in report.checks if c.name == "bit-conservation"]
@@ -303,19 +270,19 @@ def test_reduced_relay_share_fails_conservation():
 
 
 def test_tampered_edge_fails_conservation():
-    s = integer_schedule(_chain([2, 2, 2]))
+    s = integer_schedule(chain([2, 2, 2]))
     plan = s.split_plan
     # the first edge fans out the first source message, which fixes its bits
     first = plan.sources[0]
-    sources = (_replace(first, bits=first.bits / 2),) + plan.sources[1:]
-    report = verify_schedule(_replace(s, split_plan=_replace(plan, sources=sources)))
+    sources = (replace(first, bits=first.bits / 2),) + plan.sources[1:]
+    report = verify_schedule(replace(s, split_plan=replace(plan, sources=sources)))
     assert "bit-conservation" in {c.name for c in report.failures()}
 
 
 @pytest.mark.parametrize("phase_sizes, plan_sizes", [([2, 3, 2], [2, 3, 2, 2]), ([2, 3, 2, 2], [2, 3, 2])])
 def test_plan_for_other_sizes_fails_conservation(phase_sizes, plan_sizes):
-    s = integer_schedule(_chain(phase_sizes))
-    carried = _replace(s, split_plan=integer_schedule(_chain(plan_sizes)).split_plan)
+    s = integer_schedule(chain(phase_sizes))
+    carried = replace(s, split_plan=integer_schedule(chain(plan_sizes)).split_plan)
     report = verify_schedule(carried)
     [cons] = report.failures()
     assert cons.name == "bit-conservation"
@@ -326,9 +293,9 @@ def test_plan_for_other_sizes_fails_conservation(phase_sizes, plan_sizes):
 
 @pytest.mark.parametrize("shares", [lambda p: p[:-1], lambda p: p + p[-1:]], ids=["one-short", "one-extra"])
 def test_share_count_other_than_hop_count_fails_conservation(shares):
-    s = integer_schedule(_chain([2, 3, 2, 2]))
+    s = integer_schedule(chain([2, 3, 2, 2]))
     plan = s.split_plan
-    carried = _replace(s, split_plan=_replace(plan, per_pair=shares(plan.per_pair)))
+    carried = replace(s, split_plan=replace(plan, per_pair=shares(plan.per_pair)))
     report = verify_schedule(carried)
     [cons] = report.failures()
     assert cons.name == "bit-conservation"
@@ -337,18 +304,18 @@ def test_share_count_other_than_hop_count_fails_conservation(shares):
 
 
 def test_plan_carrying_other_bits_than_its_schedule_fails_conservation():
-    t = _chain([2, 3, 2])
+    t = chain([2, 3, 2])
     eighth = DemandMatrix({(0, 0): Fraction(1, 8)})
     s = integer_schedule(t, eighth)  # B = 6 bits over T = 8
     plan = s.split_plan
     # every count doubled: 12 bits through phases that carry 6
-    doubled = _replace(
+    doubled = replace(
         plan,
         per_pair=tuple(2 * b for b in plan.per_pair),
-        sources=tuple(_replace(m, bits=2 * m.bits) for m in plan.sources),
-        paddings=tuple(_replace(p, bits=2 * p.bits) for p in plan.paddings),
+        sources=tuple(replace(m, bits=2 * m.bits) for m in plan.sources),
+        paddings=tuple(replace(p, bits=2 * p.bits) for p in plan.paddings),
         sinks=tuple(
-            _replace(d, received=tuple((i, 2 * b) for i, b in d.received), padding_bits=2 * d.padding_bits)
+            replace(d, received=tuple((i, 2 * b) for i, b in d.received), padding_bits=2 * d.padding_bits)
             for d in plan.sinks
         ),
         total_bits=2 * plan.total_bits,
@@ -357,9 +324,9 @@ def test_plan_carrying_other_bits_than_its_schedule_fails_conservation():
     )
     # the plan of demand 1/4, relabelled 1/8 at twice the bits per DoF
     quarter = integer_schedule(t, DemandMatrix({(0, 0): Fraction(1, 4)})).split_plan
-    relabelled = _replace(quarter, demand=eighth, bits_per_dof=2 * quarter.bits_per_dof)
+    relabelled = replace(quarter, demand=eighth, bits_per_dof=2 * quarter.bits_per_dof)
     for tampered, carried in ((doubled, "(12, 16)"), (relabelled, "(6, 16)")):
-        report = verify_schedule(_replace(s, split_plan=tampered))
+        report = verify_schedule(replace(s, split_plan=tampered))
         [cons] = report.failures()
         assert cons.name == "bit-conservation"
         assert cons.detail == (
@@ -380,8 +347,8 @@ _PLAN_USES = {
 @pytest.mark.parametrize("use", _PLAN_USES.values(), ids=_PLAN_USES.keys())
 @pytest.mark.parametrize("shares", [lambda p: p[:-1], lambda p: p + p[-1:]], ids=["one-short", "one-extra"])
 def test_share_count_other_than_hop_count_breaks_views_and_writers(shares, use):
-    s = integer_schedule(_chain([2, 3, 2, 2]))
-    carried = _replace(s, split_plan=_replace(s.split_plan, per_pair=shares(s.split_plan.per_pair)))
+    s = integer_schedule(chain([2, 3, 2, 2]))
+    carried = replace(s, split_plan=replace(s.split_plan, per_pair=shares(s.split_plan.per_pair)))
     count = len(carried.split_plan.per_pair)
     with pytest.raises(InvariantError, match=rf"^plan has {count} per-pair shares for 3 hops$"):
         use(carried)
@@ -392,8 +359,8 @@ def test_cli_writer_invariant_error_exits_3(fmt, tmp_path, monkeypatch, capsys):
     from relaydof import cli
     from relaydof.schedule import VerificationReport
 
-    s = integer_schedule(_chain([2, 3, 2, 2]))
-    carried = _replace(s, split_plan=_replace(s.split_plan, per_pair=s.split_plan.per_pair[:-1]))
+    s = integer_schedule(chain([2, 3, 2, 2]))
+    carried = replace(s, split_plan=replace(s.split_plan, per_pair=s.split_plan.per_pair[:-1]))
     # a schedule that passes its checks but cannot be written
     monkeypatch.setattr(cli, "integer_schedule", lambda topology, demand: carried)
     monkeypatch.setattr(cli, "verify_schedule", lambda schedule: VerificationReport(()))
@@ -411,10 +378,10 @@ def test_delay_per_bit_grows_with_inserted_layer():
     rng = random.Random(24)
     for _ in range(80):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(3, 5))]
-        base = integer_schedule(_chain(sizes))
+        base = integer_schedule(chain(sizes))
         position = rng.randint(1, len(sizes) - 1)
         longer_sizes = sizes[:position] + [rng.randint(1, 5)] + sizes[position:]
-        longer = integer_schedule(_chain(longer_sizes))
+        longer = integer_schedule(chain(longer_sizes))
         assert Fraction(longer.total_delay, longer.total_bits) > Fraction(
             base.total_delay, base.total_bits
         )
@@ -472,7 +439,7 @@ def test_antenna_demand_schedules_as_its_split_twin(case):
 
 
 def test_schedule_serialization_and_dot():
-    s = integer_schedule(_chain([1, 2, 4]))
+    s = integer_schedule(chain([1, 2, 4]))
     obj = schedule_to_obj(s)
     assert obj["total_delay"] == 13
     assert obj["sum_dof"] == "8/13"

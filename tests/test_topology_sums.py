@@ -4,7 +4,7 @@
 ``antenna_scale_check`` all read (sum of 1/alpha, sum of 1/beta) from the
 topology's one lazily filled slot.  These tests count the uncached
 ``analysis._reciprocal_sums`` and hold every result, whatever the call
-order, to a fresh topology's and to the raw-size route's.
+order, to a fresh topology's, the raw-size route's and the reference model's.
 """
 
 from fractions import Fraction
@@ -14,10 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from relaydof import analysis
 from relaydof.analysis import AnalysisError, achievable_sum_dof, analyze, cutset_sum_dof
-from relaydof.model import INFINITY, DemandError, DemandMatrix, ExtRational, Infinity, LayerSpec, NetworkTopology
-from relaydof.region import RegionVerdict, Violation, check_demand, max_uniform_scale
+from relaydof.model import INFINITY, DemandError, DemandMatrix, Infinity, LayerSpec, NetworkTopology
+from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import antenna_scale_check
 from relaydof.schedule import integer_schedule, recurrence_sum_dof
+
+import reference
+from support import layers, outcome
 
 
 @pytest.fixture
@@ -63,35 +66,13 @@ def test_each_topology_computes_its_sums_once(counted):
 def chains(draw):
     """A chain with about 5% infinite and 10% antenna layers, and a sparse
     demand on its endpoints when both are finite."""
-    def layer(roll, size, antennas):
-        if roll < 5:
-            return LayerSpec(nodes=INFINITY)
-        if roll < 15:
-            return LayerSpec(antennas=tuple(antennas))
-        return LayerSpec(nodes=size)
-
-    specs = draw(
-        st.lists(
-            st.builds(
-                layer, st.integers(0, 99), st.integers(1, 64), st.lists(st.integers(1, 8), min_size=1, max_size=6)
-            ),
-            min_size=2,
-            max_size=60,
-        )
-    )
+    specs = draw(st.lists(layers(), min_size=2, max_size=60))
     src, dst = specs[0], specs[-1]
     if src.is_infinite or dst.is_infinite:
         return specs, None
     keys = st.tuples(st.integers(0, dst.node_count - 1), st.integers(0, src.node_count - 1))
     value = st.builds(Fraction, st.integers(1, 20), st.integers(1, 20))
     return specs, DemandMatrix(draw(st.dictionaries(keys, value, min_size=1, max_size=6)))
-
-
-def _outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except (AnalysisError, DemandError, ArithmeticError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _results(topology, d: DemandMatrix | None, analyze_first: bool = True) -> dict:
@@ -104,18 +85,8 @@ def _results(topology, d: DemandMatrix | None, analyze_first: bool = True) -> di
         calls.append(calls.pop(0))
     if topology().is_finite:
         calls.append(("antenna", antenna_scale_check, (3,)))
-    return {key: _outcome(fn, topology(), *args) for key, fn, args in calls}
-
-
-def _raw_constraints(sizes, t: NetworkTopology, d: DemandMatrix):
-    """The region constraints with alpha from the raw-size route."""
-    alpha = achievable_sum_dof(list(sizes)).as_fraction()
-    src = t.source_layer.antenna_profile()
-    dst = t.destination_layer.antenna_profile()
-    constraints = [("total", d.total, alpha)]
-    constraints += [(f"src:{i + 1}", d.row_sum(i), alpha * Fraction(a, sum(src))) for i, a in enumerate(src)]
-    constraints += [(f"dst:{j + 1}", d.col_sum(j), alpha * Fraction(a, sum(dst))) for j, a in enumerate(dst)]
-    return [c for c in constraints if c[1]]
+    errors = (AnalysisError, DemandError, ArithmeticError)
+    return {key: outcome(fn, topology(), *args, errors=errors) for key, fn, args in calls}
 
 
 def _check_against_raw_sizes(specs, d, results):
@@ -132,13 +103,8 @@ def _check_against_raw_sizes(specs, d, results):
         if len(sizes) > 2:  # the schedule route needs a relay layer
             assert alpha == recurrence_sum_dof(list(sizes))
     if d is not None:
-        constraints = _raw_constraints(sizes, t, d)
-        violations = tuple(
-            Violation(name, ExtRational(lhs), ExtRational(rhs)) for name, lhs, rhs in constraints if lhs > rhs
-        )
-        binding = tuple(name for name, lhs, rhs in constraints if lhs == rhs)
-        assert results["check"] == ("ok", RegionVerdict(not violations, violations, binding))
-        assert results["scale"][1].t_star == min(rhs / lhs for _, lhs, rhs in constraints)
+        assert results["check"] == ("ok", reference.verdict(t, d.entries))
+        assert results["scale"][1].t_star == reference.t_star(t, d.entries)
 
 
 def _check_case(specs, d):
