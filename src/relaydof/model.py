@@ -620,6 +620,8 @@ def _layer_from_obj(obj, index: int) -> LayerSpec:
             return LayerSpec(None, tuple(raw))  # positional: keywords cost a dict per call
         if len(obj) == 1 and "nodes" in obj:
             raw = obj["nodes"]
+            if raw is None:  # LayerSpec reads a None count as no count
+                raise TopologyError("node count must be a positive integer or 'inf', got None")
             return LayerSpec(nodes=INFINITY if raw == "inf" else raw)
     except TopologyError as exc:
         raise TopologyError(f"layer {index}: {exc}") from None

@@ -12,11 +12,12 @@ message is split evenly over the first relay layer, every relay merges its
 inbound bits and re-splits them evenly toward the next layer, and the last
 relay layer only reorganizes bits by destination.  Demands below capacity
 are topped up with explicitly marked padding so the uniform structure (and
-hence the X-network rate guarantee) is preserved.  Every bit count of a plan
-is a whole number of one unit, so it is built, verified and written with
-integers: verification cross-multiplies block lengths and phase fields and
-makes no Fraction per hop or node, each share's text is rendered once per
-fan-out block, and the DOT writer formats one row string per head.
+hence the X-network rate guarantee) is preserved.  Every per-node bit count
+of a plan is a whole number of one unit 1/U, and the plan stores it as that
+int, so it is built, verified and written with integers: verification
+cross-multiplies block lengths and phase fields and makes no Fraction per
+hop or node, each share's text is rendered once per fan-out block, and the
+DOT writer formats one row string per head.
 
 Multi-antenna nodes are handled by antenna splitting: plans are built
 entirely on the virtual single-antenna network, and
@@ -49,10 +50,7 @@ from .region import check_demand
 __all__ = [
     "InvariantError",
     "PhasePlan",
-    "SourceMessage",
-    "PaddingMessage",
     "PhaseMessage",
-    "DestinationBin",
     "SplitEdge",
     "SplitPlan",
     "Schedule",
@@ -81,25 +79,6 @@ class PhasePlan(Record):
     per_pair_bits: Fraction
 
 
-class SourceMessage(Record):
-    """Payload bits a source owes one destination (virtual indices, 0-based)."""
-
-    __slots__ = _fields = ("dst", "src", "bits")
-
-    dst: int
-    src: int
-    bits: Fraction
-
-
-class PaddingMessage(Record):
-    """Dummy bits that top a source up to the uniform outbound budget."""
-
-    __slots__ = _fields = ("src", "bits")
-
-    src: int
-    bits: Fraction
-
-
 class PhaseMessage(Record):
     """The phase-k X-network message from layer-k node tx to node rx."""
 
@@ -109,28 +88,6 @@ class PhaseMessage(Record):
     tx: int
     rx: int
     bits: Fraction
-
-
-class DestinationBin(Record):
-    """What one destination reassembles: real bits per source, plus padding."""
-
-    __slots__ = _fields = ("dst", "received", "padding_bits")
-
-    dst: int
-    received: tuple[tuple[int, Fraction], ...]
-    padding_bits: Fraction
-
-    @property
-    def bits(self) -> Fraction:
-        return Fraction(*self._bits_ratio())
-
-    def _bits_ratio(self) -> tuple[int, int]:
-        """``bits`` as (numerator, denominator), for :func:`_text`."""
-        # measured (CPython 3.11): a Fraction sum made plan_to_dot 17% and plan-ladder op_p50_ms 3.9% slower
-        values = [b for _, b in self.received]
-        values.append(self.padding_bits)
-        unit = math.lcm(*(v.denominator for v in values))
-        return sum(v.numerator * (unit // v.denominator) for v in values), unit
 
 
 class SplitEdge(Record):
@@ -204,15 +161,16 @@ class _TransferView(_PlanView):
 class _EdgeView(_PlanView):
     """Every split edge: source fan-out, padding fan-out, relay layers, sinks.
 
-    Key: sizes, per_pair, sources, paddings.  The edges come in fan-out
-    blocks whose edges all carry one share, so the view computes each share
-    once per block, from integers, and otherwise only formats node ids.
+    Key: sizes, per_pair, unit, sources, paddings, the last two as the
+    plan's int rows.  The edges come in fan-out blocks whose edges all carry
+    one share, so the view computes each share once per block, from
+    integers, and otherwise only formats node ids.
     """
 
     __slots__ = ()
 
     def _count(self) -> int:
-        sizes, _, sources, paddings = self._key
+        sizes, _, _, sources, paddings = self._key
         relays = sum(a * b * c for a, b, c in zip(sizes, sizes[1:], sizes[2:]))
         return (len(sources) + len(paddings)) * sizes[1] + relays + sizes[-2] * sizes[-1]
 
@@ -220,7 +178,7 @@ class _EdgeView(_PlanView):
         """(heads, tails, share) per block: every head sends ``share`` (its
         text, or a Fraction) to every tail, head-major.  ``ids`` is the
         plan's :func:`_phase_ids` table."""
-        sizes, per_pair, sources, paddings = self._key
+        sizes, per_pair, unit, sources, paddings = self._key
         share = _text if text else Fraction
 
         def fan_out(src):
@@ -230,12 +188,11 @@ class _EdgeView(_PlanView):
 
         # phase 0: every source message and padding block splits evenly over
         # the first relay layer
-        for msg in sources:
-            bits = msg.bits
-            yield (_msg_id(msg.dst, msg.src),), fan_out(msg.src), share(bits.numerator, bits.denominator * sizes[1])
-        for pad in paddings:
-            bits = pad.bits
-            yield (_pad_id(pad.src),), fan_out(pad.src), share(bits.numerator, bits.denominator * sizes[1])
+        fanned = unit * sizes[1]
+        for dst, src, count in sources:
+            yield (_msg_id(dst, src),), fan_out(src), share(count, fanned)
+        for src, count in paddings:
+            yield (_pad_id(src),), fan_out(src), share(count, fanned)
         # relay layers: node n merges column n of the phase before it and
         # re-splits evenly over its row of the next; the last layer's "split"
         # is the reorganization by destination
@@ -269,12 +226,20 @@ class SplitPlan(Record):
     the DAG is fixed by the sizes, the shares, the sources and the padding.
     ``transfers`` and ``edges`` are always lazy views over that structure,
     never stored.
+
+    The per-node counts are ints in 1/``unit`` bits: ``sources`` holds a
+    ``(dst, src, count)`` row per source message, ``paddings`` a
+    ``(src, count)`` row per padding block, and ``sinks`` a
+    ``(dst, ((src, count), ...), padding_count)`` row per destination
+    (virtual indices, 0-based).  ``per_pair``, ``total_bits``,
+    ``padding_bits`` and ``bits_per_dof`` are in bits.
     """
 
     __slots__ = _fields = (
         "sizes",
         "demand",
         "per_pair",
+        "unit",
         "sources",
         "paddings",
         "sinks",
@@ -286,9 +251,10 @@ class SplitPlan(Record):
     sizes: tuple[int, ...]
     demand: DemandMatrix
     per_pair: tuple[Fraction, ...]
-    sources: tuple[SourceMessage, ...]
-    paddings: tuple[PaddingMessage, ...]
-    sinks: tuple[DestinationBin, ...]
+    unit: int
+    sources: tuple[tuple[int, int, int], ...]
+    paddings: tuple[tuple[int, int], ...]
+    sinks: tuple[tuple[int, tuple[tuple[int, int], ...], int], ...]
     total_bits: int
     padding_bits: Fraction
     bits_per_dof: Fraction
@@ -301,7 +267,7 @@ class SplitPlan(Record):
     @property
     def edges(self) -> _EdgeView:
         """Every split edge, as :class:`SplitEdge` values."""
-        return _EdgeView(self.sizes, self.per_pair, self.sources, self.paddings)
+        return _EdgeView(self.sizes, self.per_pair, self.unit, self.sources, self.paddings)
 
 
 class Schedule(Record):
@@ -490,49 +456,38 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
             raise DemandError("cannot build a split plan for a zero demand")
         demand = _virtualize_demand(t, demand)
 
-    # every bit count is a whole number of U = 1/(unit*S_0*S_L) bits, with
-    # unit the demand's; d demand units (d/unit DoF) carry d*per_unit of them
-    unit, rows, cols = demand.unit_sums()
-    denominator = unit * sizes[0] * sizes[-1]
-    total, per_unit = total_bits * denominator, delay * sizes[0] * sizes[-1]
-    counts: dict[int, Fraction] = {}
-
-    def bits(units: int) -> Fraction:  # a count of U as bits; equal counts share one Fraction
-        if (b := counts.get(units)) is None:
-            b = counts[units] = Fraction(units, denominator)
-        return b
-
-    received: dict[int, list[tuple[int, Fraction]]] = {}
+    # every per-node count is a whole number of 1/U bits, U = d*S_0*S_L with
+    # d the demand's unit; c demand units (c/d DoF) carry c*per_unit of them
+    d, rows, cols = demand.unit_sums()
+    unit = d * sizes[0] * sizes[-1]
+    total, per_unit = total_bits * unit, delay * sizes[0] * sizes[-1]
+    received: dict[int, list[tuple[int, int]]] = {}
     sources = []
     last = None
     for (j, i), v in sorted(demand.entries.items()):
         if v is not last:  # a run of one value object (a uniform demand) shares one count
-            last, b = v, bits(v.numerator * (unit // v.denominator) * per_unit)
-        sources.append(SourceMessage(dst=j, src=i, bits=b))
-        received.setdefault(j, []).append((i, b))
+            last, count = v, v.numerator * (d // v.denominator) * per_unit
+        sources.append((j, i, count))
+        received.setdefault(j, []).append((i, count))
     # padding tops each source and destination up to its 1/S share of the total
     paddings = []
     for i in range(sizes[0]):
         pad = total // sizes[0] - rows.get(i, 0) * per_unit
         if pad > 0:
-            paddings.append(PaddingMessage(src=i, bits=bits(pad)))
+            paddings.append((i, pad))
     sinks = tuple(
-        DestinationBin(
-            dst=j,
-            received=tuple(received.get(j, ())),
-            padding_bits=bits(total // sizes[-1] - cols.get(j, 0) * per_unit),
-        )
-        for j in range(sizes[-1])
+        (j, tuple(received.get(j, ())), total // sizes[-1] - cols.get(j, 0) * per_unit) for j in range(sizes[-1])
     )
     plan = SplitPlan(
         sizes=tuple(sizes),
         demand=demand,
         per_pair=tuple(p.per_pair_bits for p in phases),
+        unit=unit,
         sources=tuple(sources),
         paddings=tuple(paddings),
         sinks=sinks,
         total_bits=total_bits,
-        padding_bits=bits(total - sum(rows.values()) * per_unit),
+        padding_bits=Fraction(total - sum(rows.values()) * per_unit, unit),
         bits_per_dof=Fraction(delay),
     )
     return Schedule(
@@ -552,44 +507,32 @@ def splitting_plan(t: NetworkTopology, demand: DemandMatrix) -> SplitPlan:
 # -- verification -------------------------------------------------------------
 
 
-def _plan_units(plan: SplitPlan) -> dict[int, int]:
-    """Every bit count of the plan as an integer in the plan's unit U, the
-    LCM of all their denominators, keyed by the count object's ``id``: the
-    build shares one object between equal counts, so most are read once."""
-    values = [*plan.per_pair, plan.total_bits, plan.padding_bits, plan.bits_per_dof]
-    values += [m.bits for m in plan.sources] + [p.bits for p in plan.paddings]
-    for sink in plan.sinks:
-        values += [b for _, b in sink.received] + [sink.padding_bits]
-    distinct = dict(zip(map(id, values), values))
-    unit = math.lcm(*(v.denominator for v in distinct.values()))
-    return {key: v.numerator * (unit // v.denominator) for key, v in distinct.items()}
-
-
-def _structural_conservation(plan: SplitPlan, units: dict[int, int]) -> tuple[list, list, list]:
+def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
     """Bit conservation on the per-layer structure: the unbalanced node ids,
     relay (layer, node) pairs and phases, as summing every edge into its
     endpoints would find them.
 
-    Every bit count is an integer in the plan's unit, read from the
-    :func:`_plan_units` table ``units``.  A relay edge into phase k carries
-    per_pair[k]/S_{k-1}, so phase-k in-flow is per_pair[k] for k >= 1 and
-    phase k's out-flow is S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its
-    source row over S_1.  Only the first four unbalanced nodes and relays
-    are listed.
+    Every bit count is an integer in 1/V bits, V the least multiple of the
+    plan's unit in which the per-pair shares and ``total_bits`` are whole
+    (the unit itself on a plan as built), so a stored count is ``scale`` =
+    V/unit of them.  A relay edge into phase k carries per_pair[k]/S_{k-1},
+    so phase-k in-flow is per_pair[k] for k >= 1 and phase k's out-flow is
+    S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its source row over S_1.
+    Only the first four unbalanced nodes and relays are listed.
     """
-    sizes, hops = plan.sizes, len(plan.sizes) - 1
-    pair = [units[id(b)] for b in plan.per_pair]
+    sizes, hops, total = plan.sizes, len(plan.sizes) - 1, plan.total_bits
+    fine = math.lcm(plan.unit, total.denominator, *(b.denominator for b in plan.per_pair))
+    scale = fine // plan.unit
+    pair = [b.numerator * (fine // b.denominator) for b in plan.per_pair]
     sent: dict[tuple[int, int], int] = {}
     padded: dict[int, int] = {}
     row: dict[int, int] = {}
-    for m in plan.sources:
-        i, bits = m.src, units[id(m.bits)]
-        sent[m.dst, i] = sent.get((m.dst, i), 0) + bits
-        row[i] = row.get(i, 0) + bits
-    for p in plan.paddings:
-        i, bits = p.src, units[id(p.bits)]
-        padded[i] = padded.get(i, 0) + bits
-        row[i] = row.get(i, 0) + bits
+    for j, i, count in plan.sources:
+        sent[j, i] = sent.get((j, i), 0) + count
+        row[i] = row.get(i, 0) + count
+    for i, count in plan.paddings:
+        padded[i] = padded.get(i, 0) + count
+        row[i] = row.get(i, 0) + count
     out_bad = [k < hops - 1 and sizes[k + 2] * pair[k + 1] != sizes[k] * pair[k] for k in range(hops)]
     inflow, sink_in = sizes[1] * pair[0], sizes[-2] * pair[-1]
 
@@ -597,30 +540,30 @@ def _structural_conservation(plan: SplitPlan, units: dict[int, int]) -> tuple[li
         # a message or padding node sends other bits than its own only when
         # its key repeats
         if len(sent) < len(plan.sources):
-            for m in plan.sources:
-                if sent[m.dst, m.src] != units[id(m.bits)]:
-                    yield _msg_id(m.dst, m.src)
+            for j, i, count in plan.sources:
+                if sent[j, i] != count:
+                    yield _msg_id(j, i)
         if len(padded) < len(plan.paddings):
-            for p in plan.paddings:
-                if padded[p.src] != units[id(p.bits)]:
-                    yield _pad_id(p.src)
+            for i, count in plan.paddings:
+                if padded[i] != count:
+                    yield _pad_id(i)
         for k in range(hops):
             if k and not out_bad[k]:
                 continue  # only phase 0's in-flow or a bad out-flow unbalances a node
             for tx in range(sizes[k]):
-                in_bad = k == 0 and row.get(tx, 0) != inflow
+                in_bad = k == 0 and row.get(tx, 0) * scale != inflow
                 if in_bad or out_bad[k]:
                     for rx in range(sizes[k + 1]):
                         node = _phase_id(k, tx, rx)
                         yield from [node] * (in_bad + out_bad[k])
-        for sink in plan.sinks:
-            got = sink_in if 0 <= sink.dst < sizes[-1] else 0
-            if got != sum(units[id(b)] for _, b in sink.received) + units[id(sink.padding_bits)]:
-                yield _sink_id(sink.dst)
+        for dst, received, padding in plan.sinks:
+            got = sink_in if 0 <= dst < sizes[-1] else 0
+            if got != (sum(count for _, count in received) + padding) * scale:
+                yield _sink_id(dst)
 
     # relay layer k + 1 is unbalanced exactly when phase k's out-flow is
     bad_relays = ((k + 1, n) for k in range(hops) if out_bad[k] for n in range(sizes[k + 1]))
-    total = units[id(plan.total_bits)]
+    total = total.numerator * (fine // total.denominator)
     uneven_phases = [k for k in range(hops) if sizes[k] * sizes[k + 1] * pair[k] != total]
     return list(islice(bad_nodes(), 4)), list(islice(bad_relays, 4)), uneven_phases
 
@@ -637,9 +580,10 @@ def verify_schedule(s: Schedule) -> VerificationReport:
 
     Failures are reported, never raised: phases whose sizes no schedule
     runs on fail every check before any check reads them, and so does a
-    phase field, plan share or total that is not an int or a Fraction (a
-    bool or float would pass for the value it equals) or a field the checks
-    cannot read (a ``None``, a sink entry that is not a pair).
+    phase field, plan share or total that is not an int or a Fraction, a
+    plan unit that is not a positive int, a stored count that is not an int
+    (a bool or float would pass for the value it equals), or a field the
+    checks cannot read (a ``None``, a row of the wrong length).
     """
     try:
         sizes = [p.tx_count for p in s.phases] + [p.rx_count for p in s.phases[-1:]]
@@ -668,8 +612,25 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
         for name, value in zip(names, numbers):
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
+    # the count rule: the unit is a positive int and every per-node count an int
+    # (True == 1 and 4.0 == 4 too), in one type pass like the number rule's
+    unit = plan.unit
+    if isinstance(unit, bool) or not isinstance(unit, int) or unit < 1:
+        raise TypeError(f"split_plan.unit must be a positive int, got {unit!r}")
+    counts = [c for _, _, c in plan.sources] + [c for _, c in plan.paddings]
+    for _, received, padding in plan.sinks:
+        counts += [c for _, c in received]
+        counts.append(padding)
+    if not {int}.issuperset(map(type, counts)):  # int subclasses come here too
+        names = [f"split_plan.sources[{k}]" for k in range(len(plan.sources))]
+        names += [f"split_plan.paddings[{k}]" for k in range(len(plan.paddings))]
+        for k, (_, received, _) in enumerate(plan.sinks):
+            names += [f"split_plan.sinks[{k}] received[{r}]" for r in range(len(received))]
+            names.append(f"split_plan.sinks[{k}] padding")
+        for name, value in zip(names, counts):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} count must be an int, got {value!r}")
     hops = len(s.phases)
-    units = _plan_units(plan)
     results = []  # (passed, detail) of each check, in _CHECKS order
 
     # (1) forwarding recurrence: a relay sends in phase k the T_k*S_{k+1}/P_k
@@ -703,7 +664,7 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
     elif len(plan.per_pair) != hops:
         parts = [f"plan has {len(plan.per_pair)} per-pair shares for {hops} hops"]
     else:
-        bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan, units)
+        bad_nodes, bad_relays, uneven_phases = _structural_conservation(plan)
         parts = []
         if bad_nodes:
             parts.append(f"node imbalance at {bad_nodes}")
@@ -730,34 +691,38 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
     )
     results.append((rate_ok, "" if rate_ok else f"sum_dof {s.sum_dof} vs achievable {ExtRational(d, n)}"))
 
-    # (4) destination bins and source messages match the demand exactly; with
-    # d the demand's unit, a bit count b is right when b*U*d equals its DoF
-    # in d times the bits per DoF in U; one pass over the demand gives each
-    # entry's bits and the column sums in d, which ``DemandMatrix.unit_sums``
-    # would give in a pass of its own
-    per_dof = units[id(plan.bits_per_dof)]
+    # (4) destination bins and source messages match the demand exactly: in
+    # 1/(V*d) bits, with d the demand's unit and V the least multiple of the
+    # plan's unit that makes its totals whole, a count is right when it
+    # equals its DoF in 1/d times the bits per DoF in 1/V; one pass over the
+    # demand gives each entry's bits and the column sums in 1/d, which
+    # ``DemandMatrix.unit_sums`` would give in a pass of its own
+    per_dof, total, padding = plan.bits_per_dof, plan.total_bits, plan.padding_bits
+    fine = math.lcm(unit, per_dof.denominator, total.denominator, padding.denominator)
+    per_dof = per_dof.numerator * (fine // per_dof.denominator)
     entries = plan.demand.entries
-    unit = math.lcm(*(v.denominator for v in entries.values()))
+    d = math.lcm(*(v.denominator for v in entries.values()))
     wanted: dict[tuple[int, int], int] = {}
     expected: dict[int, dict[int, int]] = {}
     cols: dict[int, int] = {}
     for (j, i), v in entries.items():
-        count = v.numerator * (unit // v.denominator)
+        count = v.numerator * (d // v.denominator)
         cols[j] = cols.get(j, 0) + count
         wanted[j, i] = bits = count * per_dof
         if 0 <= i < sizes[0]:
             expected.setdefault(j, {})[i] = bits
-    total = units[id(plan.total_bits)] * unit
+    scale = fine // unit * d  # a stored count in 1/(V*d) bits
+    total = total.numerator * (fine // total.denominator) * d
     problems = []
-    for sink in plan.sinks:
-        if {i: units[id(b)] * unit for i, b in sink.received} != expected.get(sink.dst, {}):
-            problems.append(f"dst {sink.dst + 1} reassembly")
-        if units[id(sink.padding_bits)] * unit * sizes[-1] != total - sizes[-1] * cols.get(sink.dst, 0) * per_dof:
-            problems.append(f"dst {sink.dst + 1} padding")
-    for msg in plan.sources:
-        if units[id(msg.bits)] * unit != wanted.get((msg.dst, msg.src), 0):
-            problems.append(f"message {_msg_id(msg.dst, msg.src)}")
-    if units[id(plan.padding_bits)] * unit != total - sum(cols.values()) * per_dof:
+    for dst, received, padding_count in plan.sinks:
+        if {i: count * scale for i, count in received} != expected.get(dst, {}):
+            problems.append(f"dst {dst + 1} reassembly")
+        if padding_count * scale * sizes[-1] != total - sizes[-1] * cols.get(dst, 0) * per_dof:
+            problems.append(f"dst {dst + 1} padding")
+    for j, i, count in plan.sources:
+        if count * scale != wanted.get((j, i), 0):
+            problems.append(f"message {_msg_id(j, i)}")
+    if padding.numerator * (fine // padding.denominator) * d != total - sum(cols.values()) * per_dof:
         problems.append("total padding")
     results.append((not problems, "; ".join(problems[:4])))
     return tuple(CheckResult(name, *r) for name, r in zip(_CHECKS, results))
@@ -768,24 +733,20 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
 
 def _plan_to_obj(plan: SplitPlan) -> dict:
     edges = plan.edges  # checks the share count
-    ids = _phase_ids(plan.sizes)
-    nodes = [
-        {"id": _msg_id(msg.dst, msg.src), "kind": "source", "bits": str(msg.bits)} for msg in plan.sources
-    ]
-    nodes += [{"id": _pad_id(pad.src), "kind": "padding", "bits": str(pad.bits)} for pad in plan.paddings]
+    ids, unit = _phase_ids(plan.sizes), plan.unit
+    nodes = [{"id": _msg_id(j, i), "kind": "source", "bits": _text(count, unit)} for j, i, count in plan.sources]
+    nodes += [{"id": _pad_id(i), "kind": "padding", "bits": _text(count, unit)} for i, count in plan.paddings]
     for k, (phase, bits) in enumerate(zip(ids, plan.per_pair)):
         bits = str(bits)
         nodes += [{"id": node, "kind": "transfer", "phase": k, "bits": bits} for row in phase for node in row]
-    for sink in plan.sinks:
+    for dst, received, padding in plan.sinks:
         nodes.append(
             {
-                "id": _sink_id(sink.dst),
+                "id": _sink_id(dst),
                 "kind": "destination",
-                "bits": _text(*sink._bits_ratio()),
-                "received": [
-                    {"src": i + 1, "bits": str(b)} for i, b in sink.received
-                ],
-                "padding_bits": str(sink.padding_bits),
+                "bits": _text(sum(count for _, count in received) + padding, unit),
+                "received": [{"src": i + 1, "bits": _text(count, unit)} for i, count in received],
+                "padding_bits": _text(padding, unit),
             }
         )
     return {
@@ -827,20 +788,21 @@ def schedule_to_obj(s: Schedule) -> dict:
 def plan_to_dot(plan: SplitPlan) -> str:
     """Graph-description text for the split DAG (external rendering)."""
     edges = plan.edges  # checks the share count
-    ids = _phase_ids(plan.sizes)
+    ids, unit = _phase_ids(plan.sizes), plan.unit
     lines = ["digraph split_plan {", "  rankdir=LR;"]
-    for msg in plan.sources:
-        node = _msg_id(msg.dst, msg.src)
-        lines.append(f'  "{node}" [shape=box, label="{node}\\n{msg.bits} bits"];')
-    for pad in plan.paddings:
-        node = _pad_id(pad.src)
-        lines.append(f'  "{node}" [shape=box, style=dashed, label="{node}\\n{pad.bits} bits"];')
+    for j, i, count in plan.sources:
+        node = _msg_id(j, i)
+        lines.append(f'  "{node}" [shape=box, label="{node}\\n{_text(count, unit)} bits"];')
+    for i, count in plan.paddings:
+        node = _pad_id(i)
+        lines.append(f'  "{node}" [shape=box, style=dashed, label="{node}\\n{_text(count, unit)} bits"];')
     for phase, bits in zip(ids, plan.per_pair):
         suffix = f'\\n{bits} bits"];'
         lines += [f'  "{node}" [label="{node}{suffix}' for row in phase for node in row]
-    for sink in plan.sinks:
-        node = _sink_id(sink.dst)
-        lines.append(f'  "{node}" [shape=doublecircle, label="{node}\\n{_text(*sink._bits_ratio())} bits"];')
+    for dst, received, padding in plan.sinks:
+        node = _sink_id(dst)
+        bits = _text(sum(count for _, count in received) + padding, unit)
+        lines.append(f'  "{node}" [shape=doublecircle, label="{node}\\n{bits} bits"];')
     # one string per head: its edges' rows differ only in the tail; one per edge
     # made plan_to_dot 66% and plan-ladder op_p50_ms 3.8% slower (CPython 3.11)
     for heads, tails, share in edges._blocks(ids, text=True):

@@ -7,9 +7,9 @@ It imports no private name from relaydof.  It reads documents itself and
 checks their layer and count rules itself, fills relaydof's public record
 types so that results compare with ``==`` (but reads a layer's size from its
 ``nodes`` and ``antennas`` alone), reads a relaydof plan through its public
-fields (so a tampered plan can be handed to it), and writes every CLI output
-with dicts, ``json`` and ``csv``: ``main`` is the whole CLI for a well-formed
-argv.
+fields (so a tampered plan can be handed to it) and its int counts as
+Fractions of bits (``records``), and writes every CLI output with dicts,
+``json`` and ``csv``: ``main`` is the whole CLI for a well-formed argv.
 """
 
 import csv
@@ -25,8 +25,7 @@ from relaydof.model import INFINITY as INF
 from relaydof.model import DemandError, DemandMatrix, DocumentError, LayerSpec, NetworkTopology, TopologyError
 from relaydof.region import RegionVerdict, Violation
 from relaydof.scaling import FamilyError
-from relaydof.schedule import CheckResult, DestinationBin, PaddingMessage, PhasePlan, Schedule
-from relaydof.schedule import SourceMessage, SplitPlan
+from relaydof.schedule import CheckResult, PhasePlan, Schedule, SplitPlan
 
 # -- documents ---------------------------------------------------------------------
 
@@ -59,8 +58,6 @@ def _layer_rule(obj) -> str | None:
         raw = obj["nodes"]
         if raw == "inf" or _count(raw):
             return None
-        if raw is None:  # a null count reads as no count
-            return "layer needs exactly one of 'nodes' or 'antennas'"
         if isinstance(raw, bool) or not isinstance(raw, int):
             return f"node count must be a positive integer or 'inf', got {raw!r}"
         return "zero nodes" if raw == 0 else f"node count must be positive, got {raw}"
@@ -383,29 +380,54 @@ def schedule(t: NetworkTopology, entries=None) -> Schedule:
 
 def split_plan(sizes, entries, total_bits: int, delay: int) -> SplitPlan:
     """The plan of a virtual demand: each entry carries dof * delay bits, and
-    padding fills every source and destination to its 1/S share of the bits."""
+    padding fills every source and destination to its 1/S share of the bits.
+    Each per-node count is stored as a whole number of 1/unit bits, with unit
+    the LCM of the demand's denominators times S_0 * S_L."""
+    unit = math.lcm(*(v.denominator for v in entries.values())) * sizes[0] * sizes[-1]
+
+    def count(bits: Fraction) -> int:
+        if (bits * unit).denominator != 1:
+            raise ValueError(f"{bits} bits is not a whole number of 1/{unit} bits")
+        return int(bits * unit)
+
     rows, cols, received, sources = {}, {}, {}, []
     for (j, i), v in sorted(entries.items()):
-        sources.append(SourceMessage(j, i, v * delay))
+        sources.append((j, i, count(v * delay)))
         rows[i], cols[j] = rows.get(i, 0) + v, cols.get(j, 0) + v
         if 0 <= i < sizes[0]:
-            received.setdefault(j, []).append((i, v * delay))
-    paddings = [PaddingMessage(i, Fraction(total_bits, sizes[0]) - rows.get(i, 0) * delay)
-                for i in range(sizes[0])]
+            received.setdefault(j, []).append((i, count(v * delay)))
+    paddings = [(i, Fraction(total_bits, sizes[0]) - rows.get(i, 0) * delay) for i in range(sizes[0])]
     sinks = [
-        DestinationBin(j, tuple(received.get(j, ())), Fraction(total_bits, sizes[-1]) - cols.get(j, 0) * delay)
+        (j, tuple(received.get(j, ())), count(Fraction(total_bits, sizes[-1]) - cols.get(j, 0) * delay))
         for j in range(sizes[-1])
     ]
     return SplitPlan(
         sizes=tuple(sizes),
         demand=DemandMatrix(entries),
         per_pair=tuple(Fraction(total_bits, m * n) for m, n in zip(sizes, sizes[1:])),
+        unit=unit,
         sources=tuple(sources),
-        paddings=tuple(p for p in paddings if p.bits > 0),
+        paddings=tuple((i, count(bits)) for i, bits in paddings if bits > 0),
         sinks=tuple(sinks),
         total_bits=total_bits,
         padding_bits=total_bits - sum(rows.values(), Fraction(0)) * delay,
         bits_per_dof=Fraction(delay),
+    )
+
+
+def records(plan) -> SimpleNamespace:
+    """The plan's per-node rows as records of bits, one ``Fraction`` per
+    count: ``sources`` with (dst, src, bits), ``paddings`` with (src, bits)
+    and ``sinks`` with (dst, received, padding_bits), ``received`` a tuple of
+    (src, bits) pairs."""
+    bits = lambda count: Fraction(count, plan.unit)
+    return SimpleNamespace(
+        sources=[SimpleNamespace(dst=j, src=i, bits=bits(c)) for j, i, c in plan.sources],
+        paddings=[SimpleNamespace(src=i, bits=bits(c)) for i, c in plan.paddings],
+        sinks=[
+            SimpleNamespace(dst=j, received=tuple((i, bits(c)) for i, c in received), padding_bits=bits(p))
+            for j, received, p in plan.sinks
+        ],
     )
 
 
@@ -441,9 +463,9 @@ def edge_rows(plan):
     splits evenly over the first relay layer, each relay merges its column of
     the phase before and re-splits it evenly over its row of the next, and
     each destination collects its column of the last phase."""
-    sizes = plan.sizes
-    heads = [(msg_id(m.dst, m.src), m.src, m.bits / sizes[1]) for m in plan.sources]
-    heads += [(pad_id(p.src), p.src, p.bits / sizes[1]) for p in plan.paddings]
+    sizes, plan_records = plan.sizes, records(plan)
+    heads = [(msg_id(m.dst, m.src), m.src, m.bits / sizes[1]) for m in plan_records.sources]
+    heads += [(pad_id(p.src), p.src, p.bits / sizes[1]) for p in plan_records.paddings]
     rows = [(head, phase_id(0, src, rx), share) for head, src, share in heads for rx in range(sizes[1])]
     for k in range(1, len(sizes) - 1):
         share = plan.per_pair[k] / sizes[k - 1]
@@ -460,13 +482,13 @@ def conservation(plan, edges=None, transfers=None) -> tuple[list, list, list]:
     and ``transfers`` are rows as ``edge_rows`` and ``transfer_rows`` give them."""
     edges = edge_rows(plan) if edges is None else edges
     transfers = transfer_rows(plan) if transfers is None else transfers
-    hops = len(plan.sizes) - 1
+    hops, plan_records = len(plan.sizes) - 1, records(plan)
     inbound, outbound = {}, {}
     for head, tail, bits in edges:
         outbound[head] = outbound.get(head, 0) + bits
         inbound[tail] = inbound.get(tail, 0) + bits
-    bad_nodes = [msg_id(m.dst, m.src) for m in plan.sources if outbound.get(msg_id(m.dst, m.src), 0) != m.bits]
-    bad_nodes += [pad_id(p.src) for p in plan.paddings if outbound.get(pad_id(p.src), 0) != p.bits]
+    bad_nodes = [msg_id(m.dst, m.src) for m in plan_records.sources if outbound.get(msg_id(m.dst, m.src), 0) != m.bits]
+    bad_nodes += [pad_id(p.src) for p in plan_records.paddings if outbound.get(pad_id(p.src), 0) != p.bits]
     relays, phases = {}, {}
     for k, tx, rx, bits in transfers:
         node = phase_id(k, tx, rx)
@@ -476,7 +498,7 @@ def conservation(plan, edges=None, transfers=None) -> tuple[list, list, list]:
         if k <= hops - 2:
             relays.setdefault((k + 1, rx), [0, 0])[0] += bits
         phases[k] = phases.get(k, 0) + bits
-    bad_nodes += [sink_id(s.dst) for s in plan.sinks if inbound.get(sink_id(s.dst), 0) != sink_bits(s)]
+    bad_nodes += [sink_id(s.dst) for s in plan_records.sinks if inbound.get(sink_id(s.dst), 0) != sink_bits(s)]
     bad_relays = [key for key, (got, sent) in relays.items() if got != sent]
     return bad_nodes, bad_relays, [k for k, total in phases.items() if total != plan.total_bits]
 
@@ -514,7 +536,7 @@ def sum_dof_check(s) -> CheckResult:
 def demand_shares(s) -> CheckResult:
     """Check (4) of ``verify_schedule``: sources and destination bins match the demand."""
     sizes, plan = _sizes(s), s.split_plan
-    per_dof, entries = plan.bits_per_dof, plan.demand.entries
+    per_dof, entries, plan_records = plan.bits_per_dof, plan.demand.entries, records(plan)
     wanted = {key: v * per_dof for key, v in entries.items()}
     expected, cols = {}, {}
     for (j, i), v in entries.items():
@@ -522,12 +544,14 @@ def demand_shares(s) -> CheckResult:
         if 0 <= i < sizes[0]:
             expected.setdefault(j, {})[i] = wanted[j, i]
     problems = []
-    for sink in plan.sinks:
+    for sink in plan_records.sinks:
         if dict(sink.received) != expected.get(sink.dst, {}):
             problems.append(f"dst {sink.dst + 1} reassembly")
         if sink.padding_bits != Fraction(plan.total_bits, sizes[-1]) - cols.get(sink.dst, 0) * per_dof:
             problems.append(f"dst {sink.dst + 1} padding")
-    problems += [f"message {msg_id(m.dst, m.src)}" for m in plan.sources if m.bits != wanted.get((m.dst, m.src), 0)]
+    problems += [
+        f"message {msg_id(m.dst, m.src)}" for m in plan_records.sources if m.bits != wanted.get((m.dst, m.src), 0)
+    ]
     if plan.padding_bits != plan.total_bits - sum(cols.values(), Fraction(0)) * per_dof:
         problems.append("total padding")
     return CheckResult("demand-shares", not problems, "; ".join(problems[:4]))
@@ -569,11 +593,12 @@ def topology_obj(t: NetworkTopology) -> dict:
 
 
 def plan_obj(plan) -> dict:
-    nodes = [{"id": msg_id(m.dst, m.src), "kind": "source", "bits": str(m.bits)} for m in plan.sources]
-    nodes += [{"id": pad_id(p.src), "kind": "padding", "bits": str(p.bits)} for p in plan.paddings]
+    plan_records = records(plan)
+    nodes = [{"id": msg_id(m.dst, m.src), "kind": "source", "bits": str(m.bits)} for m in plan_records.sources]
+    nodes += [{"id": pad_id(p.src), "kind": "padding", "bits": str(p.bits)} for p in plan_records.paddings]
     nodes += [{"id": phase_id(k, tx, rx), "kind": "transfer", "phase": k, "bits": str(b)}
               for k, tx, rx, b in transfer_rows(plan)]
-    for sink in plan.sinks:
+    for sink in plan_records.sinks:
         received = [{"src": i + 1, "bits": str(b)} for i, b in sink.received]
         nodes.append({"id": sink_id(sink.dst), "kind": "destination", "bits": str(sink_bits(sink)),
                       "received": received, "padding_bits": str(sink.padding_bits)})
@@ -593,11 +618,11 @@ def plan_dot(plan) -> str:
     def node(name, bits, style=""):
         return f'  "{name}" [{style}label="{name}\\n{bits} bits"];'
 
-    lines = ["digraph split_plan {", "  rankdir=LR;"]
-    lines += [node(msg_id(m.dst, m.src), m.bits, "shape=box, ") for m in plan.sources]
-    lines += [node(pad_id(p.src), p.bits, "shape=box, style=dashed, ") for p in plan.paddings]
+    lines, plan_records = ["digraph split_plan {", "  rankdir=LR;"], records(plan)
+    lines += [node(msg_id(m.dst, m.src), m.bits, "shape=box, ") for m in plan_records.sources]
+    lines += [node(pad_id(p.src), p.bits, "shape=box, style=dashed, ") for p in plan_records.paddings]
     lines += [node(phase_id(k, tx, rx), bits) for k, tx, rx, bits in transfer_rows(plan)]
-    lines += [node(sink_id(s.dst), sink_bits(s), "shape=doublecircle, ") for s in plan.sinks]
+    lines += [node(sink_id(s.dst), sink_bits(s), "shape=doublecircle, ") for s in plan_records.sinks]
     lines += [f'  "{h}" -> "{t}" [label="{b}"];' for h, t, b in edge_rows(plan)]
     return "\n".join(lines + ["}"])
 

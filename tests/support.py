@@ -29,6 +29,11 @@ def with_plan(s, **changes):
     return replace(s, split_plan=replace(s.split_plan, **changes))
 
 
+def put(values: tuple, k: int, value) -> tuple:
+    """The tuple with item ``k`` replaced by ``value``."""
+    return (*values[:k], value, *values[k + 1 :])
+
+
 def primes_from(low: int, count: int) -> list[int]:
     sieve = bytearray([1]) * (low + 20 * count)
     for p in range(2, int(len(sieve) ** 0.5) + 1):

@@ -1,16 +1,16 @@
 """``verify_schedule`` reports a field of the wrong type instead of raising:
-a field its checks cannot read, and a number that is not an int or a
-Fraction (True == 1, 8.0 == 8), fail all four checks, in order, with one
-detail."""
+a field its checks cannot read, a number that is not an int or a Fraction
+(True == 1, 8.0 == 8), a plan unit that is not a positive int and a stored
+count that is not an int fail all four checks, in order, with one detail."""
 
 from fractions import Fraction
 
 import pytest
 
-from relaydof.model import LayerSpec, NetworkTopology
+from relaydof.model import DemandMatrix, LayerSpec, NetworkTopology
 from relaydof.schedule import integer_schedule, verify_schedule
 
-from support import chain, replace, with_plan
+from support import chain, put, replace, with_plan
 
 CHECKS = ["phase-recurrence", "bit-conservation", "sum-dof", "demand-shares"]
 
@@ -27,14 +27,16 @@ def _per_pair0(s, value):
     return with_plan(s, per_pair=(value, *s.split_plan.per_pair[1:]))
 
 
-def _source0(s, **changes):
-    sources = s.split_plan.sources
-    return with_plan(s, sources=(replace(sources[0], **changes), *sources[1:]))
+def _row0(s, field, at, value):
+    """The schedule with item ``at`` of the first row of a plan field set to ``value``."""
+    rows = getattr(s.split_plan, field)
+    return with_plan(s, **{field: put(rows, 0, put(rows[0], at, value))})
 
 
-def _sink0(s, **changes):
-    sinks = s.split_plan.sinks
-    return with_plan(s, sinks=(replace(sinks[0], **changes), *sinks[1:]))
+def _zeroed(s):
+    plan = s.split_plan
+    sinks = tuple((j, tuple((i, 0) for i, _ in received), 0) for j, received, _ in plan.sinks)
+    return with_plan(s, unit=0, sources=tuple((j, i, 0) for j, i, _ in plan.sources), sinks=sinks)
 
 
 BAD = [None, 4.0, "4"]
@@ -45,9 +47,7 @@ CASES = [
     *((f"plan.total_bits={v!r}", lambda s, v=v: with_plan(s, total_bits=v)) for v in BAD),
     *((f"plan.padding_bits={v!r}", lambda s, v=v: with_plan(s, padding_bits=v)) for v in BAD),
     *((f"per_pair[0]={v!r}", lambda s, v=v: _per_pair0(s, v)) for v in BAD),
-    *((f"sources[0].bits={v!r}", lambda s, v=v: _source0(s, bits=v)) for v in BAD),
-    *((f"sinks[0].padding_bits={v!r}", lambda s, v=v: _sink0(s, padding_bits=v)) for v in BAD),
-    *((f"sources[0].dst={v!r}", lambda s, v=v: _source0(s, dst=v)) for v in (None, "4")),
+    *((f"sources[0].dst={v!r}", lambda s, v=v: _row0(s, "sources", 0, v)) for v in (None, "4")),
     # records and containers that are not what they should be
     ("phases=None", lambda s: replace(s, phases=None)),
     ("phases[0]=None", lambda s: replace(s, phases=(None, *s.phases[1:]))),
@@ -55,7 +55,16 @@ CASES = [
     ("demand=None", lambda s: with_plan(s, demand=None)),
     ("sources=None", lambda s: with_plan(s, sources=None)),
     ("sinks=None", lambda s: with_plan(s, sinks=None)),
-    ("received entry not a pair", lambda s: _sink0(s, received=((0,),))),
+    # plan rows one item short or one too long
+    ("sources[0]=(0, 0)", lambda s: with_plan(s, sources=((0, 0), *s.split_plan.sources[1:]))),
+    ("sources[0]=(0, 0, 1, 1)", lambda s: with_plan(s, sources=((0, 0, 1, 1), *s.split_plan.sources[1:]))),
+    ("paddings=((0,),)", lambda s: with_plan(s, paddings=((0,),))),
+    ("sinks[0]=(0, ())", lambda s: with_plan(s, sinks=((0, ()), *s.split_plan.sinks[1:]))),
+    ("received entry not a pair", lambda s: _row0(s, "sinks", 1, ((0,),))),
+    # a unit that is not positive, also with every count 0, as a check that
+    # read the unit only to scale the counts would pass
+    *((f"unit={v!r}", lambda s, v=v: with_plan(s, unit=v)) for v in (0, -1)),
+    ("unit=0 and every count 0", _zeroed),
 ]
 # both shares are 1 on this schedule, so a bool would pass every check
 BOOLS = [
@@ -68,10 +77,6 @@ def _phase(s, k, **changes):
     return replace(s, phases=tuple(replace(p, **changes) if i == k else p for i, p in enumerate(s.phases)))
 
 
-def _put(values, k, value):
-    return (*values[:k], value, *values[k + 1:])
-
-
 def _number_fields():
     """(name, tamper, value) of each number under the rule on ``_schedule()``;
     ``tamper(s, v)`` sets the field to v.  A tx_count and the last phase's
@@ -82,7 +87,7 @@ def _number_fields():
             if (name, k) != ("rx_count", len(s.phases) - 1):
                 yield f"phases[{k}].{name}", lambda s, v, k=k, name=name: _phase(s, k, **{name: v}), getattr(p, name)
     for k, share in enumerate(s.split_plan.per_pair):
-        yield f"split_plan.per_pair[{k}]", lambda s, v, k=k: with_plan(s, per_pair=_put(s.split_plan.per_pair, k, v)), share
+        yield f"split_plan.per_pair[{k}]", lambda s, v, k=k: with_plan(s, per_pair=put(s.split_plan.per_pair, k, v)), share
     for name in ("total_delay", "total_bits", "sum_dof"):
         yield name, lambda s, v, name=name: replace(s, **{name: v}), getattr(s, name)
     for name in ("total_bits", "padding_bits", "bits_per_dof"):
@@ -141,36 +146,30 @@ def test_the_first_number_that_breaks_the_rule_is_named():
 
 
 def test_the_detail_is_the_read_error():
-    report = verify_schedule(_sink0(_schedule(), padding_bits="4"))
-    assert report.checks[0].detail == "AttributeError: 'str' object has no attribute 'denominator'"
+    report = verify_schedule(with_plan(_schedule(), sources=((0, 0),)))
+    assert report.checks[0].detail == "ValueError: not enough values to unpack (expected 3, got 2)"
 
 
-def test_ints_and_fractions_of_the_right_value_pass():
-    s = _schedule()
-    assert s.split_plan.per_pair[0] == 1 and s.phases[0].per_pair_bits == 1
-    for tampered in (
-        _per_pair0(s, 1),
-        _phase0(s, per_pair_bits=1),
-        with_plan(s, total_bits=Fraction(s.split_plan.total_bits)),
-        replace(s, sum_dof=Fraction(s.sum_dof)),
-    ):
-        assert verify_schedule(tampered).ok
+# The count rule: the plan's unit is a positive int, and every stored count an
+# int.  Each gets None, a float, a bool and a Fraction of its value where one
+# exists (True == 1 otherwise), so only the rule can fail the last three.
+_PLAN = _schedule().split_plan
+_STORED = [
+    ("split_plan.unit", lambda s, v: with_plan(s, unit=v), _PLAN.unit),
+    ("split_plan.sources[0] count", lambda s, v: _row0(s, "sources", 2, v), _PLAN.sources[0][2]),
+    ("split_plan.paddings[0] count", lambda s, v: with_plan(s, paddings=((0, v),)), 0),
+    ("split_plan.sinks[0] received[0] count", lambda s, v: _row0(s, "sinks", 1, ((0, v), *_PLAN.sinks[0][1][1:])),
+     _PLAN.sinks[0][1][0][1]),
+    ("split_plan.sinks[0] padding count", lambda s, v: _row0(s, "sinks", 2, v), _PLAN.sinks[0][2]),
+]
+STORED_CASES = [
+    (f"{name}={bad!r}", tamper, bad, name)
+    for name, tamper, value in _STORED
+    for bad in (None, float(value), bool(value) if value in (0, 1) else True, Fraction(value))
+]
 
 
-class Count(int):
-    pass
-
-
-def test_a_schedule_over_int_subclass_sizes_verifies():
-    # LayerSpec takes any int but bool, and the plan keeps the size as given
-    t = NetworkTopology((LayerSpec(nodes=2), LayerSpec(nodes=Count(3)), LayerSpec(nodes=2)))
-    s = integer_schedule(t)
-    assert type(s.phases[0].rx_count) is Count
-    assert verify_schedule(s).ok
-    assert verify_schedule(_per_pair0(s, Count(1))).ok
-
-
-def test_bad_sizes_are_reported_before_field_types():
-    s = _schedule()
-    report = verify_schedule(_phase0(s, tx_count=0, block_length=None))
-    assert report.checks[0].detail.startswith("phase sizes [0, 3, 2]:")
+@pytest.mark.parametrize("tamper, value, name", [c[1:] for c in STORED_CASES], ids=[c[0] for c in STORED_CASES])
+def test_a_stored_value_that_is_not_an_int_fails_every_check(tamper, value, name):
+    detail = _fails_every_check(verify_schedule(tamper(_schedule(), value)))
+    assert detail.startswith(f"TypeError: {name} must be a") and detail.endswith(f" int, got {value!r}")

@@ -215,6 +215,7 @@ def test_demand_key_must_be_a_pair_of_plain_ints(key):
     [
         ('{"nodes":2.5}', "layer 1: node count must be a positive integer or 'inf', got 2.5"),
         ('{"nodes":true}', "layer 1: node count must be a positive integer or 'inf', got True"),
+        ('{"nodes":null}', "layer 1: node count must be a positive integer or 'inf', got None"),
         ('{"nodes":-3}', "layer 1: node count must be positive, got -3"),
         ('{"antennas":[]}', "layer 1: antenna list must be nonempty"),
         ('{"antennas":[1,true]}', "layer 1: antenna count must be a positive integer, got True"),

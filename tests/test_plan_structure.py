@@ -11,10 +11,8 @@ from relaydof import schedule
 from relaydof.model import DemandMatrix, LayerSpec, NetworkTopology
 from relaydof.region import max_uniform_scale
 from relaydof.schedule import (
-    PaddingMessage,
     PhaseMessage,
     SplitEdge,
-    _plan_units,
     _structural_conservation,
     integer_schedule,
     plan_to_dot,
@@ -23,7 +21,7 @@ from relaydof.schedule import (
 )
 
 import reference
-from support import calls, chain, replace, with_plan
+from support import calls, chain, put, replace, with_plan
 
 
 _COPRIME = (1, 2, 3, 5, 7)
@@ -64,6 +62,13 @@ def schedules(draw, largest=8):
 
 
 _deltas = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+# a change to a stored count, in the plan's unit
+_count_deltas = st.integers(-6, 6).filter(bool)
+
+
+def _bump(rows: tuple, k: int, delta) -> tuple:
+    """The plan rows with the last item of row ``k`` (its count) changed by ``delta``."""
+    return put(rows, k, (*rows[k][:-1], rows[k][-1] + delta))
 
 
 def _listed(plan) -> tuple[list, list, list]:
@@ -128,33 +133,27 @@ def test_structural_path_expands_nothing(monkeypatch):
 def test_structural_and_expanded_verification_agree(s):
     report = verify_schedule(s)
     assert report.ok, report.failures()
-    assert _structural_conservation(s.split_plan, _plan_units(s.split_plan)) == _listed(s.split_plan) == ([], [], [])
+    assert _structural_conservation(s.split_plan) == _listed(s.split_plan) == ([], [], [])
 
 
 @settings(max_examples=80, deadline=None)
 @given(schedules(6), st.sampled_from(["source", "padding", "sink", "share", "duplicate", "relabel"]), st.data())
 def test_structural_mutation_fails_both_routes_alike(s, target, data):
     plan = s.split_plan
-    delta = data.draw(_deltas)
+    delta = data.draw(_deltas if target == "share" else _count_deltas)
     if target == "source":
         k = data.draw(st.integers(0, len(plan.sources) - 1))
-        victim = plan.sources[k]
-        sources = plan.sources[:k] + (replace(victim, bits=victim.bits + delta),) + plan.sources[k + 1 :]
-        mutated = replace(plan, sources=sources)
+        mutated = replace(plan, sources=_bump(plan.sources, k, delta))
     elif target == "padding":
         if plan.paddings:
-            k = data.draw(st.integers(0, len(plan.paddings) - 1))
-            victim = plan.paddings[k]
-            padding = replace(victim, bits=victim.bits + delta)
-            paddings = plan.paddings[:k] + (padding,) + plan.paddings[k + 1 :]
+            paddings = _bump(plan.paddings, data.draw(st.integers(0, len(plan.paddings) - 1)), delta)
         else:
-            paddings = (PaddingMessage(src=data.draw(st.integers(0, plan.sizes[0] - 1)), bits=abs(delta)),)
+            paddings = ((data.draw(st.integers(0, plan.sizes[0] - 1)), abs(delta)),)
         mutated = replace(plan, paddings=paddings)
     elif target == "sink":
+        # a sink row's last item is its padding count
         k = data.draw(st.integers(0, len(plan.sinks) - 1))
-        victim = plan.sinks[k]
-        sinks = plan.sinks[:k] + (replace(victim, padding_bits=victim.padding_bits + delta),) + plan.sinks[k + 1 :]
-        mutated = replace(plan, sinks=sinks)
+        mutated = replace(plan, sinks=_bump(plan.sinks, k, delta))
     elif target == "duplicate":
         # a repeated source or padding node sends its bits twice
         field = data.draw(st.sampled_from(["sources", "paddings"] if plan.paddings else ["sources"]))
@@ -163,18 +162,17 @@ def test_structural_mutation_fails_both_routes_alike(s, target, data):
     elif target == "relabel":
         # a source or destination index just past its layer
         if data.draw(st.booleans()):
-            sources = (replace(plan.sources[0], src=plan.sizes[0]),) + plan.sources[1:]
-            mutated = replace(plan, sources=sources)
+            mutated = replace(plan, sources=put(plan.sources, 0, put(plan.sources[0], 1, plan.sizes[0])))
         else:
-            sinks = plan.sinks[:-1] + (replace(plan.sinks[-1], dst=plan.sizes[-1]),)
-            mutated = replace(plan, sinks=sinks)
+            last = len(plan.sinks) - 1
+            mutated = replace(plan, sinks=put(plan.sinks, last, put(plan.sinks[last], 0, plan.sizes[-1])))
     else:
         # a layer share is the structural form of every transfer in that phase
         k = data.draw(st.integers(0, len(plan.per_pair) - 1))
         per_pair = plan.per_pair[:k] + (plan.per_pair[k] + delta,) + plan.per_pair[k + 1 :]
         mutated = replace(plan, per_pair=per_pair)
     assert not verify_schedule(replace(s, split_plan=mutated)).ok
-    assert _structural_conservation(mutated, _plan_units(mutated)) == _listed(mutated)
+    assert _structural_conservation(mutated) == _listed(mutated)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,35 +196,32 @@ def test_single_edge_or_transfer_mutation_fails_conservation(s, edge, data):
 _route_settings = settings(max_examples=40, deadline=None)
 
 
+def _halved(plan, k):
+    """The plan's source rows with row k's count halved."""
+    dst, src, count = plan.sources[k]
+    return put(plan.sources, k, (dst, src, count // 2))
+
+
 def _tamper(s, how, data):
     plan = s.split_plan
     if how == "source":
-        k = data.draw(st.integers(0, len(plan.sources) - 1))
-        victim = plan.sources[k]
-        sources = plan.sources[:k] + (replace(victim, bits=victim.bits / 2),) + plan.sources[k + 1 :]
-        return with_plan(s, sources=sources)
+        return with_plan(s, sources=_halved(plan, data.draw(st.integers(0, len(plan.sources) - 1))))
     if how == "padding":
-        delta = data.draw(_deltas)
+        delta = data.draw(_count_deltas)
         if plan.paddings:
-            k = data.draw(st.integers(0, len(plan.paddings) - 1))
-            victim = plan.paddings[k]
-            paddings = plan.paddings[:k] + (replace(victim, bits=victim.bits + delta),) + plan.paddings[k + 1 :]
-            return with_plan(s, paddings=paddings)
-        k = data.draw(st.integers(0, len(plan.sinks) - 1))
-        victim = plan.sinks[k]
-        sinks = plan.sinks[:k] + (replace(victim, padding_bits=victim.padding_bits + delta),) + plan.sinks[k + 1 :]
-        return with_plan(s, sinks=sinks, padding_bits=plan.padding_bits + delta)
-    # a wrong sink `received`: one entry's bits or source index changed, or one dropped
+            return with_plan(s, paddings=_bump(plan.paddings, data.draw(st.integers(0, len(plan.paddings) - 1)), delta))
+        sinks = _bump(plan.sinks, data.draw(st.integers(0, len(plan.sinks) - 1)), delta)
+        return with_plan(s, sinks=sinks, padding_bits=plan.padding_bits + Fraction(delta, plan.unit))
+    # a wrong sink `received`: one entry's count or source index changed, or one dropped
     k = data.draw(st.integers(0, len(plan.sinks) - 1))
-    victim = plan.sinks[k]
-    received = list(victim.received) or [(0, Fraction(0))]
-    r = data.draw(st.integers(0, len(received) - 1))
-    i, bits = received[r]
-    changes = [(i, bits + data.draw(_deltas)), (i + 1, bits)] + [None] * bool(victim.received)
-    received[r] = data.draw(st.sampled_from(changes))
-    received = tuple(x for x in received if x is not None)
-    sinks = plan.sinks[:k] + (replace(victim, received=received),) + plan.sinks[k + 1 :]
-    return with_plan(s, sinks=sinks)
+    dst, received, padding = plan.sinks[k]
+    entries = list(received) or [(0, 0)]
+    r = data.draw(st.integers(0, len(entries) - 1))
+    i, count = entries[r]
+    changes = [(i, count + data.draw(_count_deltas)), (i + 1, count)] + [None] * bool(received)
+    entries[r] = data.draw(st.sampled_from(changes))
+    entries = tuple(x for x in entries if x is not None)
+    return with_plan(s, sinks=put(plan.sinks, k, (dst, entries, padding)))
 
 
 def _assert_matches_the_fraction_route(s):
@@ -238,9 +233,6 @@ def _assert_matches_the_fraction_route(s):
     assert json.dumps(new, indent=2).splitlines() == json.dumps(old, indent=2).splitlines()
     assert list(plan.edges) == [SplitEdge(*row) for row in reference.edge_rows(plan)]
     assert list(plan.transfers) == [PhaseMessage(*row) for row in reference.transfer_rows(plan)]
-    for sink in plan.sinks:
-        bits = sink.bits
-        assert type(bits) is Fraction and bits == reference.sink_bits(sink)
     assert verify_schedule(s).checks[3] == reference.demand_shares(s)
 
 
@@ -265,9 +257,10 @@ def test_integer_unit_reports_as_the_fraction_route():
     # one plan per tampering, with the detail strings the Fraction route gives
     s = integer_schedule(chain([2, 3, 2]), DemandMatrix({(0, 0): Fraction(1, 5), (1, 1): Fraction(1, 7)}))
     plan = s.split_plan
-    halved = replace(plan, sources=(replace(plan.sources[0], bits=plan.sources[0].bits / 2),) + plan.sources[1:])
-    padded = replace(plan, sinks=(replace(plan.sinks[0], padding_bits=plan.sinks[0].padding_bits + 1),) + plan.sinks[1:])
-    misrouted = replace(plan, sinks=(replace(plan.sinks[0], received=((1, plan.sinks[0].received[0][1]),)),) + plan.sinks[1:])
+    dst, received, padding = plan.sinks[0]
+    halved = replace(plan, sources=_halved(plan, 0))
+    padded = replace(plan, sinks=_bump(plan.sinks, 0, plan.unit))  # one bit more padding
+    misrouted = replace(plan, sinks=put(plan.sinks, 0, (dst, ((1, received[0][1]),), padding)))
     details = [verify_schedule(replace(s, split_plan=p)).checks[3].detail for p in (halved, padded, misrouted)]
     assert details == ["message msg[1,1]", "dst 1 padding", "dst 1 reassembly"]
     for p in (halved, padded, misrouted):

@@ -27,12 +27,9 @@ from relaydof.region import RegionVerdict, ScaleResult, Violation
 from relaydof.scaling import FAMILY_KINDS, FamilySpec, ScalingVerdict
 from relaydof.schedule import (
     CheckResult,
-    DestinationBin,
-    PaddingMessage,
     PhaseMessage,
     PhasePlan,
     Schedule,
-    SourceMessage,
     SplitEdge,
     SplitPlan,
     VerificationReport,
@@ -102,14 +99,12 @@ DECLARED = {
         {},
     ),
     PhasePlan: (_required("hop", "tx_count", "rx_count", "block_length", "per_pair_dof", "per_pair_bits"), {}),
-    SourceMessage: (_required("dst", "src", "bits"), {}),
-    PaddingMessage: (_required("src", "bits"), {}),
     PhaseMessage: (_required("phase", "tx", "rx", "bits"), {}),
-    DestinationBin: (_required("dst", "received", "padding_bits"), {}),
     SplitEdge: (_required("head", "tail", "bits"), {}),
     SplitPlan: (
         _required(
-            "sizes", "demand", "per_pair", "sources", "paddings", "sinks", "total_bits", "padding_bits", "bits_per_dof"
+            "sizes", "demand", "per_pair", "unit", "sources", "paddings", "sinks", "total_bits", "padding_bits",
+            "bits_per_dof",
         ),
         {},
     ),
@@ -165,13 +160,19 @@ def records(cls, max_size=2):
     return st.deferred(lambda: st.lists(ARGS[cls].map(lambda args: cls(*args)), max_size=max_size).map(tuple))
 
 
+def rows(*items):
+    """Tuples of up to two plan rows, each a tuple drawn from ``items``."""
+    return st.lists(st.tuples(*items), max_size=2).map(tuple)
+
+
 plan_args = st.tuples(
     st.lists(st.integers(1, 4), min_size=3, max_size=4).map(tuple),
     demands,
     st.lists(fractions, max_size=3).map(tuple),
-    records(SourceMessage),
-    records(PaddingMessage),
-    records(DestinationBin),
+    st.integers(1, 99),
+    rows(counts, counts, counts),
+    rows(counts, counts),
+    rows(counts, rows(counts, counts), counts),
     counts,
     fractions,
     fractions,
@@ -221,10 +222,7 @@ ARGS = {
         st.lists(st.tuples(st.integers(1, 64), ext), max_size=3).map(tuple),
     ),
     PhasePlan: st.tuples(counts, counts, counts, counts, fractions, fractions),
-    SourceMessage: st.tuples(counts, counts, fractions),
-    PaddingMessage: st.tuples(counts, fractions),
     PhaseMessage: st.tuples(counts, counts, counts, fractions),
-    DestinationBin: st.tuples(counts, st.lists(st.tuples(counts, fractions), max_size=2).map(tuple), fractions),
     SplitEdge: st.tuples(names, names, fractions),
     SplitPlan: plan_args,
     Schedule: st.tuples(records(PhasePlan), counts, counts, fractions, plan_args.map(lambda args: SplitPlan(*args))),
@@ -362,7 +360,6 @@ def test_defaults_and_derived_slots():
 
 
 def test_schedule_records_keep_their_derived_values():
-    assert DestinationBin(0, ((0, Fraction(1, 2)), (1, Fraction(1, 3))), Fraction(1, 6)).bits == 1
     report = VerificationReport((CheckResult("a", True), CheckResult("b", False, "why")))
     assert not report.ok and report.failures() == [CheckResult("b", False, "why")]
     assert VerificationReport((CheckResult("a", True),)).ok

@@ -158,30 +158,21 @@ def test_default_plan_has_no_padding():
     plan = s.split_plan
     assert plan.padding_bits == 0
     assert not plan.paddings
-    assert sum(m.bits for m in plan.sources) == s.total_bits
-
-
-def _one_object_per_value(values):
-    return len(set(map(id, values))) == len(set(values))
+    assert sum(count for _, _, count in plan.sources) == s.total_bits * plan.unit
 
 
 def test_uniform_plan_holds_one_object_per_count():
-    # a 1000^3 uniform plan would otherwise hold 10^6 separate Fractions
+    # a 1000^3 uniform plan would otherwise hold 10^6 separate ints
     plan = integer_schedule(chain([3, 4, 5])).split_plan
-    carried = [m.bits for m in plan.sources] + [b for sink in plan.sinks for _, b in sink.received]
+    carried = [c for _, _, c in plan.sources] + [c for _, received, _ in plan.sinks for _, c in received]
     assert len(carried) == 30 and len(set(map(id, carried))) == 1
-    assert len(set(id(sink.padding_bits) for sink in plan.sinks)) == 1
 
 
-def test_sparse_plan_shares_equal_counts():
+def test_sparse_plan_pads_each_source_to_its_share():
     demand = {(0, 0): Fraction(1, 10), (2, 0): Fraction(1, 10), (1, 1): Fraction(1, 5)}
     plan = splitting_plan(chain([3, 2, 3]), DemandMatrix(demand))
-    paddings = [p.bits for p in plan.paddings]
     # sources 1 and 2 pad alike, from separate row sums
-    assert paddings == [Fraction(2, 5), Fraction(2, 5), Fraction(2)]
-    counts = paddings + [m.bits for m in plan.sources]
-    counts += [b for sink in plan.sinks for _, b in sink.received] + [sink.padding_bits for sink in plan.sinks]
-    assert _one_object_per_value(counts)
+    assert [p.bits for p in reference.records(plan).paddings] == [Fraction(2, 5), Fraction(2, 5), Fraction(2)]
 
 
 def test_boundary_single_demand_plan_1_2_4():
@@ -190,18 +181,15 @@ def test_boundary_single_demand_plan_1_2_4():
     demand = DemandMatrix({(0, 0): Fraction(2, 13)})
     plan = splitting_plan(t, demand)
     assert plan.bits_per_dof == 13
-    [msg] = plan.sources
-    assert (msg.dst, msg.src, msg.bits) == (0, 0, Fraction(2))
+    # counts are in 1/52 bits: the demand's 13 times one source and four sinks
+    assert plan.unit == 52
+    assert plan.sources == ((0, 0, 2 * 52),)
     # the lone source still fills its whole 8-bit budget, the rest is padding
-    [pad] = plan.paddings
-    assert pad.bits == 6
+    assert plan.paddings == ((0, 6 * 52),)
     # two first-phase blocks of 4 bits, eight one-bit final messages
     assert [m.bits for m in plan.transfers if m.phase == 0] == [4, 4]
     assert [m.bits for m in plan.transfers if m.phase == 1] == [1] * 8
-    sink0 = plan.sinks[0]
-    assert dict(sink0.received) == {0: Fraction(2)} and sink0.padding_bits == 0
-    for sink in plan.sinks[1:]:
-        assert sink.received == () and sink.padding_bits == 2
+    assert plan.sinks == ((0, ((0, 2 * 52),), 0), *((j, (), 2 * 52) for j in range(1, 4)))
 
 
 def test_diagonal_plan_3333():
@@ -211,13 +199,13 @@ def test_diagonal_plan_3333():
     assert plan.padding_bits == 0
     assert plan.total_bits == 9
     # every source message splits three ways
-    for msg in plan.sources:
+    for msg in reference.records(plan).sources:
         assert msg.bits == 3
         fanout = [e for e in plan.edges if e.head == f"msg[{msg.dst + 1},{msg.src + 1}]"]
         assert len(fanout) == 3 and all(e.bits == 1 for e in fanout)
     # every destination column collects exactly a third of the bits
-    for sink in plan.sinks:
-        assert sink.bits == 3 and sink.padding_bits == 0
+    for sink in reference.records(plan).sinks:
+        assert reference.sink_bits(sink) == 3 and sink.padding_bits == 0
 
 
 def test_zero_demand_rejected():
@@ -273,8 +261,8 @@ def test_tampered_edge_fails_conservation():
     s = integer_schedule(chain([2, 2, 2]))
     plan = s.split_plan
     # the first edge fans out the first source message, which fixes its bits
-    first = plan.sources[0]
-    sources = (replace(first, bits=first.bits / 2),) + plan.sources[1:]
+    dst, src, count = plan.sources[0]
+    sources = ((dst, src, count // 2),) + plan.sources[1:]
     report = verify_schedule(replace(s, split_plan=replace(plan, sources=sources)))
     assert "bit-conservation" in {c.name for c in report.failures()}
 
@@ -312,12 +300,9 @@ def test_plan_carrying_other_bits_than_its_schedule_fails_conservation():
     doubled = replace(
         plan,
         per_pair=tuple(2 * b for b in plan.per_pair),
-        sources=tuple(replace(m, bits=2 * m.bits) for m in plan.sources),
-        paddings=tuple(replace(p, bits=2 * p.bits) for p in plan.paddings),
-        sinks=tuple(
-            replace(d, received=tuple((i, 2 * b) for i, b in d.received), padding_bits=2 * d.padding_bits)
-            for d in plan.sinks
-        ),
+        sources=tuple((j, i, 2 * c) for j, i, c in plan.sources),
+        paddings=tuple((i, 2 * c) for i, c in plan.paddings),
+        sinks=tuple((j, tuple((i, 2 * c) for i, c in received), 2 * p) for j, received, p in plan.sinks),
         total_bits=2 * plan.total_bits,
         padding_bits=2 * plan.padding_bits,
         bits_per_dof=2 * plan.bits_per_dof,

@@ -1,14 +1,18 @@
-"""The ``relaydof schedule`` JSON as written, parsed back and checked on its
-own: per-node bit conservation recomputed from its ``edges`` with
-Fractions, and every phase carrying the whole ``total_bits``."""
+"""The ``relaydof schedule`` JSON and DOT as written, parsed back and checked
+on their own: per-node bit conservation recomputed from the edges with
+Fractions, every phase carrying the whole ``total_bits``, and sources at the
+plan rate.  Each check runs on four fixed documents and on drawn ones."""
 
 import json
+import re
+import tempfile
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
-import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from relaydof.cli import main
+from support import SCHEDULE_TOPOLOGIES, SMALL_DOFS, demands, run_cli
 
 CASES = {
     "uniform": ('{"layers":[{"nodes":2},{"nodes":3},{"nodes":2}]}', None),
@@ -22,48 +26,98 @@ CASES = {
     ),
     "antennas-uniform": ('{"layers":[{"antennas":[2,1]},{"nodes":2},{"antennas":[1,3]}]}', None),
 }
+# (topology text, demand text or None): no demand, or one mostly inside the region
+DOCUMENTS = SCHEDULE_TOPOLOGIES.flatmap(
+    lambda t: st.tuples(st.just(json.dumps(t)), st.none() | demands(t, SMALL_DOFS).map(json.dumps))
+)
 
 
-@pytest.fixture(params=sorted(CASES))
-def emitted(request, tmp_path, capsys):
-    topology, demand = CASES[request.param]
-    (tmp_path / "t.json").write_text(topology, encoding="utf-8")
-    argv = ["schedule", str(tmp_path / "t.json")]
-    if demand is not None:
-        (tmp_path / "d.json").write_text(demand, encoding="utf-8")
-        argv += ["--demand", str(tmp_path / "d.json")]
-    assert main(argv) == 0
-    return json.loads(capsys.readouterr().out)
+def on_documents(test):
+    """``test(document)`` on the four fixed documents and on drawn ones."""
+    for document in CASES.values():
+        test = example(document)(test)
+    return settings(max_examples=60, deadline=None)(given(DOCUMENTS)(test))
 
 
-def test_emitted_plan_conserves_bits_at_every_node(emitted):
+def written(document, *options) -> str:
+    """What ``relaydof schedule`` writes for the document; a demand that it
+    refuses (outside the region, or zero) is not a case."""
+    topology, demand = document
+    with tempfile.TemporaryDirectory() as folder:
+        argv = ["schedule", str(Path(folder, "t.json")), *options]
+        Path(folder, "t.json").write_text(topology, encoding="utf-8")
+        if demand is not None:
+            Path(folder, "d.json").write_text(demand, encoding="utf-8")
+            argv += ["--demand", str(Path(folder, "d.json"))]
+        code, out, err = run_cli(*argv)
+    assert code in (0, 2), err
+    assume(code == 0)
+    return out
+
+
+def _conserves(nodes, kinds, edges):
+    """Every node's bits flow out (sources and padding), in (destinations), or
+    both (transfers) along ``edges``, (from, to, bits) rows of positive bits."""
+    inflow, outflow = defaultdict(Fraction), defaultdict(Fraction)
+    for head, tail, bits in edges:
+        assert bits > 0
+        outflow[head] += bits
+        inflow[tail] += bits
+    assert set(inflow) | set(outflow) <= set(nodes)
+    for node_id, bits in nodes.items():
+        if kinds[node_id] in ("source", "padding"):
+            assert node_id not in inflow and outflow[node_id] == bits, node_id
+        elif kinds[node_id] == "transfer":
+            assert inflow[node_id] == bits == outflow[node_id], node_id
+        else:
+            assert node_id not in outflow and inflow[node_id] == bits, node_id
+
+
+@on_documents
+def test_emitted_plan_conserves_bits_at_every_node(document):
+    emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     total = Fraction(plan["total_bits"])
     assert total == emitted["total_bits"]
-    inflow, outflow = defaultdict(Fraction), defaultdict(Fraction)
-    for edge in plan["edges"]:
-        bits = Fraction(edge["bits"])
-        assert bits > 0
-        outflow[edge["from"]] += bits
-        inflow[edge["to"]] += bits
-    nodes = {node["id"]: node for node in plan["nodes"]}
+    nodes = {node["id"]: Fraction(node["bits"]) for node in plan["nodes"]}
     assert len(nodes) == len(plan["nodes"])
-    assert set(inflow) | set(outflow) <= set(nodes)
-    for node_id, node in nodes.items():
-        bits = Fraction(node["bits"])
-        if node["kind"] in ("source", "padding"):
-            assert node_id not in inflow and outflow[node_id] == bits, node_id
-        elif node["kind"] == "transfer":
-            assert inflow[node_id] == bits == outflow[node_id], node_id
-        else:
+    kinds = {node["id"]: node["kind"] for node in plan["nodes"]}
+    _conserves(nodes, kinds, ((e["from"], e["to"], Fraction(e["bits"])) for e in plan["edges"]))
+    for node in plan["nodes"]:
+        if node["kind"] == "destination":
             received = sum(Fraction(r["bits"]) for r in node["received"])
-            assert node_id not in outflow and inflow[node_id] == bits, node_id
-            assert received + Fraction(node["padding_bits"]) == bits, node_id
-    assert sum(Fraction(n["bits"]) for n in plan["nodes"] if n["kind"] == "destination") == total
-    assert sum(Fraction(n["bits"]) for n in plan["nodes"] if n["kind"] in ("source", "padding")) == total
+            assert received + Fraction(node["padding_bits"]) == nodes[node["id"]], node["id"]
+    assert sum(bits for node_id, bits in nodes.items() if kinds[node_id] == "destination") == total
+    assert sum(bits for node_id, bits in nodes.items() if kinds[node_id] in ("source", "padding")) == total
 
 
-def test_every_phase_carries_total_bits(emitted):
+_DOT_NODE = re.compile(r'^  "([^"]+)" \[.*\\n(\S+) bits"\];$')
+_DOT_EDGE = re.compile(r'^  "([^"]+)" -> "([^"]+)" \[label="(\S+)"\];$')
+_KINDS = {"msg": "source", "pad": "padding", "dst": "destination"}
+
+
+@on_documents
+def test_emitted_dot_conserves_bits_at_every_node(document):
+    lines = written(document, "--format", "dot").split("\n")
+    assert lines[:2] == ["digraph split_plan {", "  rankdir=LR;"] and lines[-2:] == ["}", ""]
+    nodes, edges = {}, []
+    for line in lines[2:-2]:
+        if edge := _DOT_EDGE.match(line):
+            edges.append((edge[1], edge[2], Fraction(edge[3])))
+        else:
+            node = _DOT_NODE.match(line)
+            assert node, line
+            nodes[node[1]] = Fraction(node[2])
+    kinds = {node_id: _KINDS.get(node_id[:3], "transfer") for node_id in nodes}
+    _conserves(nodes, kinds, edges)
+    # DOT does not carry the plan's total; the JSON of the same run does
+    total = json.loads(written(document))["total_bits"]
+    assert sum(bits for node_id, bits in nodes.items() if kinds[node_id] in ("source", "padding")) == total
+
+
+@on_documents
+def test_every_phase_carries_total_bits(document):
+    emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     total = Fraction(plan["total_bits"])
     carried = defaultdict(Fraction)
@@ -75,7 +129,9 @@ def test_every_phase_carries_total_bits(emitted):
     assert all(bits == total for bits in carried.values())
 
 
-def test_sources_carry_their_demand_at_the_plan_rate(emitted):
+@on_documents
+def test_sources_carry_their_demand_at_the_plan_rate(document):
+    emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     rate = Fraction(plan["bits_per_dof"])
     demand = {f"msg[{d['dst']},{d['src']}]": Fraction(d["dof"]) for d in plan["demand"]["demands"]}
