@@ -1,7 +1,8 @@
 """The ``relaydof schedule`` JSON and DOT as written, parsed back and checked
 on their own: per-node bit conservation recomputed from the edges with
 Fractions, every phase carrying the whole ``total_bits``, and sources at the
-plan rate.  Each check runs on four fixed documents and on drawn ones."""
+plan rate.  Each check runs on four fixed documents, one case each, and on
+drawn ones."""
 
 import json
 import re
@@ -10,7 +11,8 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import assume, example, given, settings, strategies as st
+import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from support import SCHEDULE_TOPOLOGIES, SMALL_DOFS, demands, run_cli
 
@@ -32,16 +34,10 @@ DOCUMENTS = SCHEDULE_TOPOLOGIES.flatmap(
 )
 
 
-def on_documents(test):
-    """``test(document)`` on the four fixed documents and on drawn ones."""
-    for document in CASES.values():
-        test = example(document)(test)
-    return settings(max_examples=60, deadline=None)(given(DOCUMENTS)(test))
-
-
 def written(document, *options) -> str:
     """What ``relaydof schedule`` writes for the document; a demand that it
-    refuses (outside the region, or zero) is not a case."""
+    refuses (outside the region, or zero) is not a drawn case, and no fixed
+    document is refused."""
     topology, demand = document
     with tempfile.TemporaryDirectory() as folder:
         argv = ["schedule", str(Path(folder, "t.json")), *options]
@@ -51,7 +47,8 @@ def written(document, *options) -> str:
             argv += ["--demand", str(Path(folder, "d.json"))]
         code, out, err = run_cli(*argv)
     assert code in (0, 2), err
-    assume(code == 0)
+    if code:
+        reject()
     return out
 
 
@@ -73,8 +70,7 @@ def _conserves(nodes, kinds, edges):
             assert node_id not in outflow and inflow[node_id] == bits, node_id
 
 
-@on_documents
-def test_emitted_plan_conserves_bits_at_every_node(document):
+def plan_conserves_bits(document):
     emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     total = Fraction(plan["total_bits"])
@@ -96,8 +92,7 @@ _DOT_EDGE = re.compile(r'^  "([^"]+)" -> "([^"]+)" \[label="(\S+)"\];$')
 _KINDS = {"msg": "source", "pad": "padding", "dst": "destination"}
 
 
-@on_documents
-def test_emitted_dot_conserves_bits_at_every_node(document):
+def dot_conserves_bits(document):
     lines = written(document, "--format", "dot").split("\n")
     assert lines[:2] == ["digraph split_plan {", "  rankdir=LR;"] and lines[-2:] == ["}", ""]
     nodes, edges = {}, []
@@ -115,8 +110,7 @@ def test_emitted_dot_conserves_bits_at_every_node(document):
     assert sum(bits for node_id, bits in nodes.items() if kinds[node_id] in ("source", "padding")) == total
 
 
-@on_documents
-def test_every_phase_carries_total_bits(document):
+def phases_carry_total_bits(document):
     emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     total = Fraction(plan["total_bits"])
@@ -129,8 +123,7 @@ def test_every_phase_carries_total_bits(document):
     assert all(bits == total for bits in carried.values())
 
 
-@on_documents
-def test_sources_carry_their_demand_at_the_plan_rate(document):
+def sources_carry_their_demand(document):
     emitted = json.loads(written(document))
     plan = emitted["split_plan"]
     rate = Fraction(plan["bits_per_dof"])
@@ -138,3 +131,34 @@ def test_sources_carry_their_demand_at_the_plan_rate(document):
     sources = {n["id"]: Fraction(n["bits"]) for n in plan["nodes"] if n["kind"] == "source"}
     assert sources == {node_id: dof * rate for node_id, dof in demand.items()}
     assert Fraction(emitted["sum_dof"]) == Fraction(emitted["total_bits"], emitted["total_delay"])
+
+
+CHECKS = (plan_conserves_bits, dot_conserves_bits, phases_carry_total_bits, sources_carry_their_demand)
+FIXED = pytest.mark.parametrize("case", sorted(CASES))
+
+
+@FIXED
+def test_emitted_plan_conserves_bits_at_every_node(case):
+    plan_conserves_bits(CASES[case])
+
+
+@FIXED
+def test_emitted_dot_conserves_bits_at_every_node(case):
+    dot_conserves_bits(CASES[case])
+
+
+@FIXED
+def test_every_phase_carries_total_bits(case):
+    phases_carry_total_bits(CASES[case])
+
+
+@FIXED
+def test_sources_carry_their_demand_at_the_plan_rate(case):
+    sources_carry_their_demand(CASES[case])
+
+
+@settings(max_examples=60, deadline=None)
+@given(DOCUMENTS)
+def test_drawn_documents_pass_every_check(document):
+    for check in CHECKS:
+        check(document)
