@@ -150,6 +150,37 @@ def test_the_detail_is_the_read_error():
     assert report.checks[0].detail == "ValueError: not enough values to unpack (expected 3, got 2)"
 
 
+
+def test_ints_and_fractions_of_the_right_value_pass():
+    s = _schedule()
+    assert s.split_plan.per_pair[0] == 1 and s.phases[0].per_pair_bits == 1
+    for tampered in (
+        _per_pair0(s, 1),
+        _phase0(s, per_pair_bits=1),
+        with_plan(s, total_bits=Fraction(s.split_plan.total_bits)),
+        replace(s, sum_dof=Fraction(s.sum_dof)),
+    ):
+        assert verify_schedule(tampered).ok
+
+
+class Count(int):
+    pass
+
+
+def test_a_schedule_over_int_subclass_sizes_verifies():
+    # LayerSpec takes any int but bool, and the plan keeps the size as given
+    t = NetworkTopology((LayerSpec(nodes=2), LayerSpec(nodes=Count(3)), LayerSpec(nodes=2)))
+    s = integer_schedule(t)
+    assert type(s.phases[0].rx_count) is Count
+    assert verify_schedule(s).ok
+    assert verify_schedule(_per_pair0(s, Count(1))).ok
+
+
+def test_bad_sizes_are_reported_before_field_types():
+    s = _schedule()
+    report = verify_schedule(_phase0(s, tx_count=0, block_length=None))
+    assert report.checks[0].detail.startswith("phase sizes [0, 3, 2]:")
+
 # The count rule: the plan's unit is a positive int, and every stored count an
 # int.  Each gets None, a float, a bool and a Fraction of its value where one
 # exists (True == 1 otherwise), so only the rule can fail the last three.
