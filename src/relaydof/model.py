@@ -18,9 +18,10 @@ that becomes a Fraction is read by the one rule ``_exact``, which also reads
 rational literals as the documents do, and rejects a float or a bool.
 
 All types are immutable after construction and all operations are pure
-functions, safe to share across threads.  Three slots are filled after
+functions, safe to share across threads.  Four slots are filled after
 construction, each on first use: a topology's pair of reciprocal sums, by
-``relaydof.analysis``, and an ``ExtRational``'s Fraction and text.
+``relaydof.analysis``, an ``ExtRational``'s Fraction and text, and the
+Fraction view of a demand matrix's int counts of one unit.
 Each is derived from its object alone, so two threads that fill one at
 once store equal values and either one may stay.
 Parsing shares each node count's ``LayerSpec`` across documents through one
@@ -523,69 +524,84 @@ class DemandMatrix(Record):
 
     Absent entries mean zero; explicit zeros are dropped at construction.
     A value is an int, a Fraction, a finite ``ExtRational`` or a rational
-    literal, stored as a Fraction; sign and index bounds are checked against
-    a topology by :func:`validate_demand`, not here.  A matrix is not
-    hashable: its entries are a read-only view of a dict.
+    literal; sign and index bounds are checked against a topology by
+    :func:`validate_demand`, not here.  A matrix stores read-only int
+    ``counts`` of one ``unit``, the LCM of the values' denominators, and
+    builds ``entries``, their read-only view as Fractions, on first read.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("unit", "counts", "_entries")
     _fields = ("entries",)
 
     def __init__(self, entries: Mapping[tuple[int, int], Fraction]):
-        cleaned = {}
+        values = {}
         for key, value in entries.items():
             if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is type(key[1]) is int):
                 raise DemandError(f"demand key {key!r} must be a (destination, source) pair of ints")
             j, i = key
             if (value := _exact(value)) is None:
                 raise DemandError(f"demand entry (dst {j + 1}, src {i + 1}) must be finite")
-            if value != 0:
-                cleaned[key] = value
-        put_entries, = self._put
-        put_entries(self, MappingProxyType(cleaned))
+            values[key] = value
+        unit = math.lcm(*[v.denominator for v in values.values()])
+        _on_unit(unit, {key: v.numerator * (unit // v.denominator) for key, v in values.items()}, self)
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], Fraction]:
+        if not hasattr(self, "_entries"):
+            DemandMatrix._put[2](self, MappingProxyType({k: Fraction(c, self.unit) for k, c in self.counts.items()}))
+        return self._entries
 
     @property
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return Fraction(sum(self.counts.values()), self.unit)
 
     def row_sum(self, source: int) -> Fraction:
         """Total DoF leaving one source (sum over destinations)."""
-        return sum((v for (j, i), v in self.entries.items() if i == source), Fraction(0))
+        return Fraction(sum(c for (j, i), c in self.counts.items() if i == source), self.unit)
 
     def col_sum(self, destination: int) -> Fraction:
         """Total DoF entering one destination (sum over sources)."""
-        return sum((v for (j, i), v in self.entries.items() if j == destination), Fraction(0))
+        return Fraction(sum(c for (j, i), c in self.counts.items() if j == destination), self.unit)
 
     def unit_sums(self) -> tuple[int, dict[int, int], dict[int, int]]:
-        """Every row and column sum in one pass, as integers in one unit, the
-        LCM of the entries' denominators: (unit, rows, cols), keyed by source
-        and by destination index; rows and columns without entries are absent.
-        """
-        unit = math.lcm(*(v.denominator for v in self.entries.values()))
+        """(unit, rows, cols): every row and column sum in counts of the unit, keyed
+        by source and by destination index; rows and columns without entries are absent."""
         rows: dict[int, int] = {}
         cols: dict[int, int] = {}
-        for (j, i), v in self.entries.items():
-            units = v.numerator * (unit // v.denominator)
-            rows[i] = rows.get(i, 0) + units
-            cols[j] = cols.get(j, 0) + units
-        return unit, rows, cols
+        for (j, i), c in self.counts.items():
+            rows[i] = rows.get(i, 0) + c
+            cols[j] = cols.get(j, 0) + c
+        return self.unit, rows, cols
 
     def scale(self, factor) -> "DemandMatrix":
-        if (factor := _exact(factor)) is None:
-            raise ArithmeticError("infinite value has no Fraction form")
-        return DemandMatrix({k: v * factor for k, v in self.entries.items()})
+        # read by _exact's rules, into an int pair; inf has no denominator
+        factor = factor if isinstance(factor, ExtRational) else ExtRational(factor)
+        return _on_unit(self.unit * factor.denominator, {k: c * factor.numerator for k, c in self.counts.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.counts
 
     def __eq__(self, other):
         if not isinstance(other, DemandMatrix):
             return NotImplemented
-        return dict(self.entries) == dict(other.entries)
+        return self.unit == other.unit and self.counts == other.counts
 
     # hashes the field tuple, which raises TypeError for the entries view
     __hash__ = Record.__hash__
+
+    def __reduce__(self):
+        return _on_unit, (self.unit, dict(self.counts))
+
+
+def _on_unit(unit: int, counts: dict, matrix: DemandMatrix | None = None) -> DemandMatrix:
+    """``matrix`` or a new one, holding int ``counts`` of 1/``unit`` without zeros, in lowest terms."""
+    if (g := math.gcd(unit, *counts.values())) != 1 or 0 in counts.values():
+        counts = {key: c // g for key, c in counts.items() if c}
+    put_unit, put_counts, _ = DemandMatrix._put
+    put_unit(matrix := object.__new__(DemandMatrix) if matrix is None else matrix, unit // g)
+    put_counts(matrix, MappingProxyType(counts))
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +694,23 @@ def serialize_topology(t: NetworkTopology) -> str:
     return json.dumps(topology_to_obj(t))
 
 
+def _ratio(dof: str) -> tuple[int, int] | None:
+    """(p, q) of a ``p`` or ``p/q`` literal of ASCII digits, q > 0 and within the
+    int-string limit, as Fraction's reader reads it; None for any other literal."""
+    p, slash, q = dof.partition("/")
+    if dof.isascii() and p.isdigit() and (q.isdigit() or not slash) and len(dof) <= sys.get_int_max_str_digits():
+        q = int(q or 1)
+        return (int(p), q) if q else None
+    return None
+
+
 def demand_from_obj(obj) -> DemandMatrix:
     if not isinstance(obj, dict) or "demands" not in obj:
         raise DemandError("demand document must be an object with a 'demands' list")
     raw = obj["demands"]
     if not isinstance(raw, list):
         raise DemandError("'demands' must be a list")
-    entries: dict[tuple[int, int], Fraction] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for pos, item in enumerate(raw):
         if not isinstance(item, dict) or set(item) != {"dst", "src", "dof"}:
             raise DemandError(f"demand entry {pos}: expected keys dst, src, dof")
@@ -694,13 +720,16 @@ def demand_from_obj(obj) -> DemandMatrix:
                 raise DemandError(f"demand entry {pos}: '{name}' must be a 1-based integer index")
         if not isinstance(dof, (str, int)) or isinstance(dof, bool):
             raise DemandError(f"demand entry {pos}: 'dof' must be a rational string")
-        if (value := _exact(dof)) is None:
-            raise DemandError(f"demand entry {pos}: 'dof' must be finite")
+        if (pair := (dof, 1) if isinstance(dof, int) else _ratio(dof)) is None:
+            if (value := _exact(dof)) is None:
+                raise DemandError(f"demand entry {pos}: 'dof' must be finite")
+            pair = value.numerator, value.denominator
         key = (j - 1, i - 1)
-        if key in entries:
+        if key in pairs:
             raise DemandError(f"demand entry {pos}: duplicate (dst {j}, src {i})")
-        entries[key] = value
-    return DemandMatrix(entries)
+        pairs[key] = pair
+    unit = math.lcm(*[q for _, q in pairs.values()])
+    return _on_unit(unit, {key: p * (unit // q) for key, (p, q) in pairs.items()})
 
 
 def parse_demand(text: str) -> DemandMatrix:
@@ -708,12 +737,15 @@ def parse_demand(text: str) -> DemandMatrix:
     return demand_from_obj(_load_json(text, DemandError, "demand"))
 
 
+def _text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))`` for a positive denominator."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
+
+
 def demand_to_obj(d: DemandMatrix) -> dict:
-    demands = [
-        {"dst": j + 1, "src": i + 1, "dof": str(v)}
-        for (j, i), v in sorted(d.entries.items())
-    ]
-    return {"demands": demands}
+    counts = sorted(d.counts.items())
+    return {"demands": [{"dst": j + 1, "src": i + 1, "dof": _text(c, d.unit)} for (j, i), c in counts]}
 
 
 def serialize_demand(d: DemandMatrix) -> str:
@@ -734,13 +766,13 @@ def validate_demand(t: NetworkTopology, d: DemandMatrix) -> list[str]:
         return errors
     n_src = t.source_layer.node_count
     n_dst = t.destination_layer.node_count
-    for (j, i), value in sorted(d.entries.items()):
+    for (j, i), count in sorted(d.counts.items()):
         if not 0 <= j < n_dst:
             errors.append(f"demand (dst {j + 1}, src {i + 1}): destination index out of range 1..{n_dst}")
         if not 0 <= i < n_src:
             errors.append(f"demand (dst {j + 1}, src {i + 1}): source index out of range 1..{n_src}")
-        if value < 0:
-            errors.append(f"demand (dst {j + 1}, src {i + 1}): negative value {value}")
+        if count < 0:
+            errors.append(f"demand (dst {j + 1}, src {i + 1}): negative value {_text(count, d.unit)}")
     return errors
 
 

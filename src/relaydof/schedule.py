@@ -31,7 +31,7 @@ import math
 import operator
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, product
 
 from .analysis import AnalysisError, _finite_sizes, _reciprocal_sums
 from .model import (
@@ -45,6 +45,7 @@ from .model import (
     TopologyError,
     demand_to_obj,
 )
+from .model import _on_unit, _text
 from .region import check_demand
 
 __all__ = [
@@ -334,12 +335,6 @@ def _phase_ids(sizes: Sequence[int]) -> list[list[list[str]]]:
     return ids
 
 
-def _text(numerator: int, denominator: int) -> str:
-    """``str(Fraction(numerator, denominator))`` for a positive denominator."""
-    g = math.gcd(numerator, denominator)
-    return f"{numerator // g}" if g == denominator else f"{numerator // g}/{denominator // g}"
-
-
 # -- schedule construction ---------------------------------------------------
 
 
@@ -416,18 +411,16 @@ def _integer_phases(sizes: list[int]) -> tuple[list[PhasePlan], int]:
 
 
 def _virtualize_demand(t: NetworkTopology, demand: DemandMatrix) -> DemandMatrix:
-    """Spread each physical demand evenly over its endpoints' antennas."""
+    """Spread each physical demand evenly over its endpoints' antennas: c units
+    on a*b antenna pairs are c/(a*b) units each, on a unit LCM(a*b) times finer."""
     src_antennas = t.source_layer.antenna_profile()
     dst_antennas = t.destination_layer.antenna_profile()
     src_offsets = [0, *accumulate(src_antennas)]
     dst_offsets = [0, *accumulate(dst_antennas)]
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (j, i), value in demand.entries.items():
-        share = Fraction(value.numerator, value.denominator * src_antennas[i] * dst_antennas[j])
-        for jv in range(dst_offsets[j], dst_offsets[j + 1]):
-            for iv in range(src_offsets[i], src_offsets[i + 1]):
-                entries[(jv, iv)] = share
-    return DemandMatrix(entries)
+    spread = math.lcm(*[src_antennas[i] * dst_antennas[j] for j, i in demand.counts])
+    counts = {key: c * (spread // (src_antennas[i] * dst_antennas[j])) for (j, i), c in demand.counts.items()
+              for key in product(range(dst_offsets[j], dst_offsets[j + 1]), range(src_offsets[i], src_offsets[i + 1]))}
+    return _on_unit(demand.unit * spread, counts)
 
 
 def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> Schedule:
@@ -445,8 +438,9 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     phases, total_bits = _integer_phases(sizes)
     delay = sum(p.block_length for p in phases)
     if demand is None:
-        share = Fraction(total_bits, delay * sizes[0] * sizes[-1])
-        demand = DemandMatrix({(j, i): share for j in range(sizes[-1]) for i in range(sizes[0])})
+        unit = delay * sizes[0] * sizes[-1]  # one count B/(T*S_0*S_L) per pair, as one reduced object
+        g = math.gcd(total_bits, unit)
+        demand = _on_unit(unit // g, dict.fromkeys(product(range(sizes[-1]), range(sizes[0])), total_bits // g))
     else:
         verdict = check_demand(t, demand)
         if not verdict.feasible:
@@ -464,9 +458,9 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
     received: dict[int, list[tuple[int, int]]] = {}
     sources = []
     last = None
-    for (j, i), v in sorted(demand.entries.items()):
-        if v is not last:  # a run of one value object (a uniform demand) shares one count
-            last, count = v, v.numerator * (d // v.denominator) * per_unit
+    for (j, i), c in sorted(demand.counts.items()):
+        if c is not last:  # a run of one count object (a uniform demand) shares one product
+            last, count = c, c * per_unit
         sources.append((j, i, count))
         received.setdefault(j, []).append((i, count))
     # padding tops each source and destination up to its 1/S share of the total
@@ -518,6 +512,7 @@ def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
     V/unit of them.  A relay edge into phase k carries per_pair[k]/S_{k-1},
     so phase-k in-flow is per_pair[k] for k >= 1 and phase k's out-flow is
     S_{k+2}*per_pair[k+1]/S_k; phase-0 in-flow is its source row over S_1.
+    So is a destination with other than one sink row, or an extra sink.
     Only the first four unbalanced nodes and relays are listed.
     """
     sizes, hops, total = plan.sizes, len(plan.sizes) - 1, plan.total_bits
@@ -560,6 +555,9 @@ def _structural_conservation(plan: SplitPlan) -> tuple[list, list, list]:
             got = sink_in if 0 <= dst < sizes[-1] else 0
             if got != (sum(count for _, count in received) + padding) * scale:
                 yield _sink_id(dst)
+        if (named := [dst for dst, _, _ in plan.sinks]) != list(range(sizes[-1])):
+            wrong = (j for j in sorted({*named, *range(sizes[-1])}) if named.count(j) != (0 <= j < sizes[-1]))
+            yield from map(_sink_id, wrong)
 
     # relay layer k + 1 is unbalanced exactly when phase k's out-flow is
     bad_relays = ((k + 1, n) for k in range(hops) if out_bad[k] for n in range(sizes[k + 1]))
@@ -612,24 +610,24 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
         for name, value in zip(names, numbers):
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
-    # the count rule: the unit is a positive int and every per-node count an int
-    # (True == 1 and 4.0 == 4 too), in one type pass like the number rule's
+    # the count rule: the unit is a positive int, and every per-node count and row index
+    # an int (True == 1 and 4.0 == 4 too), in one type pass like the number rule's
     unit = plan.unit
     if isinstance(unit, bool) or not isinstance(unit, int) or unit < 1:
         raise TypeError(f"split_plan.unit must be a positive int, got {unit!r}")
-    counts = [c for _, _, c in plan.sources] + [c for _, c in plan.paddings]
-    for _, received, padding in plan.sinks:
-        counts += [c for _, c in received]
-        counts.append(padding)
-    if not {int}.issuperset(map(type, counts)):  # int subclasses come here too
-        names = [f"split_plan.sources[{k}]" for k in range(len(plan.sources))]
-        names += [f"split_plan.paddings[{k}]" for k in range(len(plan.paddings))]
-        for k, (_, received, _) in enumerate(plan.sinks):
-            names += [f"split_plan.sinks[{k}] received[{r}]" for r in range(len(received))]
-            names.append(f"split_plan.sinks[{k}] padding")
-        for name, value in zip(names, counts):
+    received = [*chain.from_iterable(pairs for _, pairs, _ in plan.sinks)]
+    stored = [*chain.from_iterable(plan.sources), *chain.from_iterable(plan.paddings),
+              *chain.from_iterable((dst, padding) for dst, _, padding in plan.sinks), *chain.from_iterable(received)]
+    if not {int}.issuperset(map(type, stored)):  # int subclasses come here too
+        names = [f"split_plan.sources[{k}] {n}" for k, (_, _, _) in enumerate(plan.sources)
+                 for n in ("dst", "src", "count")]
+        names += [f"split_plan.paddings[{k}] {n}" for k, (_, _) in enumerate(plan.paddings) for n in ("src", "count")]
+        names += [f"split_plan.sinks[{k}] {n}" for k in range(len(plan.sinks)) for n in ("dst", "padding count")]
+        names += [f"split_plan.sinks[{k}] received[{r}] {n}" for k, (_, pairs, _) in enumerate(plan.sinks)
+                  for r, (_, _) in enumerate(pairs) for n in ("src", "count")]
+        for name, value in zip(names, stored):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} count must be an int, got {value!r}")
+                raise TypeError(f"{name} must be an int, got {value!r}")
     hops = len(s.phases)
     results = []  # (passed, detail) of each check, in _CHECKS order
 
@@ -695,18 +693,16 @@ def _run_checks(s: Schedule, sizes: list[int]) -> tuple[CheckResult, ...]:
     # 1/(V*d) bits, with d the demand's unit and V the least multiple of the
     # plan's unit that makes its totals whole, a count is right when it
     # equals its DoF in 1/d times the bits per DoF in 1/V; one pass over the
-    # demand gives each entry's bits and the column sums in 1/d, which
-    # ``DemandMatrix.unit_sums`` would give in a pass of its own
+    # demand's counts gives each entry's bits and the column sums in 1/d,
+    # which ``DemandMatrix.unit_sums`` would give in a pass of its own
     per_dof, total, padding = plan.bits_per_dof, plan.total_bits, plan.padding_bits
     fine = math.lcm(unit, per_dof.denominator, total.denominator, padding.denominator)
     per_dof = per_dof.numerator * (fine // per_dof.denominator)
-    entries = plan.demand.entries
-    d = math.lcm(*(v.denominator for v in entries.values()))
+    d = plan.demand.unit
     wanted: dict[tuple[int, int], int] = {}
     expected: dict[int, dict[int, int]] = {}
     cols: dict[int, int] = {}
-    for (j, i), v in entries.items():
-        count = v.numerator * (d // v.denominator)
+    for (j, i), count in plan.demand.counts.items():
         cols[j] = cols.get(j, 0) + count
         wanted[j, i] = bits = count * per_dof
         if 0 <= i < sizes[0]:

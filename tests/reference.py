@@ -369,13 +369,18 @@ def schedule(t: NetworkTopology, entries=None) -> Schedule:
             raise DemandError("demand is outside the achievable region")
         if not entries:
             raise DemandError("cannot build a split plan for a zero demand")
-        src, dst = _node_map(t.layers[0]), _node_map(t.layers[-1])
-        virtual = {
-            (jv, iv): entries[j, i] / (src.count(i) * dst.count(j))
-            for jv, j in enumerate(dst) for iv, i in enumerate(src) if (j, i) in entries
-        }
+        virtual = virtual_demand(t, entries)
     plan = split_plan(sizes, virtual, total_bits, delay)
     return Schedule(found, delay, total_bits, Fraction(total_bits, delay), plan)
+
+
+def virtual_demand(t: NetworkTopology, entries) -> dict:
+    """A physical demand spread evenly over its endpoints' antennas."""
+    src, dst = _node_map(t.layers[0]), _node_map(t.layers[-1])
+    return {
+        (jv, iv): entries[j, i] / (src.count(i) * dst.count(j))
+        for jv, j in enumerate(dst) for iv, i in enumerate(src) if (j, i) in entries
+    }
 
 
 def split_plan(sizes, entries, total_bits: int, delay: int) -> SplitPlan:
@@ -478,7 +483,8 @@ def edge_rows(plan):
 
 def conservation(plan, edges=None, transfers=None) -> tuple[list, list, list]:
     """Bit conservation by summing every edge into its endpoints: the
-    unbalanced node ids, relay (layer, node) pairs and phases.  ``edges``
+    unbalanced node ids (a destination named by other than one sink among
+    them), relay (layer, node) pairs and phases.  ``edges``
     and ``transfers`` are rows as ``edge_rows`` and ``transfer_rows`` give them."""
     edges = edge_rows(plan) if edges is None else edges
     transfers = transfer_rows(plan) if transfers is None else transfers
@@ -499,6 +505,9 @@ def conservation(plan, edges=None, transfers=None) -> tuple[list, list, list]:
             relays.setdefault((k + 1, rx), [0, 0])[0] += bits
         phases[k] = phases.get(k, 0) + bits
     bad_nodes += [sink_id(s.dst) for s in plan_records.sinks if inbound.get(sink_id(s.dst), 0) != sink_bits(s)]
+    # each destination is one sink, and no other index is one
+    named, last = Counter(s.dst for s in plan_records.sinks), plan.sizes[-1]
+    bad_nodes += [sink_id(j) for j in sorted({*named, *range(last)}) if named[j] != (0 <= j < last)]
     bad_relays = [key for key, (got, sent) in relays.items() if got != sent]
     return bad_nodes, bad_relays, [k for k, total in phases.items() if total != plan.total_bits]
 

@@ -99,6 +99,21 @@ def calls(monkeypatch, owner, name) -> list:
     return made
 
 
+def fractions_built(monkeypatch) -> list:
+    """The Fractions built from here on: through the constructor, and
+    through the arithmetic's shortcut where it has one."""
+    built = calls(monkeypatch, Fraction, "__new__")
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(klass, numerator, denominator, /):
+            built.append((numerator, denominator))
+            return coprime(klass, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
 @st.composite
 def layers(draw):
     """About 5% infinite layers and 10% antenna layers; sizes 1-64."""

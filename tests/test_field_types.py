@@ -1,7 +1,8 @@
 """``verify_schedule`` reports a field of the wrong type instead of raising:
 a field its checks cannot read, a number that is not an int or a Fraction
 (True == 1, 8.0 == 8), a plan unit that is not a positive int and a stored
-count that is not an int fail all four checks, in order, with one detail."""
+count or row index that is not an int fail all four checks, in order, with
+one detail."""
 
 from fractions import Fraction
 
@@ -181,8 +182,8 @@ def test_bad_sizes_are_reported_before_field_types():
     report = verify_schedule(_phase0(s, tx_count=0, block_length=None))
     assert report.checks[0].detail.startswith("phase sizes [0, 3, 2]:")
 
-# The count rule: the plan's unit is a positive int, and every stored count an
-# int.  Each gets None, a float, a bool and a Fraction of its value where one
+# The count rule: the plan's unit is a positive int, and every stored count and
+# row index an int.  Each gets None, a float, a bool and a Fraction of its value where one
 # exists (True == 1 otherwise), so only the rule can fail the last three.
 _PLAN = _schedule().split_plan
 _STORED = [
@@ -193,6 +194,17 @@ _STORED = [
      _PLAN.sinks[0][1][0][1]),
     ("split_plan.sinks[0] padding count", lambda s, v: _row0(s, "sinks", 2, v), _PLAN.sinks[0][2]),
 ]
+# the same rule for every row index: 0.0 and False hash and compare as 0 in
+# every dict the checks use, and the writers would print msg[1.0,1]
+_INDICES = [
+    ("split_plan.sources[0] dst", lambda s, v: _row0(s, "sources", 0, v)),
+    ("split_plan.sources[0] src", lambda s, v: _row0(s, "sources", 1, v)),
+    ("split_plan.paddings[0] src", lambda s, v: with_plan(s, paddings=((v, 0),))),
+    ("split_plan.sinks[0] dst", lambda s, v: _row0(s, "sinks", 0, v)),
+    ("split_plan.sinks[0] received[0] src",
+     lambda s, v: _row0(s, "sinks", 1, ((v, _PLAN.sinks[0][1][0][1]), *_PLAN.sinks[0][1][1:]))),
+]
+_STORED += [(name, tamper, 0) for name, tamper in _INDICES]
 STORED_CASES = [
     (f"{name}={bad!r}", tamper, bad, name)
     for name, tamper, value in _STORED

@@ -4,9 +4,12 @@ value is one ``ExtRational`` built from two of them.
 The two reciprocal sums of a chain are reduced (numerator, denominator)
 int pairs, read as they are by the region checks, the scaling check and
 schedule verification: no ``Fraction`` is made for them, and no
-``ExtRational`` operator runs anywhere in the package's flows.
+``ExtRational`` operator runs anywhere in the package's flows.  A demand
+is read into int counts over one unit, and parsed, checked, scaled and
+planned from them with no ``Fraction``.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -22,12 +25,12 @@ from relaydof.analysis import (
     inverse_gap,
     report_to_obj,
 )
-from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec
+from relaydof.model import INFINITY, DemandMatrix, ExtRational, LayerSpec, parse_demand
 from relaydof.region import check_demand, max_uniform_scale
 from relaydof.scaling import FAMILY_KINDS, FamilySpec, antenna_scale_check, classify, sweep_rows
 from relaydof.schedule import integer_schedule, plan_to_dot, schedule_to_obj, verify_schedule
 
-from support import calls, chain
+from support import calls, chain, fractions_built
 
 _OPERATORS = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
@@ -109,3 +112,22 @@ def test_sums_build_no_fraction(monkeypatch):
     monkeypatch.undo()
     expected = achievable_sum_dof(sizes), cutset_sum_dof(sizes)
     assert [Fraction(d, n) for n, d in pairs] == [v.as_fraction() for v in expected]
+
+
+def test_the_demand_path_builds_no_fraction(monkeypatch):
+    literals = ["1/7", "5/3", "2", "0", "12/8", "1/9"]
+    cells = [(1, 1), (3, 1), (2, 2), (1, 2), (3, 2), (2, 1)]
+    text = json.dumps({"demands": [{"dst": j, "src": i, "dof": v} for (j, i), v in zip(cells, literals)]})
+    built = fractions_built(monkeypatch)
+    demand = parse_demand(text)
+    assert not check_demand(_ANTENNAS, demand).feasible
+    result = max_uniform_scale(_ANTENNAS, demand)
+    assert result.verdict.feasible and built == []
+    # a schedule builds the Fractions its records hold, two per phase and
+    # three totals, and none for its demand, uniform or given
+    for t, d in ((_ANTENNAS, result.scaled), (_ANTENNAS, None), (chain([60, 4, 3, 50]), None)):
+        built.clear()
+        s = integer_schedule(t, d)
+        assert len(built) == 2 * len(s.phases) + 3
+    monkeypatch.undo()
+    assert demand.entries == {(j - 1, i - 1): Fraction(v) for (j, i), v in zip(cells, literals) if v != "0"}

@@ -21,7 +21,7 @@ from relaydof.schedule import (
 )
 
 import reference
-from support import calls, chain, put, replace, with_plan
+from support import calls, chain, fractions_built, put, replace, with_plan
 
 
 _COPRIME = (1, 2, 3, 5, 7)
@@ -137,7 +137,7 @@ def test_structural_and_expanded_verification_agree(s):
 
 
 @settings(max_examples=80, deadline=None)
-@given(schedules(6), st.sampled_from(["source", "padding", "sink", "share", "duplicate", "relabel"]), st.data())
+@given(schedules(6), st.sampled_from(["source", "padding", "sink", "share", "duplicate", "relabel", "resink"]), st.data())
 def test_structural_mutation_fails_both_routes_alike(s, target, data):
     plan = s.split_plan
     delta = data.draw(_deltas if target == "share" else _count_deltas)
@@ -166,6 +166,13 @@ def test_structural_mutation_fails_both_routes_alike(s, target, data):
         else:
             last = len(plan.sinks) - 1
             mutated = replace(plan, sinks=put(plan.sinks, last, put(plan.sinks[last], 0, plan.sizes[-1])))
+    elif target == "resink":
+        # a sink row dropped, or named for the next row's destination
+        k = data.draw(st.integers(0, len(plan.sinks) - 1))
+        if len(plan.sinks) > 1 and data.draw(st.booleans()):
+            mutated = replace(plan, sinks=put(plan.sinks, k, put(plan.sinks[k], 0, plan.sinks[k - 1][0])))
+        else:
+            mutated = replace(plan, sinks=plan.sinks[:k] + plan.sinks[k + 1 :])
     else:
         # a layer share is the structural form of every transfer in that phase
         k = data.draw(st.integers(0, len(plan.per_pair) - 1))
@@ -336,26 +343,11 @@ def test_checks_1_and_3_report_as_the_fraction_route():
         _assert_checks_1_and_3_match(t)
 
 
-def _counting_fractions(monkeypatch) -> list:
-    """The Fractions built from here on: through the constructor, and
-    through the arithmetic's shortcut where it has one."""
-    built = calls(monkeypatch, Fraction, "__new__")
-    if "_from_coprime_ints" in vars(Fraction):
-        coprime = Fraction._from_coprime_ints.__func__
-
-        def counting_coprime(klass, numerator, denominator, /):
-            built.append((numerator, denominator))
-            return coprime(klass, numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    return built
-
-
 def test_verification_builds_no_fraction_per_hop(monkeypatch):
     short = integer_schedule(chain([2, 3, 4, 3, 2]))
     long = integer_schedule(chain([2, *([3, 4, 5, 6] * 15)[:58], 2]))
     assert len(long.phases) == 59
-    built = _counting_fractions(monkeypatch)
+    built = fractions_built(monkeypatch)
     counts = []
     for s in (short, long):
         built.clear()

@@ -327,9 +327,6 @@ def test_copies_are_equal_records(case, data):
     cls = case[0]
     record = build(case, data.draw(ARGS[cls]))
     assert copy.copy(record) == record
-    if cls in (DemandMatrix, ScaleResult, SplitPlan, Schedule):
-        # a demand matrix holds a read-only dict view, which cannot be pickled
-        return
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is cls and repr(clone) == repr(record)
         # a NaN slope compares unequal to the copy of it, as in the twin

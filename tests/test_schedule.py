@@ -267,6 +267,24 @@ def test_tampered_edge_fails_conservation():
     assert "bit-conservation" in {c.name for c in report.failures()}
 
 
+@pytest.mark.parametrize(
+    "sinks, named",
+    [
+        (lambda sinks: (sinks[1], sinks[1]), ["dst[1]", "dst[2]"]),  # dst 2 twice, dst 1 missing
+        (lambda sinks: sinks[:1], ["dst[2]"]),
+        (lambda sinks: sinks + ((2, (), 0),), ["dst[3]"]),  # a sink row for no destination, with no bits
+        (lambda sinks: sinks[::-1], []),
+    ],
+    ids=["repeated", "missing", "extra", "reordered"],
+)
+def test_each_destination_has_one_sink_row(sinks, named):
+    s = integer_schedule(chain([2, 3, 2]))
+    [cons] = verify_schedule(replace(s, split_plan=replace(s.split_plan, sinks=sinks(s.split_plan.sinks)))).checks[1:2]
+    assert cons.passed == (not named)
+    if named:
+        assert cons.detail == f"node imbalance at {named}"
+
+
 @pytest.mark.parametrize("phase_sizes, plan_sizes", [([2, 3, 2], [2, 3, 2, 2]), ([2, 3, 2, 2], [2, 3, 2])])
 def test_plan_for_other_sizes_fails_conservation(phase_sizes, plan_sizes):
     s = integer_schedule(chain(phase_sizes))
