@@ -16,6 +16,9 @@ operator, which reads its operand through the one rule ``_operand``;
 anything else, a float say, is ``NotImplemented``.  Every outside value
 that becomes a Fraction is read by the one rule ``_exact``, which also reads
 rational literals as the documents do, and rejects a float or a bool.
+``fractions`` loads with the first Fraction built (``_fraction``); a type
+test finds ``Fraction`` in ``sys.modules``, as none exists before.
+Parsing needs it only for a literal other than ``p`` or ``p/q``.
 
 All types are immutable after construction and all operations are pure
 functions, safe to share across threads.  Four slots are filled after
@@ -34,7 +37,6 @@ import json
 import math
 import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache, total_ordering, wraps
 from operator import attrgetter
 from types import MappingProxyType
@@ -96,7 +98,7 @@ class Infinity:
     def __eq__(self, other):
         if isinstance(other, Infinity):
             return True
-        if isinstance(other, (int, Fraction)):
+        if _rational(other):
             return False
         return NotImplemented
 
@@ -118,17 +120,29 @@ ExtCount = int | Infinity
 _LITERAL_CHARS = frozenset("0123456789+-/.eE")
 
 
+def _rational(value) -> bool:
+    """Whether ``value`` is an int or a Fraction, whose type is looked up, not loaded."""
+    return isinstance(value, int) or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
+
+
+def _fraction(numerator, denominator=None) -> Fraction:
+    """``Fraction(numerator, denominator)``; the first call loads ``fractions``."""
+    import fractions  # `from fractions import` would also pay a failed __path__ lookup per call
+
+    return fractions.Fraction(numerator, denominator)
+
+
 def _exact(value) -> Fraction | None:
     """The value of an int, Fraction, extended value or rational literal, None
     for inf; every outside value that becomes a Fraction is read here."""
-    if type(value) is Fraction:
+    if type(value) is getattr(sys.modules.get("fractions"), "Fraction", None):
         return value
     if isinstance(value, ExtRational):
         return value._value
     if isinstance(value, Infinity):
         return None
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
+    if _rational(value) and not isinstance(value, bool):
+        return _fraction(value)
     if not isinstance(value, str):
         raise TypeError(f"expected an exact number, got {value!r}")
     if value == "inf":
@@ -142,7 +156,7 @@ def _exact(value) -> Fraction | None:
         exponent = value.lower().partition("e")[2]
         if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
             raise ValueError(value)
-        return Fraction(value)
+        return _fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational literal {value!r}") from exc
 
@@ -154,8 +168,8 @@ def _operand(method):
     def operator_(self, other):
         if isinstance(other, ExtRational):
             return method(self, other._value)
-        if isinstance(other, (int, Fraction)):
-            return method(self, Fraction(other))
+        if _rational(other):
+            return method(self, _fraction(other))
         if isinstance(other, Infinity):
             return method(self, None)
         return NotImplemented
@@ -197,7 +211,7 @@ class ExtRational:
             self._numerator, self._denominator, self._fraction = numerator // g, denominator // g, None
             return
         else:
-            value = Fraction(numerator, denominator)  # a Fraction operand, or the TypeError
+            value = _fraction(numerator, denominator)  # a Fraction operand, or the TypeError
         self._fraction = value
         if value is None:
             self._numerator, self._denominator = 1, 0
@@ -209,7 +223,7 @@ class ExtRational:
         """The value as a Fraction, None for inf, built on first use and kept."""
         value = self._fraction
         if value is None and self._denominator:
-            value = self._fraction = Fraction(self._numerator, self._denominator)
+            value = self._fraction = _fraction(self._numerator, self._denominator)
         return value
 
     def __reduce__(self):
@@ -548,20 +562,20 @@ class DemandMatrix(Record):
     @property
     def entries(self) -> Mapping[tuple[int, int], Fraction]:
         if not hasattr(self, "_entries"):
-            DemandMatrix._put[2](self, MappingProxyType({k: Fraction(c, self.unit) for k, c in self.counts.items()}))
+            DemandMatrix._put[2](self, MappingProxyType({k: _fraction(c, self.unit) for k, c in self.counts.items()}))
         return self._entries
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.unit)
+        return _fraction(sum(self.counts.values()), self.unit)
 
     def row_sum(self, source: int) -> Fraction:
         """Total DoF leaving one source (sum over destinations)."""
-        return Fraction(sum(c for (j, i), c in self.counts.items() if i == source), self.unit)
+        return _fraction(sum(c for (j, i), c in self.counts.items() if i == source), self.unit)
 
     def col_sum(self, destination: int) -> Fraction:
         """Total DoF entering one destination (sum over sources)."""
-        return Fraction(sum(c for (j, i), c in self.counts.items() if j == destination), self.unit)
+        return _fraction(sum(c for (j, i), c in self.counts.items() if j == destination), self.unit)
 
     def unit_sums(self) -> tuple[int, dict[int, int], dict[int, int]]:
         """(unit, rows, cols): every row and column sum in counts of the unit, keyed

@@ -46,7 +46,6 @@ from .model import (
     demand_to_obj,
 )
 from .model import _on_unit, _text
-from .region import check_demand
 
 __all__ = [
     "InvariantError",
@@ -442,6 +441,8 @@ def integer_schedule(t: NetworkTopology, demand: DemandMatrix | None = None) -> 
         g = math.gcd(total_bits, unit)
         demand = _on_unit(unit // g, dict.fromkeys(product(range(sizes[-1]), range(sizes[0])), total_bits // g))
     else:
+        from .region import check_demand  # only here, so a schedule without a demand leaves region out
+
         verdict = check_demand(t, demand)
         if not verdict.feasible:
             failed = ", ".join(v.constraint for v in verdict.violations)

@@ -98,12 +98,15 @@ CLI_CALLS = {
 
 TOPOLOGY = '{"layers":[{"nodes":3},{"nodes":3},{"nodes":3},{"nodes":3}]}'
 DEMAND = '{"demands":[{"dst":1,"src":1,"dof":"1/5"}]}'
+# a decimal literal, which only Fraction's reader reads
+DECIMAL_DEMAND = '{"demands":[{"dst":1,"src":1,"dof":"0.125"}]}'
 FAMILY = '{"kind":"ProportionalFixedK","base":[1,1,1]}'
 
 
 @pytest.fixture
 def files(tmp_path):
-    for name, text in [("t.json", TOPOLOGY), ("d.json", DEMAND), ("f.json", FAMILY)]:
+    documents = {"t.json": TOPOLOGY, "d.json": DEMAND, "decimal_d.json": DECIMAL_DEMAND, "f.json": FAMILY}
+    for name, text in documents.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     return tmp_path
 
@@ -154,6 +157,24 @@ def test_check_leaves_schedule_and_scaling_out(files):
     code, loaded = loaded_by_main(["check", "t.json", "d.json"], files)
     assert code == 0
     assert loaded == ["relaydof.analysis", "relaydof.cli", "relaydof.model", "relaydof.region"]
+
+
+def test_model_reads_fractions_made_after_it_loads(files):
+    """Each other test process imports Fraction before relaydof, so only a
+    fresh one shows that model looks the type up at call time."""
+    code = (
+        "import json, sys\n"
+        "from relaydof.model import INFINITY, DemandMatrix, ExtRational, _exact\n"
+        "loaded = 'fractions' in sys.modules\n"
+        "from fractions import Fraction\n"
+        "f = Fraction(1, 2)\n"
+        "entries = {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 5)}\n"
+        "d = DemandMatrix(entries)\n"
+        "print(json.dumps([loaded, INFINITY == f, INFINITY <= f, _exact(f) is f,\n"
+        "    ExtRational(1, 2) + Fraction(1, 3) == ExtRational(5, 6),\n"
+        "    dict(d.entries) == entries, DemandMatrix(d.entries) == d]))"
+    )
+    assert run_fresh(code, files) == [False, False, False, True, True, True, True]
 
 
 def test_invariant_error_is_one_class():
@@ -299,6 +320,30 @@ def test_command_loads_no_dataclasses_typing_or_csv(bad_files, argv, code):
 @COMMANDS
 def test_command_loads_no_contextlib(bad_files, argv, code):
     assert stdlib_loaded_by_main(argv, bad_files, ("contextlib",)) == (code, [])
+
+
+# what `from fractions import Fraction` loads
+FRACTIONS = ("decimal", "fractions", "numbers")
+
+
+@COMMANDS
+def test_analyze_and_check_load_no_fractions(bad_files, argv, code):
+    exit_code, loaded = stdlib_loaded_by_main(argv, bad_files, FRACTIONS)
+    assert exit_code == code
+    # schedule and classify results hold Fractions
+    assert loaded == [] or argv[0] in ("schedule", "classify")
+
+
+@pytest.mark.parametrize(
+    "argv, module, loaded",
+    [
+        (["schedule", "t.json"], "relaydof.region", False),
+        (["schedule", "t.json", "--demand", "d.json"], "relaydof.region", True),
+        (["check", "t.json", "decimal_d.json"], "fractions", True),
+    ],
+)
+def test_a_module_loads_only_with_its_use(files, argv, module, loaded):
+    assert stdlib_loaded_by_main(argv, files, (module,)) == (0, [module] if loaded else [])
 
 
 @pytest.mark.parametrize(
