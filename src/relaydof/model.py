@@ -13,12 +13,11 @@ nothing else; ``ExtRational`` writes ``__lt__`` beside its ``__eq__``; and
 ``functools.total_ordering`` derives the rest of each.
 Ints, Fractions and both extended types mix in every ``ExtRational``
 operator, which reads its operand through the one rule ``_operand``;
-anything else, a float say, is ``NotImplemented``.  Every outside value
-that becomes a Fraction is read by the one rule ``_exact``, which also reads
-rational literals as the documents do, and rejects a float or a bool.
-``fractions`` loads with the first Fraction built (``_fraction``); a type
-test finds ``Fraction`` in ``sys.modules``, as none exists before.
-Parsing needs it only for a literal other than ``p`` or ``p/q``.
+anything else, a float say, is ``NotImplemented``.  Every outside exact
+value, a document's rational literal too, is read into a reduced int pair
+by the one rule ``_pair``, which rejects a float or a bool.  ``fractions``
+loads with the first Fraction built (``_fraction``), so parsing loads none;
+a type test finds ``Fraction`` in ``sys.modules``, as none exists before.
 
 All types are immutable after construction and all operations are pure
 functions, safe to share across threads.  Four slots are filled after
@@ -115,8 +114,7 @@ INFINITY = Infinity()
 # A layer size: a positive integer or the symbolic infinity.
 ExtCount = int | Infinity
 
-# the characters of a finite rational literal: p/q, a sign, a decimal point
-# and an exponent
+# the characters of a finite rational literal: a sign, p/q, a decimal point, an exponent
 _LITERAL_CHARS = frozenset("0123456789+-/.eE")
 
 
@@ -132,33 +130,52 @@ def _fraction(numerator, denominator=None) -> Fraction:
     return fractions.Fraction(numerator, denominator)
 
 
-def _exact(value) -> Fraction | None:
-    """The value of an int, Fraction, extended value or rational literal, None
-    for inf; every outside value that becomes a Fraction is read here."""
-    if type(value) is getattr(sys.modules.get("fractions"), "Fraction", None):
-        return value
-    if isinstance(value, ExtRational):
-        return value._value
-    if isinstance(value, Infinity):
-        return None
-    if _rational(value) and not isinstance(value, bool):
-        return _fraction(value)
+def _pair(value) -> tuple[int, int]:
+    """The reduced (p, q), q > 0, of an int, Fraction, extended value or literal,
+    (1, 0) for inf.  A literal is "inf", or an optional sign, then ``p/q`` or
+    digits with an optional decimal point and exponent, valued as ``Fraction``
+    values it; the int-string limit holds each digit run, and the exponent."""
     if not isinstance(value, str):
+        if isinstance(value, ExtRational):
+            return value._numerator, value._denominator
+        if isinstance(value, Infinity):
+            return 1, 0
+        if _rational(value) and not isinstance(value, bool):
+            return value.numerator, value.denominator
         raise TypeError(f"expected an exact number, got {value!r}")
-    if value == "inf":
-        return None
+    p, slash, q = value.partition("/")
     try:
-        # Fraction would also take spaces, '_' and non-ASCII digits
-        if not _LITERAL_CHARS.issuperset(value):
+        if value.isascii() and p.isdigit() and (q.isdigit() or not slash):  # p or p/q, read first
+            p, q = int(p), int(q or 1)
+            if not q:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
+        elif value == "inf":
+            return 1, 0
+        elif not _LITERAL_CHARS.issuperset(value):
             raise ValueError(value)
-        # Fraction builds 10**|exponent|, so the exponent is held to the
-        # int-string limit that already caps the digits of a literal
-        exponent = value.lower().partition("e")[2]
-        if exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
-            raise ValueError(value)
-        return _fraction(value)
+        elif value[:1] in ("+", "-") and value[1:2] not in ("+", "-"):  # a sign, then an unsigned literal
+            p, q = _pair(value[1:])
+            p = -p if value[0] == "-" else p
+        else:  # digits with an optional decimal point and exponent; a slash is no digit
+            mantissa, e, exponent = value.lower().partition("e")
+            whole, _, digits = mantissa.partition(".")
+            exponent = int(exponent) if e else 0  # of literal characters, int reads a sign and digits only
+            if not (whole + digits).isdigit() or 0 < sys.get_int_max_str_digits() < abs(exponent):
+                raise ValueError(value)
+            p = (int(whole or 0) * 10 ** len(digits) + int(digits or 0)) * 10 ** max(exponent, 0)
+            q = 10 ** (len(digits) - min(exponent, 0))
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad rational literal {value!r}") from exc
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
+
+
+def _exact(value) -> Fraction | None:
+    """The ``_pair`` of a value as a Fraction, None for inf; a Fraction passes through."""
+    if type(value) is getattr(sys.modules.get("fractions"), "Fraction", None):
+        return value
+    p, q = _pair(value)
+    return _fraction(p, q) if q else None
 
 
 def _operand(method):
@@ -186,11 +203,11 @@ class ExtRational:
     (1, 0).  Its ``Fraction`` is built only when an operator, ``hash`` or
     ``as_fraction()`` first needs it, and its text, written from the two ints
     as ``str(Fraction)`` writes it, when ``str`` first needs it; a Fraction
-    given to the constructor is kept as is.  Arithmetic follows the extended
-    rules used throughout the analysis: ``x + inf == inf``, ``1/inf == 0``,
-    and the reciprocal of 0 is ``inf``.  Indeterminate combinations
-    (``inf - inf``, ``inf * 0``, ``inf / inf``) raise ``ArithmeticError``
-    rather than guessing.
+    given to the constructor is kept as is, any other value read by ``_pair``.
+    Arithmetic follows the extended rules used throughout the analysis:
+    ``x + inf == inf``, ``1/inf == 0``, and the reciprocal of 0 is ``inf``.
+    Indeterminate combinations (``inf - inf``, ``inf * 0``, ``inf / inf``)
+    raise ``ArithmeticError`` rather than guessing.
     """
 
     __slots__ = ("_numerator", "_denominator", "_fraction", "_text")
@@ -200,7 +217,6 @@ class ExtRational:
             if type(numerator) is int:
                 self._numerator, self._denominator, self._fraction = numerator, 1, None
                 return
-            value = _exact(numerator)
         elif type(numerator) is int and type(denominator) is int:
             if not denominator:
                 raise ZeroDivisionError(f"Fraction({numerator}, 0)")
@@ -211,12 +227,11 @@ class ExtRational:
             self._numerator, self._denominator, self._fraction = numerator // g, denominator // g, None
             return
         else:
-            value = _fraction(numerator, denominator)  # a Fraction operand, or the TypeError
-        self._fraction = value
-        if value is None:
-            self._numerator, self._denominator = 1, 0
+            numerator = _fraction(numerator, denominator)  # a Fraction operand, or the TypeError
+        if type(numerator) is getattr(sys.modules.get("fractions"), "Fraction", None):
+            self._numerator, self._denominator, self._fraction = numerator.numerator, numerator.denominator, numerator
         else:
-            self._numerator, self._denominator = value.numerator, value.denominator
+            (self._numerator, self._denominator), self._fraction = _pair(numerator), None
 
     @property
     def _value(self) -> Fraction | None:
@@ -348,10 +363,7 @@ class ExtRational:
 
     def _render(self) -> str:
         """The text, made from the pair as ``str(Fraction)`` makes it, or "inf"."""
-        n, d = self._numerator, self._denominator
-        if d == 1:
-            return str(n)
-        return f"{n}/{d}" if d else "inf"
+        return _text(self._numerator, self._denominator) if self._denominator else "inf"
 
     def __repr__(self):
         return f"ExtRational({str(self)!r})"
@@ -548,16 +560,16 @@ class DemandMatrix(Record):
     _fields = ("entries",)
 
     def __init__(self, entries: Mapping[tuple[int, int], Fraction]):
-        values = {}
+        pairs = {}
         for key, value in entries.items():
             if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is type(key[1]) is int):
                 raise DemandError(f"demand key {key!r} must be a (destination, source) pair of ints")
             j, i = key
-            if (value := _exact(value)) is None:
+            if not (pair := _pair(value))[1]:
                 raise DemandError(f"demand entry (dst {j + 1}, src {i + 1}) must be finite")
-            values[key] = value
-        unit = math.lcm(*[v.denominator for v in values.values()])
-        _on_unit(unit, {key: v.numerator * (unit // v.denominator) for key, v in values.items()}, self)
+            pairs[key] = pair
+        unit = math.lcm(*[q for _, q in pairs.values()])
+        _on_unit(unit, {key: p * (unit // q) for key, (p, q) in pairs.items()}, self)
 
     @property
     def entries(self) -> Mapping[tuple[int, int], Fraction]:
@@ -588,7 +600,7 @@ class DemandMatrix(Record):
         return self.unit, rows, cols
 
     def scale(self, factor) -> "DemandMatrix":
-        # read by _exact's rules, into an int pair; inf has no denominator
+        # read into its pair; an infinite factor raises at its denominator
         factor = factor if isinstance(factor, ExtRational) else ExtRational(factor)
         return _on_unit(self.unit * factor.denominator, {k: c * factor.numerator for k, c in self.counts.items()})
 
@@ -708,16 +720,6 @@ def serialize_topology(t: NetworkTopology) -> str:
     return json.dumps(topology_to_obj(t))
 
 
-def _ratio(dof: str) -> tuple[int, int] | None:
-    """(p, q) of a ``p`` or ``p/q`` literal of ASCII digits, q > 0 and within the
-    int-string limit, as Fraction's reader reads it; None for any other literal."""
-    p, slash, q = dof.partition("/")
-    if dof.isascii() and p.isdigit() and (q.isdigit() or not slash) and len(dof) <= sys.get_int_max_str_digits():
-        q = int(q or 1)
-        return (int(p), q) if q else None
-    return None
-
-
 def demand_from_obj(obj) -> DemandMatrix:
     if not isinstance(obj, dict) or "demands" not in obj:
         raise DemandError("demand document must be an object with a 'demands' list")
@@ -734,10 +736,8 @@ def demand_from_obj(obj) -> DemandMatrix:
                 raise DemandError(f"demand entry {pos}: '{name}' must be a 1-based integer index")
         if not isinstance(dof, (str, int)) or isinstance(dof, bool):
             raise DemandError(f"demand entry {pos}: 'dof' must be a rational string")
-        if (pair := (dof, 1) if isinstance(dof, int) else _ratio(dof)) is None:
-            if (value := _exact(dof)) is None:
-                raise DemandError(f"demand entry {pos}: 'dof' must be finite")
-            pair = value.numerator, value.denominator
+        if not (pair := _pair(dof))[1]:
+            raise DemandError(f"demand entry {pos}: 'dof' must be finite")
         key = (j - 1, i - 1)
         if key in pairs:
             raise DemandError(f"demand entry {pos}: duplicate (dst {j}, src {i})")

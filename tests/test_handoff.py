@@ -115,19 +115,20 @@ def test_sums_build_no_fraction(monkeypatch):
 
 
 def test_the_demand_path_builds_no_fraction(monkeypatch):
-    literals = ["1/7", "5/3", "2", "0", "12/8", "1/9"]
     cells = [(1, 1), (3, 1), (2, 2), (1, 2), (3, 2), (2, 1)]
-    text = json.dumps({"demands": [{"dst": j, "src": i, "dof": v} for (j, i), v in zip(cells, literals)]})
-    built = fractions_built(monkeypatch)
-    demand = parse_demand(text)
-    assert not check_demand(_ANTENNAS, demand).feasible
-    result = max_uniform_scale(_ANTENNAS, demand)
-    assert result.verdict.feasible and built == []
-    # a schedule builds the Fractions its records hold, two per phase and
-    # three totals, and none for its demand, uniform or given
-    for t, d in ((_ANTENNAS, result.scaled), (_ANTENNAS, None), (chain([60, 4, 3, 50]), None)):
-        built.clear()
-        s = integer_schedule(t, d)
-        assert len(built) == 2 * len(s.phases) + 3
-    monkeypatch.undo()
-    assert demand.entries == {(j - 1, i - 1): Fraction(v) for (j, i), v in zip(cells, literals) if v != "0"}
+    # p/q literals, then decimal and exponent ones
+    for literals in (["1/7", "5/3", "2", "0", "12/8", "1/9"], ["0.125", "5e-2", "1.5", "2E0", ".25", "-0e3"]):
+        text = json.dumps({"demands": [{"dst": j, "src": i, "dof": v} for (j, i), v in zip(cells, literals)]})
+        built = fractions_built(monkeypatch)
+        demand = parse_demand(text)
+        assert not check_demand(_ANTENNAS, demand).feasible
+        result = max_uniform_scale(_ANTENNAS, demand)
+        assert result.verdict.feasible and built == []
+        # a schedule builds the Fractions its records hold, two per phase and
+        # three totals, and none for its demand, uniform or given
+        for t, d in ((_ANTENNAS, result.scaled), (_ANTENNAS, None), (chain([60, 4, 3, 50]), None)):
+            built.clear()
+            s = integer_schedule(t, d)
+            assert len(built) == 2 * len(s.phases) + 3
+        monkeypatch.undo()
+        assert demand.entries == {(j - 1, i - 1): Fraction(v) for (j, i), v in zip(cells, literals) if Fraction(v)}

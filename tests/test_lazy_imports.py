@@ -98,8 +98,8 @@ CLI_CALLS = {
 
 TOPOLOGY = '{"layers":[{"nodes":3},{"nodes":3},{"nodes":3},{"nodes":3}]}'
 DEMAND = '{"demands":[{"dst":1,"src":1,"dof":"1/5"}]}'
-# a decimal literal, which only Fraction's reader reads
-DECIMAL_DEMAND = '{"demands":[{"dst":1,"src":1,"dof":"0.125"}]}'
+# a decimal and an exponent literal, which model reads into ints as it reads p/q
+DECIMAL_DEMAND = '{"demands":[{"dst":1,"src":1,"dof":"0.125"},{"dst":2,"src":2,"dof":"5e-2"}]}'
 FAMILY = '{"kind":"ProportionalFixedK","base":[1,1,1]}'
 
 
@@ -339,7 +339,7 @@ def test_analyze_and_check_load_no_fractions(bad_files, argv, code):
     [
         (["schedule", "t.json"], "relaydof.region", False),
         (["schedule", "t.json", "--demand", "d.json"], "relaydof.region", True),
-        (["check", "t.json", "decimal_d.json"], "fractions", True),
+        (["check", "t.json", "decimal_d.json"], "fractions", False),
     ],
 )
 def test_a_module_loads_only_with_its_use(files, argv, module, loaded):

@@ -1,7 +1,7 @@
 """The ``relaydof schedule`` JSON and DOT as written, parsed back and checked
 on their own: per-node bit conservation recomputed from the edges with
 Fractions, every phase carrying the whole ``total_bits``, and sources at the
-plan rate.  Each check runs on four fixed documents, one case each, and on
+plan rate.  Each check runs on five fixed documents, one case each, and on
 drawn ones."""
 
 import json
@@ -27,6 +27,11 @@ CASES = {
         '{"demands":[{"dst":1,"src":1,"dof":"1/10"},{"dst":2,"src":2,"dof":"1/5"}]}',
     ),
     "antennas-uniform": ('{"layers":[{"antennas":[2,1]},{"nodes":2},{"antennas":[1,3]}]}', None),
+    # the source's padding is one count of the plan's unit, its smallest
+    "one-unit-padding": (
+        '{"layers":[{"nodes":1},{"nodes":1},{"nodes":1}]}',
+        '{"demands":[{"dst":1,"src":1,"dof":"1/3"}]}',
+    ),
 }
 # (topology text, demand text or None): no demand, or one mostly inside the region
 DOCUMENTS = SCHEDULE_TOPOLOGIES.flatmap(
